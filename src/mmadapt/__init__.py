@@ -7,13 +7,12 @@ rng         deterministic label-splittable random streams
 vocab       token layout and toy languages
 corpus      synthetic speech/text corpus generation and preprocessing
 prompting   prompt templates, rendering, loss masks
-model       backbone, speech projector, low-rank adapters, splicing
+model       one transformer stack (backbone, speech projector), adapters, splicing
 checkpoint  versioned binary parameter bundles
 sampler     two-level interleaved batch scheduling
-trainer     AdamW, schedulers, staged training pipeline
+trainer     AdamW, schedulers, one runner for every training stage
 decode      greedy decoding and degeneration detection
 metrics     WER, smoothed BLEU-4, QA accuracy, language confusion
-pipeline    end-to-end orchestration used by the CLI
 """
 
 __version__ = "0.1.0"

@@ -3,13 +3,16 @@
 Layout: magic, format version, component kind, JSON header (name order,
 shapes, config echo), little-endian float32 payload, then a SHA-256 digest
 of everything before it. Loading verifies the digest, the version and,
-when requested, the component kind.
+when requested, the component kind. Saving writes a temporary sibling file
+and renames it over the target, so a crash mid-write leaves the previous
+bundle intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +27,7 @@ from .errors import (
 
 MAGIC = b"MMAD"
 FORMAT_VERSION = 1
-COMPONENT_KINDS = ("backbone", "projector", "lora", "frames")
+COMPONENT_KINDS = ("backbone", "projector", "lora")
 
 
 @dataclass
@@ -57,13 +60,18 @@ def save_checkpoint(component: str, params: dict[str, np.ndarray], config: dict,
         blob += arrays[name].tobytes()
     digest = hashlib.sha256(bytes(blob)).digest()
     blob += digest
-    Path(path).write_bytes(bytes(blob))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return digest.hex()
-
-
-def checkpoint_digest(path) -> str:
-    """Digest recorded in the bundle (verified against the payload)."""
-    return load_checkpoint(path).digest
 
 
 def load_checkpoint(path, expect_component: str | None = None) -> CheckpointBundle:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthError
+from .errors import ConfigError, LengthError
 from .model import Backbone, LoraAdapters, SpeechProjector, splice_prompt
 from .prompting import PromptedExample
 from .tensor import Tensor, concat, embedding_lookup, no_grad
@@ -33,7 +33,7 @@ def greedy_decode(
         speech = None
         if prompt.frames is not None:
             if projector is None:
-                raise LengthError("speech prompt needs a projector")
+                raise ConfigError("speech prompt needs a projector")
             speech = projector.forward(Tensor(prompt.frames.astype(projector.dtype)), train=False)
         content = list(prompt.content_tokens) if prompt.content_tokens is not None else []
         sp = splice_prompt(

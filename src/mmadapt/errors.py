@@ -47,7 +47,3 @@ class TrainingDivergenceError(RuntimeError):
 
 class UndefinedWerError(ValueError):
     """WER is undefined for an empty reference."""
-
-
-class DependencyError(RuntimeError):
-    """A pipeline command is missing a prerequisite artifact."""

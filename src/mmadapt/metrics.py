@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import string
 import warnings
-from dataclasses import dataclass
 from math import exp, log
 
 from .corpus import Example
@@ -170,23 +169,3 @@ def language_confusion(outputs: list, expected_language: str, vocab: Vocab) -> f
         raise ContractViolation("no outputs to classify")
     hits = sum(1 for out in outputs if vocab.classify_language(out) == expected_language)
     return hits / len(outputs)
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    task: str
-    language: str
-    metric: str
-    value: float
-    n_examples: int
-    config_digest: str
-
-    def to_json(self) -> dict:
-        return {
-            "task": self.task,
-            "language": self.language,
-            "metric": self.metric,
-            "value": self.value,
-            "n_examples": self.n_examples,
-            "config_digest": self.config_digest,
-        }

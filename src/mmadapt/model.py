@@ -1,14 +1,22 @@
-"""Model components: frozen decoder-only backbone, speech projector,
-low-rank adapters, frame averaging, prompt splicing.
+"""Model components: one pre-LN transformer stack, low-rank adapters,
+frame averaging and prompt splicing.
+
+`Backbone` (the frozen decoder LM) and `SpeechProjector` (the speech
+encoder) are the same pre-LN stack, `_Stack`, with different input tables,
+masks and heads: the backbone adds token and position tables, a causal mask
+and an LM head; the projector adds a frame-position table, an optional
+key-padding mask, dropout and an output projection into the backbone's
+embedding space. Every component, adapters included, holds its named
+parameter tensors in `params` and shares one freeze/export/load path.
 
 Weights are stored (d_out, d_in); forward passes compute x @ W^T. Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
-adapter is an exact no-op.
+adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +67,6 @@ class ProjectorConfig:
     d_out: int = 64
     dropout: float = 0.1
     frame_avg_k: int = 3
-    norm_style: str = "pre-ln"
     max_frames: int = 64  # learned positional table size
 
     def __post_init__(self):
@@ -67,8 +74,6 @@ class ProjectorConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.frame_avg_k < 1:
             raise ConfigError("frame_avg_k must be >= 1")
-        if self.norm_style != "pre-ln":
-            raise ConfigError("only pre-layer-norm projectors are supported")
         if self.d_in % self.n_heads:
             raise ConfigError("d_in must be divisible by n_heads")
         if self.max_frames < 1:
@@ -79,9 +84,8 @@ class ProjectorConfig:
 class LoraConfig:
     rank: int = 8
     alpha: float = 16.0
+    # "Q/K values" read literally: V is not adapted unless "attn_v" is listed.
     targets: tuple[str, ...] = ("attn_q", "attn_k", "attn_out", "ffn_up", "ffn_down")
-    dropout: float = 0.0
-    include_v: bool = False  # "Q/K values" read literally: V excluded by default
 
     def __post_init__(self):
         if self.rank < 1:
@@ -96,12 +100,30 @@ class LoraConfig:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    @property
-    def effective_targets(self) -> tuple[str, ...]:
-        t = tuple(self.targets)
-        if self.include_v and "attn_v" not in t:
-            t = t + ("attn_v",)
-        return t
+
+class _Params:
+    """Named parameter tensors in `params`, frozen, exported and loaded as one."""
+
+    params: dict[str, Tensor]
+
+    def param_dict(self) -> dict[str, Tensor]:
+        return self.params
+
+    def set_trainable(self, flag: bool) -> None:
+        for t in self.params.values():
+            t.requires_grad = flag
+
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        return {k: v.data for k, v in self.params.items()}
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter's values; names and shapes must match."""
+        if set(arrays) != set(self.params):
+            raise ShapeError(f"{type(self).__name__} checkpoint names do not match this configuration")
+        for name, t in self.params.items():
+            if arrays[name].shape != t.shape:
+                raise ShapeError(f"{name}: expected {t.shape}, got {arrays[name].shape}")
+            t.data = arrays[name].astype(t.data.dtype)
 
 
 @dataclass
@@ -122,7 +144,7 @@ def _site_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
     }
 
 
-class LoraAdapters:
+class LoraAdapters(_Params):
     """One low-rank pair per (layer, site) across all backbone layers."""
 
     def __init__(self, backbone_cfg: BackboneConfig, cfg: LoraConfig, rng: Rng, dtype=np.float32):
@@ -130,45 +152,17 @@ class LoraAdapters:
         self.pairs: dict[tuple[int, str], LoraPair] = {}
         shapes = _site_shapes(backbone_cfg)
         for layer in range(backbone_cfg.n_layers):
-            for site in cfg.effective_targets:
+            for site in cfg.targets:
                 d_out, d_in = shapes[site]
                 a = rng.split(f"{layer}", site).normal(size=(cfg.rank, d_in), scale=1.0 / np.sqrt(d_in))
                 self.pairs[(layer, site)] = LoraPair(
                     A=parameter(a.astype(dtype)),
                     B=parameter(np.zeros((d_out, cfg.rank), dtype=dtype)),
                 )
-
-    def param_dict(self) -> dict[str, Tensor]:
-        out = {}
+        self.params = {}
         for (layer, site), pair in sorted(self.pairs.items()):
-            out[f"layers.{layer}.{site}.A"] = pair.A
-            out[f"layers.{layer}.{site}.B"] = pair.B
-        return out
-
-    def set_trainable(self, flag: bool) -> None:
-        for pair in self.pairs.values():
-            pair.A.requires_grad = flag
-            pair.B.requires_grad = flag
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        params = self.param_dict()
-        if set(params) != set(arrays):
-            raise ShapeError("adapter checkpoint names do not match this configuration")
-        for name, t in params.items():
-            if arrays[name].shape != t.shape:
-                raise ShapeError(f"{name}: expected {t.shape}, got {arrays[name].shape}")
-            t.data = arrays[name].astype(t.data.dtype)
-
-
-def lora_forward(W: np.ndarray | Tensor, pair: LoraPair, cfg: LoraConfig, x) -> Tensor:
-    """y = W x + (alpha/r) B (A x) for a single vector x."""
-    W = W if isinstance(W, Tensor) else Tensor(W)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if W.shape[-1] != x.shape[-1] or pair.A.shape[-1] != x.shape[-1] or pair.B.shape[0] != W.shape[0]:
-        raise ShapeError(f"lora_forward: W {W.shape}, A {pair.A.shape}, B {pair.B.shape}, x {x.shape}")
-    base = matmul(W, x)
-    delta = matmul(pair.B, matmul(pair.A, x))
-    return add(base, scale(delta, cfg.scaling))
+            self.params[f"layers.{layer}.{site}.A"] = pair.A
+            self.params[f"layers.{layer}.{site}.B"] = pair.B
 
 
 def _linear(x: Tensor, W: Tensor, lora: "LoraAdapters | None", key: tuple[int, str]) -> Tensor:
@@ -201,52 +195,78 @@ def _multi_head_attention(q, k, v, n_heads, head_dim, attn_mask, drop_p=0.0, rng
     return concat(heads, axis=-1)
 
 
-class Backbone:
+class _Stack(_Params):
+    """Pre-LN transformer layers of width `d` plus a final layer norm.
+
+    `params` holds, in order: the subclass's input tables, each layer's
+    ln1/wq/wk/wv/wo/ln2/ffn_up/ffn_down, ln_f, then the subclass's head.
+    Weight matrices start as N(0, 0.02^2) draws from `rng.split(name)`.
+    """
+
+    def __init__(self, d: int, d_ffn: int, n_layers: int, n_heads: int, tables: dict, head: tuple, rng: Rng, dtype):
+        self.dtype = dtype
+        self.n_layers = n_layers
+        self.n_heads = n_heads
+
+        def init(name, shape):
+            return parameter((rng.split(name).normal(size=shape) * 0.02).astype(dtype))
+
+        def norm(prefix):
+            return {prefix + ".g": parameter(np.ones(d, dtype=dtype)), prefix + ".b": parameter(np.zeros(d, dtype=dtype))}
+
+        self.params: dict[str, Tensor] = {name: init(name, shape) for name, shape in tables.items()}
+        for i in range(n_layers):
+            p = f"layers.{i}."
+            self.params.update(norm(p + "ln1"))
+            for w in ("wq", "wk", "wv", "wo"):
+                self.params[p + w] = init(p + w, (d, d))
+            self.params.update(norm(p + "ln2"))
+            self.params[p + "ffn_up"] = init(p + "ffn_up", (d_ffn, d))
+            self.params[p + "ffn_down"] = init(p + "ffn_down", (d, d_ffn))
+        self.params.update(norm("ln_f"))
+        name, shape = head
+        self.params[name] = init(name, shape)
+
+    def _layers(self, x: Tensor, mask: Tensor | None, lora: LoraAdapters | None = None, drop: float = 0.0,
+                rng: Rng | None = None, train: bool = False) -> Tensor:
+        """The pre-LN layers and final layer norm over (..., L, d) inputs.
+
+        `lora` adds its low-rank deltas at every projection; `drop` > 0 in
+        training applies dropout to attention probabilities and to both
+        residual branches, drawn from `rng`.
+        """
+        p = self.params
+        head_dim = x.shape[-1] // self.n_heads
+        for i in range(self.n_layers):
+            pre = f"layers.{i}."
+            r = rng.split(f"layer{i}") if (train and drop > 0) else None
+            h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+            q = _linear(h, p[pre + "wq"], lora, (i, "attn_q"))
+            k = _linear(h, p[pre + "wk"], lora, (i, "attn_k"))
+            v = _linear(h, p[pre + "wv"], lora, (i, "attn_v"))
+            ctx = _multi_head_attention(q, k, v, self.n_heads, head_dim, mask, drop, r, train)
+            a = _linear(ctx, p[pre + "wo"], lora, (i, "attn_out"))
+            if r is not None:
+                a = dropout(a, drop, r.split("post-attn"), train)
+            x = add(x, a)
+            h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+            u = gelu(_linear(h, p[pre + "ffn_up"], lora, (i, "ffn_up")))
+            u = _linear(u, p[pre + "ffn_down"], lora, (i, "ffn_down"))
+            if r is not None:
+                u = dropout(u, drop, r.split("post-ffn"), train)
+            x = add(x, u)
+        return layer_norm(x, p["ln_f.g"], p["ln_f.b"])
+
+
+class Backbone(_Stack):
     """Decoder-only pre-LN transformer with learned absolute positions."""
 
     def __init__(self, cfg: BackboneConfig, rng: Rng, dtype=np.float32):
         self.cfg = cfg
-        self.dtype = dtype
-        d, f = cfg.d_model, cfg.d_ffn
-
-        def init(name, shape, std=0.02):
-            return parameter((rng.split(name).normal(size=shape) * std).astype(dtype))
-
-        self.params: dict[str, Tensor] = {
-            "wte": init("wte", (cfg.vocab_size, d)),
-            "wpe": init("wpe", (cfg.max_seq_len, d)),
-        }
-        for i in range(cfg.n_layers):
-            p = f"layers.{i}."
-            self.params[p + "ln1.g"] = parameter(np.ones(d, dtype=dtype))
-            self.params[p + "ln1.b"] = parameter(np.zeros(d, dtype=dtype))
-            self.params[p + "wq"] = init(p + "wq", (d, d))
-            self.params[p + "wk"] = init(p + "wk", (d, d))
-            self.params[p + "wv"] = init(p + "wv", (d, d))
-            self.params[p + "wo"] = init(p + "wo", (d, d))
-            self.params[p + "ln2.g"] = parameter(np.ones(d, dtype=dtype))
-            self.params[p + "ln2.b"] = parameter(np.zeros(d, dtype=dtype))
-            self.params[p + "ffn_up"] = init(p + "ffn_up", (f, d))
-            self.params[p + "ffn_down"] = init(p + "ffn_down", (d, f))
-        self.params["ln_f.g"] = parameter(np.ones(d, dtype=dtype))
-        self.params["ln_f.b"] = parameter(np.zeros(d, dtype=dtype))
-        self.params["lm_head"] = init("lm_head", (cfg.vocab_size, d))
+        d = cfg.d_model
+        tables = {"wte": (cfg.vocab_size, d), "wpe": (cfg.max_seq_len, d)}
+        super().__init__(d, cfg.d_ffn, cfg.n_layers, cfg.n_heads, tables, ("lm_head", (cfg.vocab_size, d)), rng, dtype)
         self._masks: dict[int, Tensor] = {}
-
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.params.values():
-            t.requires_grad = flag
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            raise ShapeError("backbone checkpoint names do not match this configuration")
-        for name, t in self.params.items():
-            if arrays[name].shape != t.shape:
-                raise ShapeError(f"{name}: expected {t.shape}, got {arrays[name].shape}")
-            t.data = arrays[name].astype(self.dtype)
 
     def embed(self, token_ids) -> Tensor:
         return embedding_lookup(self.params["wte"], np.asarray(token_ids, dtype=np.int64))
@@ -265,26 +285,12 @@ class Backbone:
         L = emb.shape[-2]
         if L > self.cfg.max_seq_len:
             raise LengthError(f"sequence length {L} exceeds max_seq_len {self.cfg.max_seq_len}")
-        p = self.params
-        x = add(emb, embedding_lookup(p["wpe"], np.asarray(positions, dtype=np.int64)))
-        mask = self._causal_mask(L)
-        head_dim = self.cfg.d_model // self.cfg.n_heads
-        for i in range(self.cfg.n_layers):
-            pre = f"layers.{i}."
-            h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q = _linear(h, p[pre + "wq"], lora, (i, "attn_q"))
-            k = _linear(h, p[pre + "wk"], lora, (i, "attn_k"))
-            v = _linear(h, p[pre + "wv"], lora, (i, "attn_v"))
-            ctx = _multi_head_attention(q, k, v, self.cfg.n_heads, head_dim, mask)
-            x = add(x, _linear(ctx, p[pre + "wo"], lora, (i, "attn_out")))
-            h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            u = gelu(_linear(h, p[pre + "ffn_up"], lora, (i, "ffn_up")))
-            x = add(x, _linear(u, p[pre + "ffn_down"], lora, (i, "ffn_down")))
-        x = layer_norm(x, p["ln_f.g"], p["ln_f.b"])
-        return matmul(x, p["lm_head"], transpose_b=True)
+        x = add(emb, embedding_lookup(self.params["wpe"], np.asarray(positions, dtype=np.int64)))
+        x = self._layers(x, self._causal_mask(L), lora=lora)
+        return matmul(x, self.params["lm_head"], transpose_b=True)
 
 
-class SpeechProjector:
+class SpeechProjector(_Stack):
     """Pre-LN bidirectional transformer encoder mapping averaged speech
     frames into the backbone's embedding space.
 
@@ -295,43 +301,9 @@ class SpeechProjector:
 
     def __init__(self, cfg: ProjectorConfig, rng: Rng, dtype=np.float32):
         self.cfg = cfg
-        self.dtype = dtype
-        d, f = cfg.d_in, cfg.d_ffn
-
-        def init(name, shape, std=0.02):
-            return parameter((rng.split(name).normal(size=shape) * std).astype(dtype))
-
-        self.params: dict[str, Tensor] = {"wpe": init("wpe", (cfg.max_frames, d))}
-        for i in range(cfg.n_layers):
-            p = f"layers.{i}."
-            self.params[p + "ln1.g"] = parameter(np.ones(d, dtype=dtype))
-            self.params[p + "ln1.b"] = parameter(np.zeros(d, dtype=dtype))
-            self.params[p + "wq"] = init(p + "wq", (d, d))
-            self.params[p + "wk"] = init(p + "wk", (d, d))
-            self.params[p + "wv"] = init(p + "wv", (d, d))
-            self.params[p + "wo"] = init(p + "wo", (d, d))
-            self.params[p + "ln2.g"] = parameter(np.ones(d, dtype=dtype))
-            self.params[p + "ln2.b"] = parameter(np.zeros(d, dtype=dtype))
-            self.params[p + "ffn_up"] = init(p + "ffn_up", (f, d))
-            self.params[p + "ffn_down"] = init(p + "ffn_down", (d, f))
-        self.params["ln_f.g"] = parameter(np.ones(d, dtype=dtype))
-        self.params["ln_f.b"] = parameter(np.zeros(d, dtype=dtype))
-        self.params["out_proj"] = init("out_proj", (cfg.d_out, d))
-
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.params.values():
-            t.requires_grad = flag
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            raise ShapeError("projector checkpoint names do not match this configuration")
-        for name, t in self.params.items():
-            if arrays[name].shape != t.shape:
-                raise ShapeError(f"{name}: expected {t.shape}, got {arrays[name].shape}")
-            t.data = arrays[name].astype(self.dtype)
+        d = cfg.d_in
+        tables = {"wpe": (cfg.max_frames, d)}
+        super().__init__(d, cfg.d_ffn, cfg.n_layers, cfg.n_heads, tables, ("out_proj", (cfg.d_out, d)), rng, dtype)
 
     def forward(self, frames: Tensor, train: bool = False, rng: Rng | None = None, pad_mask=None) -> Tensor:
         """frames: (..., M, d_in) averaged frames; returns (..., M, d_out).
@@ -345,38 +317,10 @@ class SpeechProjector:
             raise LengthError(f"{frames.shape[-2]} frames exceed max_frames {self.cfg.max_frames}")
         if train and self.cfg.dropout > 0 and rng is None:
             raise ContractViolation("training-mode projector needs an rng for dropout")
-        p = self.params
-        drop = self.cfg.dropout
         mask = Tensor(pad_mask) if pad_mask is not None else None
-        head_dim = self.cfg.d_in // self.cfg.n_heads
-        x = add(frames, embedding_lookup(p["wpe"], np.arange(frames.shape[-2], dtype=np.int64)))
-        for i in range(self.cfg.n_layers):
-            pre = f"layers.{i}."
-            r = rng.split(f"layer{i}") if (train and drop > 0) else None
-            h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q = matmul(h, p[pre + "wq"], transpose_b=True)
-            k = matmul(h, p[pre + "wk"], transpose_b=True)
-            v = matmul(h, p[pre + "wv"], transpose_b=True)
-            ctx = _multi_head_attention(q, k, v, self.cfg.n_heads, head_dim, mask, drop, r, train)
-            attn_out = matmul(ctx, p[pre + "wo"], transpose_b=True)
-            if train and drop > 0:
-                attn_out = dropout(attn_out, drop, r.split("post-attn"), train)
-            x = add(x, attn_out)
-            h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            u = matmul(gelu(matmul(h, p[pre + "ffn_up"], transpose_b=True)), p[pre + "ffn_down"], transpose_b=True)
-            if train and drop > 0:
-                u = dropout(u, drop, r.split("post-ffn"), train)
-            x = add(x, u)
-        x = layer_norm(x, p["ln_f.g"], p["ln_f.b"])
-        return matmul(x, p["out_proj"], transpose_b=True)
-
-
-def project_speech(frames: np.ndarray, projector: SpeechProjector, train_mode: bool, rng: Rng | None = None) -> Tensor:
-    """Project one example's averaged frames (M, d_in) to (M, d_out)."""
-    frames = np.asarray(frames)
-    if frames.ndim != 2 or frames.shape[1] != projector.cfg.d_in:
-        raise ShapeError(f"expected (M, {projector.cfg.d_in}) frames, got {frames.shape}")
-    return projector.forward(Tensor(frames.astype(projector.dtype)), train=train_mode, rng=rng)
+        x = add(frames, embedding_lookup(self.params["wpe"], np.arange(frames.shape[-2], dtype=np.int64)))
+        x = self._layers(x, mask, drop=self.cfg.dropout, rng=rng, train=train)
+        return matmul(x, self.params["out_proj"], transpose_b=True)
 
 
 def average_frames(frames: np.ndarray, k: int) -> np.ndarray:

@@ -53,8 +53,3 @@ class Rng:
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, path={'/'.join(self.path) or '.'})"
-
-
-def seeded_rng(seed: int, labels: list[str] | tuple[str, ...] = ()) -> Rng:
-    """Root stream for `seed`, optionally pre-split by a label path."""
-    return Rng(seed, tuple(str(l) for l in labels))

@@ -386,24 +386,10 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
 
 
 @dataclass(frozen=True)
-class OpRecord:
-    op: str
-    input_ids: tuple[int, ...]
-    output_id: int
-    output_shape: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GradTape:
     """Execution-ordered record of the ops reachable from a root tensor."""
 
     nodes: tuple[Tensor, ...]
-
-    @property
-    def records(self) -> tuple[OpRecord, ...]:
-        return tuple(
-            OpRecord(n.op, tuple(id(p) for p in n.parents), id(n), n.shape) for n in self.nodes
-        )
 
 
 def tape_of(root: Tensor) -> GradTape:

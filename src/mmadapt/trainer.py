@@ -1,9 +1,16 @@
-"""Optimization and the staged training pipeline.
+"""Optimization and the staged training recipe.
 
 Stages: backbone pretraining on text-rendered tasks (the stand-in for an
 instruction-following base model), A = projector-only speech training,
 B = adapter-only text training, C = a short joint merge of both on the
 interleaved speech+text schedule. The backbone is frozen in A/B/C.
+
+A `StagePlan` names the stage, its trainable components and their
+optimizers, and rejects combinations the recipe does not allow. One runner,
+`run_stage`, executes any stage on a `Trainer`: the trainer freezes every
+component outside `plan.trainable`, steps one AdamW per trainable component
+and returns snapshots of those components; `run_stage` adds the stage's dev
+metric (MT accuracy while pretraining, ST BLEU in stage A, none in B/C).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .metrics import bleu4, make_default_judge, qa_accuracy, sequence_accuracy
 from .model import Backbone, LoraAdapters, SpeechProjector, splice_prompt
 from .prompting import PromptedExample, render_prompt
 from .rng import Rng
-from .sampler import BatchEntry, SamplerConfig, plan_epoch
+from .sampler import SPEECH_TASKS, BatchEntry, SamplerConfig, plan_epoch
 from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, scale, stack, tslice
 from .vocab import TARGET_LANGUAGES
 
@@ -30,7 +37,6 @@ from .vocab import TARGET_LANGUAGES
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adamw"
     lr: float = 1e-3
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
@@ -38,12 +44,8 @@ class OptimizerConfig:
     scheduler: str = "constant"  # constant | warmup-constant
     warmup_steps: int = 0
     grad_accum: int = 1
-    batch_size: int = 16
-    max_steps: int | None = None
 
     def __post_init__(self):
-        if self.kind != "adamw":
-            raise ConfigError(f"unsupported optimizer kind {self.kind!r}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.grad_accum < 1:
@@ -65,35 +67,10 @@ def lr_at(scheduler: str, step: int, base_lr: float, warmup_steps: int) -> float
     raise ConfigError(f"unknown scheduler {scheduler!r}")
 
 
-def adamw_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: dict[str, dict[str, np.ndarray]],
-    cfg: OptimizerConfig,
-    step: int,
-) -> None:
-    """One decoupled-weight-decay update with bias-corrected moments,
-    applied in place. `state` holds per-name "m" and "v" buffers."""
-    if step < 1:
-        raise ContractViolation("optimizer step count starts at 1")
-    b1, b2 = cfg.betas
-    lr = lr_at(cfg.scheduler, step, cfg.lr, cfg.warmup_steps)
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError(f"non-finite gradient for {name}")
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * (g * g)
-        m_hat = m / (1 - b1**step)
-        v_hat = v / (1 - b2**step)
-        p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data)
-
-
 class AdamW:
+    """Decoupled-weight-decay Adam with bias-corrected moments over one
+    component's named parameters."""
+
     def __init__(self, params: dict[str, Tensor], cfg: OptimizerConfig):
         self.params = dict(params)
         self.cfg = cfg
@@ -104,9 +81,26 @@ class AdamW:
         }
 
     def step(self, grads: dict[str, np.ndarray]) -> float:
+        """Update every parameter in place from `grads` (same names);
+        returns the learning rate used."""
         self.t += 1
-        adamw_step(self.params, grads, self.state, self.cfg, self.t)
-        return lr_at(self.cfg.scheduler, self.t, self.cfg.lr, self.cfg.warmup_steps)
+        cfg, step = self.cfg, self.t
+        b1, b2 = cfg.betas
+        lr = lr_at(cfg.scheduler, step, cfg.lr, cfg.warmup_steps)
+        for name, p in self.params.items():
+            g = grads[name]
+            if not np.all(np.isfinite(g)):
+                raise TrainingDivergenceError(f"non-finite gradient for {name}")
+            m = self.state["m"][name]
+            v = self.state["v"][name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            m_hat = m / (1 - b1**step)
+            v_hat = v / (1 - b2**step)
+            p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data)
+        return lr
 
     def state_dict(self) -> dict:
         return {
@@ -142,12 +136,16 @@ def batch_loss(
     `content_noise` perturbs text content-block embeddings during training
     (backbone pretraining only); it makes content reading tolerant to the
     inexact embeddings a projector will later splice into the same slots.
+    All prompts must share one modality: speech (with frames) or text.
     """
     dtype = backbone.dtype
     d = backbone.cfg.d_model
+    speech = {p.frames is not None for p in prompts}
+    if len(speech) > 1:
+        raise ConfigError("a batch mixes speech and text prompts")
     speech_out = None
     frame_counts = []
-    if prompts[0].frames is not None:
+    if speech == {True}:
         if projector is None:
             raise ConfigError("speech batch needs a projector")
         frame_counts = [p.frames.shape[0] for p in prompts]
@@ -231,6 +229,10 @@ class EvalRecord:
     details: dict = field(default_factory=dict)
 
 
+STAGES = ("pretrain", "A", "B", "C")
+COMPONENTS = ("backbone", "projector", "lora")
+
+
 @dataclass
 class StagePlan:
     stage: str  # pretrain | A | B | C
@@ -245,8 +247,14 @@ class StagePlan:
     content_noise: float = 0.0  # text content-embedding noise (pretraining)
 
     def __post_init__(self):
+        if self.stage not in STAGES:
+            raise ConfigError(f"unknown stage {self.stage!r}")
+        if self.stage == "pretrain" and not self.sampler.text_mode:
+            raise ConfigError("backbone pretraining runs on text-rendered batches")
         if self.stage != "pretrain" and "backbone" in self.trainable:
             raise ConfigError("the backbone is frozen after pretraining")
+        if self.stage == "B" and not self.sampler.text_mode and any(t in self.sampler.task_ratios for t in SPEECH_TASKS):
+            raise ConfigError("adapter training is text-only")
         if self.stage == "C":
             if set(self.trainable) != {"projector", "lora"}:
                 raise ConfigError("the merge stage trains projector and adapters")
@@ -298,42 +306,33 @@ class Trainer:
             prompts.append(p)
         return prompts
 
+    def _components(self) -> dict:
+        attached = zip(COMPONENTS, (self.backbone, self.projector, self.adapters))
+        return {c: obj for c, obj in attached if obj is not None}
+
     def component_params(self, component: str) -> dict[str, Tensor]:
-        if component == "backbone":
-            return self.backbone.params
-        if component == "projector":
-            if self.projector is None:
-                raise ConfigError("no projector attached")
-            return self.projector.params
-        if component == "lora":
-            if self.adapters is None:
-                raise ConfigError("no adapters attached")
-            return self.adapters.param_dict()
-        raise ConfigError(f"unknown component {component!r}")
+        if component not in COMPONENTS:
+            raise ConfigError(f"unknown component {component!r}")
+        obj = self._components().get(component)
+        if obj is None:
+            raise ConfigError(f"no {component} attached")
+        return obj.param_dict()
 
     def run(self, plan: StagePlan, rng: Rng, eval_fn=None) -> tuple[list[TrainLogRecord], list[EvalRecord], dict]:
         """Train until `plan.max_steps` primary entries are consumed.
 
-        Returns (train log, eval records, snapshots) where snapshots maps
-        component name -> parameter arrays for the selected checkpoint.
+        Every attached component outside `plan.trainable` is frozen; each
+        trainable one must be attached. Returns (train log, eval records,
+        snapshots) where snapshots maps each trainable component name ->
+        parameter arrays for the selected checkpoint.
         """
         if eval_fn is not None and not (0 < plan.eval_every <= plan.max_steps):
             raise ConfigError("dev evaluation cadence does not fit the step budget")
-        for component in ("backbone", "projector", "lora"):
-            present = component == "backbone" or (
-                (self.projector if component == "projector" else self.adapters) is not None
-            )
-            if present:
-                params = self.component_params(component)
-                trainable = component in plan.trainable
-                for t in params.values():
-                    t.requires_grad = trainable
-        optimizers = {c: AdamW(self.component_params(c), plan.optimizers[c]) for c in plan.trainable}
-        all_params: dict[str, tuple[str, Tensor]] = {}
-        for c in plan.trainable:
-            for name, t in self.component_params(c).items():
-                all_params[f"{c}.{name}"] = (c, t)
-        param_list = [t for _, t in all_params.values()]
+        params = {c: self.component_params(c) for c in plan.trainable}
+        for c, obj in self._components().items():
+            obj.set_trainable(c in plan.trainable)
+        optimizers = {c: AdamW(params[c], plan.optimizers[c]) for c in plan.trainable}
+        param_list = [t for ps in params.values() for t in ps.values()]
         accums = {plan.optimizers[c].grad_accum for c in plan.trainable}
         if len(accums) != 1:
             raise ConfigError("trainable components must share one accumulation window")
@@ -344,7 +343,7 @@ class Trainer:
         evals: list[EvalRecord] = []
         best: tuple[float, dict] | None = None
         train_rng = rng.split("train")
-        buffers: dict[str, np.ndarray] | None = None
+        buffers: dict[str, dict[str, np.ndarray]] | None = None  # component -> name -> summed gradient
         micro = 0
         primary_done = 0
         epoch = 0
@@ -373,18 +372,15 @@ class Trainer:
                         raise TrainingDivergenceError(f"loss diverged at step {primary_done}")
                     grads = grad(scale(loss, 1.0 / accum), param_list)
                     if buffers is None:
-                        buffers = {name: grads[t].data for name, (_, t) in all_params.items()}
+                        buffers = {c: {name: grads[t].data for name, t in ps.items()} for c, ps in params.items()}
                     else:
-                        for name, (_, t) in all_params.items():
-                            buffers[name] += grads[t].data
+                        for c, ps in params.items():
+                            for name, t in ps.items():
+                                buffers[c][name] += grads[t].data
                     micro += 1
                     if micro == accum:
                         for c, opt in optimizers.items():
-                            prefix = f"{c}."
-                            opt_grads = {
-                                name[len(prefix) :]: g for name, g in buffers.items() if name.startswith(prefix)
-                            }
-                            lr_now = opt.step(opt_grads)
+                            lr_now = opt.step(buffers[c])
                         buffers, micro = None, 0
                     else:
                         lr_now = float("nan")
@@ -498,60 +494,25 @@ def sqa_dev_accuracy(backbone, corpus, languages, frame_avg_k, projector=None, a
 # ---------------------------------------------------------------------------
 
 
-def pretrain_backbone(backbone: Backbone, corpus: Corpus, plan: StagePlan, rng: Rng):
-    """Train the full backbone on text-rendered transcription + translation,
-    producing the frozen instruction-following stand-in."""
-    if plan.stage != "pretrain" or not plan.sampler.text_mode:
-        raise ConfigError("backbone pretraining runs on text-rendered batches")
-    trainer = Trainer(backbone, corpus, frame_avg_k=1)
+def run_stage(plan: StagePlan, trainer: Trainer, rng: Rng) -> tuple[list[TrainLogRecord], list[EvalRecord], dict]:
+    """Run one stage of the recipe on `trainer`'s components.
 
-    def dev_metric():
-        accs = [task_dev_accuracy(backbone, corpus, "MT", lang, "text", 1, max_examples=plan.dev_examples, max_new_tokens=plan.max_new_tokens) for lang in TARGET_LANGUAGES]
+    The dev metric follows `plan.stage`: mean MT exact match across target
+    languages while pretraining, mean ST BLEU in stage A (the metric that
+    `best-st-bleu` selects on), none in stages B and C. Returns (train log,
+    eval records, snapshots of the `plan.trainable` components).
+    """
+    bb, corpus, k = trainer.backbone, trainer.corpus, trainer.frame_avg_k
+    models = {"projector": trainer.projector, "adapters": trainer.adapters}
+    limits = {"max_examples": plan.dev_examples, "max_new_tokens": plan.max_new_tokens}
+
+    def mt_accuracy():
+        accs = [task_dev_accuracy(bb, corpus, "MT", lang, "text", k, **models, **limits) for lang in TARGET_LANGUAGES]
         return float(np.mean(accs)), {"mt_acc": dict(zip(TARGET_LANGUAGES, accs))}
 
-    log, evals, snaps = trainer.run(plan, rng, eval_fn=dev_metric)
-    return log, evals, snaps["backbone"]
-
-
-def train_stage_a(plan: StagePlan, backbone: Backbone, projector: SpeechProjector, corpus: Corpus, rng: Rng):
-    """Projector-only speech training; returns the dev-best projector."""
-    backbone.set_trainable(False)
-    trainer = Trainer(backbone, corpus, projector.cfg.frame_avg_k, projector=projector)
-
-    def dev_metric():
-        mean_bleu, per_lang = st_dev_bleu(
-            backbone, corpus, projector.cfg.frame_avg_k, projector,
-            max_examples=plan.dev_examples, max_new_tokens=plan.max_new_tokens,
-        )
+    def st_bleu():
+        mean_bleu, per_lang = st_dev_bleu(bb, corpus, k, **models, **limits)
         return mean_bleu, {"st_bleu": per_lang}
 
-    log, evals, snaps = trainer.run(plan, rng, eval_fn=dev_metric)
-    return log, evals, snaps["projector"]
-
-
-def train_stage_b(plan: StagePlan, backbone: Backbone, adapters: LoraAdapters, corpus: Corpus, rng: Rng):
-    """Adapter-only text training; returns the last checkpoint."""
-    backbone.set_trainable(False)
-    if not plan.sampler.text_mode and any(t in plan.sampler.task_ratios for t in ("ASR", "ST", "SQA")):
-        raise ConfigError("adapter training is text-only")
-    trainer = Trainer(backbone, corpus, frame_avg_k=1, adapters=adapters)
-    log, evals, snaps = trainer.run(plan, rng, eval_fn=None)
-    return log, evals, snaps["lora"]
-
-
-def train_stage_c(
-    plan: StagePlan,
-    backbone: Backbone,
-    projector: SpeechProjector | None,
-    adapters: LoraAdapters | None,
-    corpus: Corpus,
-    rng: Rng,
-):
-    """Joint merge on the interleaved speech+text schedule with one fresh
-    optimizer per component; returns the last checkpoint of both."""
-    if projector is None or adapters is None:
-        raise ConfigError("the merge stage needs both a projector and adapters")
-    backbone.set_trainable(False)
-    trainer = Trainer(backbone, corpus, projector.cfg.frame_avg_k, projector=projector, adapters=adapters)
-    log, evals, snaps = trainer.run(plan, rng, eval_fn=None)
-    return log, evals, snaps["projector"], snaps["lora"]
+    eval_fn = {"pretrain": mt_accuracy, "A": st_bleu}.get(plan.stage)
+    return trainer.run(plan, rng, eval_fn=eval_fn)

@@ -56,6 +56,24 @@ def test_bit_flip_is_corrupt(tmp_path, proj_params):
         load_checkpoint(path)
 
 
+def test_failed_write_leaves_previous_bundle_loadable(tmp_path, proj_params, monkeypatch):
+    import os
+
+    path = tmp_path / "proj.ckpt"
+    digest = save_checkpoint("projector", proj_params, {"gen": 1}, path)
+
+    def crash(fd):
+        raise OSError("simulated crash mid-write")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    newer = {k: a + 1.0 for k, a in proj_params.items()}
+    with pytest.raises(OSError):
+        save_checkpoint("projector", newer, {"gen": 2}, path)
+    bundle = load_checkpoint(path)
+    assert bundle.digest == digest and bundle.config == {"gen": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["proj.ckpt"]  # no temporary file left
+
+
 def test_cross_component_load_rejected(tmp_path, proj_params):
     path = tmp_path / "lora.ckpt"
     save_checkpoint("lora", proj_params, {}, path)

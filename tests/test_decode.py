@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmadapt.decode import detect_degeneration, flag_degeneration, greedy_decode
-from mmadapt.errors import LengthError
+from mmadapt.errors import ConfigError, LengthError
 from mmadapt.model import Backbone, BackboneConfig
 from mmadapt.prompting import PromptedExample
 from mmadapt.rng import Rng
@@ -101,6 +101,13 @@ def test_context_overflow_rejected():
     bb = Backbone(CFG, Rng(5))
     with pytest.raises(LengthError):
         greedy_decode(bb, _prompt(content=tuple([2] * 40)), max_new_tokens=10)
+
+
+def test_speech_prompt_without_projector_is_a_config_error():
+    speech = PromptedExample(id="s0", task="ASR", language="src", validity="valid", modality="speech",
+                             prefix_tokens=(1,), frames=np.zeros((3, 8)), suffix_tokens=(4,), target_tokens=())
+    with pytest.raises(ConfigError):
+        greedy_decode(Backbone(CFG, Rng(6)), speech, max_new_tokens=2)
 
 
 def test_degeneration_hand_cases():

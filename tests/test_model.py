@@ -3,20 +3,19 @@ import pytest
 
 from mmadapt.errors import ConfigError, ContractViolation, LengthError, ShapeError
 from mmadapt.model import (
+    LORA_SITES,
     Backbone,
     BackboneConfig,
     LoraAdapters,
     LoraConfig,
-    LoraPair,
     ProjectorConfig,
     SpeechProjector,
+    _linear,
     average_frames,
-    lora_forward,
-    project_speech,
     splice_prompt,
 )
 from mmadapt.rng import Rng
-from mmadapt.tensor import Tensor, finite_diff_check, grad, masked_cross_entropy, mean, mul, parameter
+from mmadapt.tensor import Tensor, finite_diff_check, grad, masked_cross_entropy, mean, mul
 
 SMALL_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=32)
 SMALL_PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
@@ -57,27 +56,27 @@ def test_average_frames_empty_rejected():
 
 def test_projector_shape_and_eval_determinism():
     proj = SpeechProjector(SMALL_PROJ, Rng(3), dtype=np.float64)
-    frames = Rng(4).normal(size=(1, SMALL_PROJ.d_in))
-    out = project_speech(frames, proj, train_mode=False)
+    frames = Tensor(Rng(4).normal(size=(1, SMALL_PROJ.d_in)))
+    out = proj.forward(frames, train=False)
     assert out.shape == (1, SMALL_PROJ.d_out)
-    out2 = project_speech(frames, proj, train_mode=False)
+    out2 = proj.forward(frames, train=False)
     np.testing.assert_array_equal(out.data, out2.data)
 
 
 def test_projector_train_mode_needs_rng_and_differs():
     proj = SpeechProjector(SMALL_PROJ, Rng(3), dtype=np.float64)
-    frames = Rng(4).normal(size=(4, SMALL_PROJ.d_in))
+    frames = Tensor(Rng(4).normal(size=(4, SMALL_PROJ.d_in)))
     with pytest.raises(ContractViolation):
-        project_speech(frames, proj, train_mode=True)
-    a = project_speech(frames, proj, train_mode=True, rng=Rng(5))
-    b = project_speech(frames, proj, train_mode=False)
+        proj.forward(frames, train=True)
+    a = proj.forward(frames, train=True, rng=Rng(5))
+    b = proj.forward(frames, train=False)
     assert not np.array_equal(a.data, b.data)
 
 
 def test_projector_rejects_wrong_width():
     proj = SpeechProjector(SMALL_PROJ, Rng(3))
     with pytest.raises(ShapeError):
-        project_speech(np.zeros((2, SMALL_PROJ.d_in + 1)), proj, train_mode=False)
+        proj.forward(Tensor(np.zeros((2, SMALL_PROJ.d_in + 1), dtype=np.float32)), train=False)
 
 
 def _scale_up_weights(params: dict, rng: Rng, std: float = 0.4) -> None:
@@ -101,49 +100,72 @@ def test_projector_gradients_match_finite_differences():
     assert finite_diff_check(f, params, epsilon=1e-5) < 1e-4
 
 
+# Site name -> the backbone weight an adapter at that site perturbs.
+SITE_WEIGHTS = {"attn_q": "wq", "attn_k": "wk", "attn_v": "wv", "attn_out": "wo", "ffn_up": "ffn_up", "ffn_down": "ffn_down"}
+ONE_SITE = BackboneConfig(vocab_size=4, d_model=2, n_layers=1, n_heads=1, d_ffn=2, max_seq_len=4)
+
+
+def _one_pair(cfg: LoraConfig, A, B) -> LoraAdapters:
+    adapters = LoraAdapters(ONE_SITE, cfg, Rng(0), dtype=np.float64)
+    adapters.load_arrays({"layers.0.attn_q.A": np.asarray(A, dtype=float), "layers.0.attn_q.B": np.asarray(B, dtype=float)})
+    return adapters
+
+
 def test_lora_zero_b_is_exact_identity():
     rng = Rng(8)
-    cfg = LoraConfig(rank=4, alpha=8.0)
-    W = rng.normal(size=(6, 5))
-    pair = LoraPair(A=parameter(rng.normal(size=(4, 5))), B=parameter(np.zeros((6, 4))))
-    x = rng.normal(size=5)
-    y = lora_forward(W, pair, cfg, x)
-    np.testing.assert_array_equal(y.data, W @ x)
+    adapters = LoraAdapters(ONE_SITE, LoraConfig(rank=4, alpha=8.0, targets=("attn_q",)), rng, dtype=np.float64)
+    W = Tensor(rng.normal(size=(2, 2)))
+    x = Tensor(rng.normal(size=(5, 2)))
+    y = _linear(x, W, adapters, (0, "attn_q"))
+    np.testing.assert_array_equal(y.data, x.data @ W.data.T)
 
 
 def test_lora_hand_case():
-    cfg = LoraConfig(rank=1, alpha=2.0)
-    pair = LoraPair(A=parameter(np.array([[1.0, 0.0]])), B=parameter(np.array([[1.0], [0.0]])))
-    y = lora_forward(np.eye(2), pair, cfg, np.array([1.0, 1.0]))
+    adapters = _one_pair(LoraConfig(rank=1, alpha=2.0, targets=("attn_q",)), [[1.0, 0.0]], [[1.0], [0.0]])
+    y = _linear(Tensor(np.array([1.0, 1.0])), Tensor(np.eye(2)), adapters, (0, "attn_q"))
     np.testing.assert_allclose(y.data, [3.0, 1.0])
 
 
+def _with_random_b(adapters: LoraAdapters, rng: Rng, std: float = 0.3) -> LoraAdapters:
+    for (layer, site), pair in adapters.pairs.items():
+        pair.B.data = rng.split(str(layer), site).normal(size=pair.B.shape) * std
+    return adapters
+
+
 def test_lora_matches_dense_delta_oracle():
-    rng = Rng(9)
-    cfg = LoraConfig(rank=3, alpha=16.0)
+    # Adapters on all six sites must equal a plain backbone whose site
+    # weights are W + (alpha/r) * B @ A.
+    bb = Backbone(SMALL_BB, Rng(9), dtype=np.float64)
+    _scale_up_weights(bb.params, Rng(90))
+    cfg = LoraConfig(rank=3, alpha=16.0, targets=LORA_SITES)
+    adapters = _with_random_b(LoraAdapters(SMALL_BB, cfg, Rng(91), dtype=np.float64), Rng(92))
+    merged = Backbone(SMALL_BB, Rng(9), dtype=np.float64)
+    arrays = {k: a.copy() for k, a in bb.param_arrays().items()}
+    for (layer, site), pair in adapters.pairs.items():
+        arrays[f"layers.{layer}.{SITE_WEIGHTS[site]}"] += cfg.scaling * pair.B.data @ pair.A.data
+    merged.load_arrays(arrays)
+    rng = Rng(93)
     for _ in range(10):
-        d_out, d_in = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        W = rng.normal(size=(d_out, d_in))
-        A = rng.normal(size=(3, d_in))
-        B = rng.normal(size=(d_out, 3))
-        x = rng.normal(size=d_in)
-        y = lora_forward(W, LoraPair(A=parameter(A), B=parameter(B)), cfg, x)
-        np.testing.assert_allclose(y.data, (W + cfg.scaling * B @ A) @ x, rtol=1e-10)
+        L = int(rng.integers(2, 12))
+        ids = rng.integers(0, SMALL_BB.vocab_size, size=(2, L))
+        got = bb.forward(bb.embed(ids), np.arange(L), lora=adapters).data
+        want = merged.forward(merged.embed(ids), np.arange(L)).data
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_lora_shape_mismatch_rejected():
-    cfg = LoraConfig(rank=1, alpha=1.0)
-    pair = LoraPair(A=parameter(np.ones((1, 3))), B=parameter(np.ones((2, 1))))
+    adapters = LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0), Rng(10))
+    other_rank = LoraAdapters(SMALL_BB, LoraConfig(rank=3, alpha=4.0), Rng(10))
     with pytest.raises(ShapeError):
-        lora_forward(np.eye(2), pair, cfg, np.ones(2))
+        adapters.load_arrays(other_rank.param_arrays())
 
 
 def test_lora_frozen_base_gets_no_gradient():
     rng = Rng(10)
-    cfg = LoraConfig(rank=2, alpha=4.0)
-    W = Tensor(rng.normal(size=(4, 4)))  # frozen: requires_grad False
-    pair = LoraPair(A=parameter(rng.normal(size=(2, 4))), B=parameter(rng.normal(size=(4, 2))))
-    y = lora_forward(W, pair, cfg, rng.normal(size=4))
+    adapters = LoraAdapters(ONE_SITE, LoraConfig(rank=2, alpha=4.0, targets=("attn_q",)), rng, dtype=np.float64)
+    pair = _with_random_b(adapters, rng.split("B")).pairs[(0, "attn_q")]
+    W = Tensor(rng.normal(size=(2, 2)))  # frozen: requires_grad False
+    y = _linear(Tensor(rng.normal(size=(3, 2))), W, adapters, (0, "attn_q"))
     g = grad(mean(mul(y, y)), [pair.A, pair.B, W])
     assert np.any(g[pair.A].data != 0) and np.any(g[pair.B].data != 0)
     np.testing.assert_array_equal(g[W].data, 0)
@@ -154,9 +176,35 @@ def test_lora_config_guards():
         LoraConfig(rank=0)
     with pytest.raises(ConfigError):
         LoraConfig(targets=("attn_q", "banana"))
-    cfg = LoraConfig(include_v=True)
-    assert "attn_v" in cfg.effective_targets
-    assert LoraConfig().dropout == 0.0
+    assert "attn_v" not in LoraConfig().targets
+    adapters = LoraAdapters(SMALL_BB, LoraConfig(targets=("attn_q", "attn_v")), Rng(11))
+    assert sorted(adapters.pairs) == [(i, s) for i in range(SMALL_BB.n_layers) for s in ("attn_q", "attn_v")]
+
+
+def _components() -> dict:
+    return {
+        "backbone": Backbone(SMALL_BB, Rng(30)),
+        "projector": SpeechProjector(SMALL_PROJ, Rng(31)),
+        "lora": LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0), Rng(32)),
+    }
+
+
+@pytest.mark.parametrize("component", ["backbone", "projector", "lora"])
+def test_load_arrays_round_trips_and_rejects_wrong_names_and_shapes(component):
+    obj = _components()[component]
+    arrays = {k: Rng(33).split(k).normal(size=a.shape).astype(np.float32) for k, a in obj.param_arrays().items()}
+    obj.load_arrays(arrays)
+    for k, a in obj.param_arrays().items():
+        np.testing.assert_array_equal(a, arrays[k])
+    first = next(iter(arrays))
+    missing = {k: a for k, a in arrays.items() if k != first}
+    renamed = {**missing, first + ".x": arrays[first]}
+    reshaped = {**arrays, first: np.zeros(arrays[first].shape + (1,), dtype=np.float32)}
+    for bad in (missing, renamed, reshaped):
+        with pytest.raises(ShapeError):
+            obj.load_arrays(bad)
+    for k, a in obj.param_arrays().items():  # a rejected load changes nothing
+        np.testing.assert_array_equal(a, arrays[k])
 
 
 def test_zero_init_adapters_leave_backbone_logits_bit_identical():
@@ -253,8 +301,11 @@ def test_end_to_end_gradient_projector_lora_backbone_loss():
 def test_backbone_unreachable_when_frozen():
     bb = Backbone(SMALL_BB, Rng(26), dtype=np.float64)
     bb.set_trainable(False)
+    adapters = _with_random_b(LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0), Rng(27), dtype=np.float64), Rng(28))
     ids = np.arange(5)
-    logits = bb.forward(bb.embed(ids), np.arange(5))
-    loss = masked_cross_entropy(logits, np.zeros(5, dtype=int), np.ones(5, dtype=bool))
-    g = grad(loss, list(bb.params.values()))
-    assert all(np.all(v.data == 0) for v in g.values())
+    for lora in (None, adapters):
+        logits = bb.forward(bb.embed(ids), np.arange(5), lora=lora)
+        loss = masked_cross_entropy(logits, np.zeros(5, dtype=int), np.ones(5, dtype=bool))
+        g = grad(loss, list(bb.params.values()) + list(adapters.params.values()))
+        assert all(np.all(g[t].data == 0) for t in bb.params.values())
+        assert all(np.any(g[t].data != 0) == (lora is not None) for t in adapters.params.values())

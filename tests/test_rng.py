@@ -1,32 +1,32 @@
 import numpy as np
 
-from mmadapt.rng import Rng, seeded_rng
+from mmadapt.rng import Rng
 
 
 def test_same_seed_same_draws():
-    a = seeded_rng(7).uniform(size=3)
-    b = seeded_rng(7).uniform(size=3)
+    a = Rng(7).uniform(size=3)
+    b = Rng(7).uniform(size=3)
     np.testing.assert_array_equal(a, b)
 
 
 def test_labeled_splits_are_distinct_streams():
-    root = seeded_rng(7)
+    root = Rng(7)
     s = root.split("sampler").uniform(size=8)
     c = root.split("corpus").uniform(size=8)
     assert not np.array_equal(s, c)
 
 
 def test_split_independent_of_sibling_order():
-    r1 = seeded_rng(13)
+    r1 = Rng(13)
     a_first = r1.split("a").uniform(size=4)
-    r2 = seeded_rng(13)
+    r2 = Rng(13)
     r2.split("b").uniform(size=4)  # consume a sibling first
     a_second = r2.split("a").uniform(size=4)
     np.testing.assert_array_equal(a_first, a_second)
 
 
 def test_uniform_mean_monte_carlo():
-    draws = seeded_rng(1234).uniform(size=100_000)
+    draws = Rng(1234).uniform(size=100_000)
     assert abs(draws.mean() - 0.5) < 0.01
 
 

@@ -252,7 +252,7 @@ def test_tape_is_execution_ordered():
     tape = tape_of(y)
     seqs = [n._seq for n in tape.nodes]
     assert seqs == sorted(seqs)
-    assert {r.op for r in tape.records} <= T.SUPPORTED_OPS
+    assert {n.op for n in tape.nodes} <= T.SUPPORTED_OPS
 
 
 def test_no_grad_suppresses_recording():
