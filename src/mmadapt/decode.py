@@ -1,13 +1,24 @@
-"""Greedy autoregressive decoding and repetition-degeneration detection."""
+"""Greedy autoregressive decoding and repetition-degeneration detection.
+
+`greedy_decode` decodes one prompt at a time. At the start of each call it
+folds the adapters into the frozen site weights, W + (alpha/r)*B@A, so the
+forward runs with no adapter matmuls; the folded weights live only in that
+call's `KVCache`, so nothing on the backbone or the adapters can go stale.
+One prefill forward over the prompt fills the cache with every layer's keys
+and values, and each new token is then fed as a single row that attends
+over the cache. The definition it must match is the plain loop: run the
+unfolded model over the whole prefix and append the argmax of the last row;
+the tests keep that loop as the oracle, token for token.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError, LengthError
-from .model import Backbone, LoraAdapters, SpeechProjector, splice_prompt
+from .model import Backbone, KVCache, LoraAdapters, SpeechProjector, fold_adapters, splice_prompt
 from .prompting import PromptedExample
-from .tensor import Tensor, concat, embedding_lookup, no_grad
+from .tensor import Tensor, concat, embedding_lookup, no_grad  # noqa: F401  (concat re-exported: perfbench wraps decode.concat)
 from .vocab import EOS
 
 
@@ -44,16 +55,18 @@ def greedy_decode(
             [],
             backbone.cfg.max_seq_len,
         )
-        emb = sp.embeddings
+        cache = KVCache(fold_adapters(backbone.params, adapters))
+        emb, start = sp.embeddings, 0
         out: list[int] = []
         for _ in range(max_new_tokens):
-            length = emb.shape[0]
-            logits = backbone.forward(emb, np.arange(length), lora=adapters)
+            rows = emb.shape[0]
+            logits = backbone.forward(emb, np.arange(start, start + rows), cache=cache)
             tok = int(np.argmax(logits.data[-1]))  # argmax takes the lowest id on ties
             if tok == eos_id:
                 break
             out.append(tok)
-            emb = concat([emb, embedding_lookup(backbone.params["wte"], np.array([tok]))], axis=0)
+            start += rows
+            emb = embedding_lookup(backbone.params["wte"], np.array([tok]))
         return out
 
 

@@ -9,6 +9,11 @@ key-padding mask, dropout and an output projection into the backbone's
 embedding space. Every component, adapters included, holds its named
 parameter tensors in `params` and shares one freeze/export/load path.
 
+Inference can run the backbone one new row at a time over a `KVCache`,
+which holds every layer's keys and values for the rows fed so far together
+with the weights that produced them, e.g. site weights with the adapters
+folded in by `fold_adapters`.
+
 Weights are stored (d_out, d_in); forward passes compute x @ W^T. Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
 adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685).
@@ -16,7 +21,7 @@ adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from .tensor import (
 )
 
 LORA_SITES = ("attn_q", "attn_k", "attn_v", "attn_out", "ffn_up", "ffn_down")
+_SITE_WEIGHT = {"attn_q": "wq", "attn_k": "wk", "attn_v": "wv", "attn_out": "wo", "ffn_up": "ffn_up", "ffn_down": "ffn_down"}
 
 
 @dataclass(frozen=True)
@@ -174,9 +180,49 @@ def _linear(x: Tensor, W: Tensor, lora: "LoraAdapters | None", key: tuple[int, s
     return y
 
 
+def fold_adapters(params: dict[str, Tensor], lora: LoraAdapters | None) -> dict[str, Tensor]:
+    """`params` with each adapted site weight W replaced by W + (alpha/r)*B@A.
+
+    The folded weights give the adapted outputs with no adapter matmuls per
+    row (LoRA's zero-latency merge, Hu et al. 2021, section 4.1). The result
+    is a new dict; `params` and `lora` are left untouched.
+    """
+    if lora is None:
+        return params
+    folded = dict(params)
+    for (layer, site), pair in lora.pairs.items():
+        name = f"layers.{layer}.{_SITE_WEIGHT[site]}"
+        folded[name] = add(params[name], scale(matmul(pair.B, pair.A), lora.cfg.scaling))
+    return folded
+
+
+@dataclass
+class KVCache:
+    """Every layer's keys and values for the rows a backbone has been fed,
+    and the weights (`params`, all of the backbone's names) that made them.
+
+    A cache serves one sequence: its entries are valid only for `params`,
+    so the weights travel with it instead of being stored on the model.
+    """
+
+    params: dict[str, Tensor]
+    kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
+
+    @property
+    def length(self) -> int:
+        return self.kv[0][0].shape[-2] if self.kv else 0
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append the new rows' keys and values; return all of them."""
+        if layer in self.kv:
+            old_k, old_v = self.kv[layer]
+            k, v = concat([old_k, k], axis=-2), concat([old_v, v], axis=-2)
+        self.kv[layer] = (k, v)
+        return k, v
+
+
 def _last_axis_slice(t: Tensor, lo: int, hi: int) -> Tensor:
-    key = (slice(None),) * (t.ndim - 1) + (slice(lo, hi),)
-    return tslice(t, key)
+    return tslice(t, (Ellipsis, slice(lo, hi)))
 
 
 def _multi_head_attention(q, k, v, n_heads, head_dim, attn_mask, drop_p=0.0, rng=None, train=False):
@@ -228,14 +274,16 @@ class _Stack(_Params):
         self.params[name] = init(name, shape)
 
     def _layers(self, x: Tensor, mask: Tensor | None, lora: LoraAdapters | None = None, drop: float = 0.0,
-                rng: Rng | None = None, train: bool = False) -> Tensor:
+                rng: Rng | None = None, train: bool = False, cache: KVCache | None = None) -> Tensor:
         """The pre-LN layers and final layer norm over (..., L, d) inputs.
 
         `lora` adds its low-rank deltas at every projection; `drop` > 0 in
         training applies dropout to attention probabilities and to both
-        residual branches, drawn from `rng`.
+        residual branches, drawn from `rng`. With a `cache`, the layers use
+        `cache.params` and attend over the cached keys and values followed
+        by the new rows' own, which they append to the cache.
         """
-        p = self.params
+        p = self.params if cache is None else cache.params
         head_dim = x.shape[-1] // self.n_heads
         for i in range(self.n_layers):
             pre = f"layers.{i}."
@@ -244,6 +292,8 @@ class _Stack(_Params):
             q = _linear(h, p[pre + "wq"], lora, (i, "attn_q"))
             k = _linear(h, p[pre + "wk"], lora, (i, "attn_k"))
             v = _linear(h, p[pre + "wv"], lora, (i, "attn_v"))
+            if cache is not None:
+                k, v = cache.extend(i, k, v)
             ctx = _multi_head_attention(q, k, v, self.n_heads, head_dim, mask, drop, r, train)
             a = _linear(ctx, p[pre + "wo"], lora, (i, "attn_out"))
             if r is not None:
@@ -271,23 +321,32 @@ class Backbone(_Stack):
     def embed(self, token_ids) -> Tensor:
         return embedding_lookup(self.params["wte"], np.asarray(token_ids, dtype=np.int64))
 
-    def _causal_mask(self, L: int) -> Tensor:
-        m = self._masks.get(L)
+    def _causal_mask(self, L: int, past: int) -> Tensor:
+        """(L, past + L) additive mask: row i sees keys up to past + i."""
+        m = self._masks.get((L, past))
         if m is None:
-            mask = np.triu(np.full((L, L), -1e9, dtype=np.float32), k=1)
-            m = self._masks[L] = Tensor(mask)
+            mask = np.triu(np.full((L, past + L), -1e9, dtype=np.float32), k=past + 1)
+            m = self._masks[(L, past)] = Tensor(mask)
         return m
 
-    def forward(self, emb: Tensor, positions, lora: LoraAdapters | None = None) -> Tensor:
-        """emb: (..., L, d_model) content embeddings; returns (..., L, vocab) logits."""
+    def forward(self, emb: Tensor, positions, lora: LoraAdapters | None = None, cache: KVCache | None = None) -> Tensor:
+        """emb: (..., L, d_model) content embeddings; returns (..., L, vocab) logits.
+
+        With a `cache`, `emb` holds the rows that follow the `cache.length`
+        rows already fed: they attend over those rows' cached keys and
+        values, the forward runs over `cache.params`, and the new rows' keys
+        and values are appended. A single row needs no mask.
+        """
         if emb.shape[-1] != self.cfg.d_model:
             raise ShapeError(f"expected embeddings of width {self.cfg.d_model}, got {emb.shape}")
         L = emb.shape[-2]
-        if L > self.cfg.max_seq_len:
-            raise LengthError(f"sequence length {L} exceeds max_seq_len {self.cfg.max_seq_len}")
-        x = add(emb, embedding_lookup(self.params["wpe"], np.asarray(positions, dtype=np.int64)))
-        x = self._layers(x, self._causal_mask(L), lora=lora)
-        return matmul(x, self.params["lm_head"], transpose_b=True)
+        past = 0 if cache is None else cache.length
+        if past + L > self.cfg.max_seq_len:
+            raise LengthError(f"sequence length {past + L} exceeds max_seq_len {self.cfg.max_seq_len}")
+        p = self.params if cache is None else cache.params
+        x = add(emb, embedding_lookup(p["wpe"], np.asarray(positions, dtype=np.int64)))
+        x = self._layers(x, None if L == 1 else self._causal_mask(L, past), lora=lora, cache=cache)
+        return matmul(x, p["lm_head"], transpose_b=True)
 
 
 class SpeechProjector(_Stack):

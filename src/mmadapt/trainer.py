@@ -322,9 +322,12 @@ class Trainer:
         """Train until `plan.max_steps` primary entries are consumed.
 
         Every attached component outside `plan.trainable` is frozen; each
-        trainable one must be attached. Returns (train log, eval records,
-        snapshots) where snapshots maps each trainable component name ->
-        parameter arrays for the selected checkpoint.
+        trainable one must be attached. Gradients are averaged over windows
+        of `grad_accum` micro-batches; a last, partial window at
+        `max_steps` is applied as the mean over the micro-batches it holds.
+        Returns (train log, eval records, snapshots) where snapshots maps
+        each trainable component name -> parameter arrays for the selected
+        checkpoint.
         """
         if eval_fn is not None and not (0 < plan.eval_every <= plan.max_steps):
             raise ConfigError("dev evaluation cadence does not fit the step budget")
@@ -356,7 +359,8 @@ class Trainer:
                 else:
                     groups.append([e])
             for group in groups:
-                for entry in group:
+                last_step = primary_done + 1 == plan.max_steps
+                for j, entry in enumerate(group):
                     prompts = self.render_batch(entry)
                     loss = batch_loss(
                         self.backbone,
@@ -377,9 +381,14 @@ class Trainer:
                         for c, ps in params.items():
                             for name, t in ps.items():
                                 buffers[c][name] += grads[t].data
+                    # Drop this micro-batch's graph before the next forward builds one.
+                    del loss, grads
                     micro += 1
-                    if micro == accum:
+                    if micro == accum or (last_step and j == len(group) - 1):
                         for c, opt in optimizers.items():
+                            if micro < accum:
+                                for g in buffers[c].values():
+                                    g *= accum / micro
                             lr_now = opt.step(buffers[c])
                         buffers, micro = None, 0
                     else:

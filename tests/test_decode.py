@@ -3,10 +3,22 @@ import pytest
 
 from mmadapt.decode import detect_degeneration, flag_degeneration, greedy_decode
 from mmadapt.errors import ConfigError, LengthError
-from mmadapt.model import Backbone, BackboneConfig
+from mmadapt.model import (
+    LORA_SITES,
+    Backbone,
+    BackboneConfig,
+    KVCache,
+    LoraAdapters,
+    LoraConfig,
+    ProjectorConfig,
+    SpeechProjector,
+    fold_adapters,
+    splice_prompt,
+)
 from mmadapt.prompting import PromptedExample
 from mmadapt.rng import Rng
-from mmadapt.tensor import Tensor
+from mmadapt.tensor import Tensor, concat, no_grad
+from mmadapt.vocab import EOS
 
 CFG = BackboneConfig(vocab_size=12, d_model=16, n_layers=1, n_heads=2, d_ffn=24, max_seq_len=48)
 
@@ -32,7 +44,7 @@ class _RiggedBackbone(Backbone):
         super().__init__(cfg, Rng(0), dtype=np.float64)
         self.favorite = favorite
 
-    def forward(self, emb, positions, lora=None):
+    def forward(self, emb, positions, lora=None, cache=None):
         L = emb.shape[-2]
         logits = np.zeros((L, self.cfg.vocab_size))
         logits[:, self.favorite] = 10.0
@@ -54,7 +66,7 @@ def test_immediate_stop_gives_empty_answer():
 def test_ties_break_to_lowest_token_id():
     bb = _RiggedBackbone(CFG, favorite=5)
 
-    def tie_forward(emb, positions, lora=None):
+    def tie_forward(emb, positions, lora=None, cache=None):
         L = emb.shape[-2]
         logits = np.zeros((L, CFG.vocab_size))
         logits[:, 5] = 3.0
@@ -83,6 +95,97 @@ def test_matches_per_step_argmax_oracle():
         out.append(tok)
         ids.append(tok)
     assert decoded == out
+
+
+# --- the cached, folded decode against its definition ------------------------
+
+DEEP = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=48)
+SPEECH = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=16, d_out=16)
+
+
+def _adapted_models(seed: int):
+    """A float64 backbone with weights large enough for non-uniform attention,
+    and adapters on every site with non-zero B."""
+    rng = Rng(seed)
+    bb = Backbone(DEEP, rng.split("backbone"), dtype=np.float64)
+    for name, t in bb.params.items():
+        if not name.endswith((".g", ".b")):
+            t.data = rng.split("w", name).normal(size=t.shape) * 0.5
+    adapters = LoraAdapters(DEEP, LoraConfig(rank=2, alpha=4.0, targets=LORA_SITES), rng.split("lora"), dtype=np.float64)
+    for (layer, site), pair in adapters.pairs.items():
+        pair.B.data = rng.split("B", str(layer), site).normal(size=pair.B.shape) * 0.3
+    projector = SpeechProjector(SPEECH, rng.split("projector"), dtype=np.float64)
+    return bb, adapters, projector
+
+
+def _full_recompute_decode(bb, prompt, max_new_tokens, projector=None, adapters=None):
+    """Greedy decoding by definition: run the unfolded model over the whole
+    prefix for every new token and take the argmax of the last row."""
+    with no_grad():
+        speech = None if prompt.frames is None else projector.forward(Tensor(prompt.frames), train=False)
+        content = list(prompt.content_tokens or ())
+        sp = splice_prompt(bb.params["wte"], list(prompt.prefix_tokens) + content, speech,
+                           list(prompt.suffix_tokens), [], bb.cfg.max_seq_len)
+        emb, out = sp.embeddings, []
+        for _ in range(max_new_tokens):
+            tok = int(np.argmax(bb.forward(emb, np.arange(emb.shape[0]), lora=adapters).data[-1]))
+            if tok == EOS:
+                break
+            out.append(tok)
+            emb = concat([emb, bb.embed([tok])], axis=0)
+    return out
+
+
+def test_cached_folded_decode_matches_full_recompute_oracle():
+    bb, adapters, _ = _adapted_models(30)
+    rng = Rng(31)
+    lengths = []
+    for i in range(24):
+        content = tuple(int(t) for t in rng.split("c", str(i)).integers(2, DEEP.vocab_size, size=int(rng.integers(1, 8))))
+        prompt = _prompt(prefix=(2,), content=content, suffix=(3,))
+        want = _full_recompute_decode(bb, prompt, 12, adapters=adapters)
+        assert greedy_decode(bb, prompt, 12, adapters=adapters) == want
+        lengths.append(len(want))
+    assert max(lengths) >= 6  # the oracle decodes past several cache steps
+
+
+def test_cached_folded_decode_matches_oracle_on_speech_prompts():
+    bb, adapters, projector = _adapted_models(32)
+    lengths = []
+    for i in range(8):
+        frames = Rng(33).split(str(i)).normal(size=(3 + i, SPEECH.d_in))
+        prompt = PromptedExample(id=f"s{i}", task="ST", language="tgt1", validity="valid", modality="speech",
+                                 prefix_tokens=(2, 4), frames=frames, suffix_tokens=(5,), target_tokens=())
+        want = _full_recompute_decode(bb, prompt, 10, projector=projector, adapters=adapters)
+        assert greedy_decode(bb, prompt, 10, projector=projector, adapters=adapters) == want
+        lengths.append(len(want))
+    assert max(lengths) >= 4
+
+
+def test_cached_logits_equal_the_full_forward():
+    bb, adapters, _ = _adapted_models(34)
+    ids = Rng(35).integers(0, DEEP.vocab_size, size=20)
+    with no_grad():
+        cache = KVCache(fold_adapters(bb.params, adapters))
+        fed = 0
+        for rows in (6, 3, 1, 1, 4, 1, 1, 1, 1, 1):  # a prefill, then chunks and single rows
+            got = bb.forward(bb.embed(ids[fed : fed + rows]), np.arange(fed, fed + rows), cache=cache).data
+            fed += rows
+            want = bb.forward(bb.embed(ids[:fed]), np.arange(fed), lora=adapters).data[-rows:]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert cache.length == fed == 20
+        with pytest.raises(LengthError):  # the cached rows count toward max_seq_len
+            bb.forward(bb.embed(np.zeros(29, dtype=int)), np.arange(20, 49), cache=cache)
+
+
+def test_decode_leaves_backbone_and_adapters_untouched():
+    bb, adapters, _ = _adapted_models(36)
+    state = {k: (v, v.data.copy()) for k, v in {**bb.params, **adapters.params}.items()}
+    attrs = (set(vars(bb)), set(vars(adapters)))
+    greedy_decode(bb, _prompt(content=(2, 6, 7)), 8, adapters=adapters)
+    assert (set(vars(bb)), set(vars(adapters))) == attrs
+    for k, (t, before) in state.items():
+        assert ({**bb.params, **adapters.params}[k] is t) and np.array_equal(t.data, before)
 
 
 def test_decode_is_deterministic():

@@ -288,3 +288,110 @@ def test_masked_ce_empty_mask_raises():
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+
+# --- hot ops: each rewrite is pinned against the formula it replaced ---------
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.reshape(-1).view(np.uint8), b.reshape(-1).view(np.uint8))
+
+
+def test_gelu_matches_float64_tanh_gelu():
+    x = np.concatenate([np.linspace(-8.0, 8.0, 1601), Rng(20).normal(size=400, scale=3.0)]).astype(np.float32)
+    xd = x.astype(np.float64)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (xd + 0.044715 * xd**3))
+    want = 0.5 * xd * (1.0 + t)
+    dwant = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * xd**2)
+    y = gelu(parameter(x))
+    assert y.data.dtype == np.float32
+    # A few float32 roundings. For large negative x, 1 + tanh and 1 - tanh^2
+    # cancel: an error of one float32 ulp of 1, times up to 0.5*|x|*du ~ 31
+    # in the derivative, hence the absolute tolerances.
+    np.testing.assert_allclose(y.data, want, rtol=2e-6, atol=1e-6)
+    np.testing.assert_allclose(y._backward(np.ones_like(x))[0], dwant, rtol=2e-6, atol=5e-6)
+
+
+@pytest.mark.parametrize(
+    "key", [1, slice(1, 3), (slice(None), 2), (Ellipsis, slice(0, 4)), (1, slice(None, None, 2)), (None, slice(1, 4))]
+)
+def test_tslice_backward_on_basic_keys_equals_add_at(key):
+    rng = Rng(21)
+    a = parameter(rng.normal(size=(4, 5)).astype(np.float32))
+    y = tslice(a, key)
+    g = rng.split("g").normal(size=y.shape).astype(np.float32)
+    want = np.zeros_like(a.data)
+    np.add.at(want, key, g)
+    assert _same_bits(y._backward(g)[0], want)
+
+
+def test_tslice_backward_accumulates_repeated_advanced_indices():
+    a = parameter(np.zeros((4, 3)))
+    rows = tslice(a, np.array([0, 2, 0]))
+    np.testing.assert_array_equal(rows._backward(np.ones((3, 3)))[0], [[2, 2, 2], [0, 0, 0], [1, 1, 1], [0, 0, 0]])
+    cols = tslice(a, (slice(None), [1, 1]))
+    np.testing.assert_array_equal(cols._backward(np.ones((4, 2)))[0], [[0, 2, 0]] * 4)
+
+
+def _two_exp_cross_entropy(logits, targets, mask, g):
+    # The formula masked_cross_entropy replaced: exp(z) taken twice.
+    n = int(mask.sum())
+    safe = np.where(mask, targets, 0)
+    m = logits.max(axis=-1, keepdims=True)
+    z = logits - m
+    lse = np.log(np.exp(z).sum(axis=-1)) + m[..., 0]
+    picked = np.take_along_axis(logits, safe[..., None], axis=-1)[..., 0]
+    y = np.asarray(((lse - picked) * mask).sum() / n, dtype=logits.dtype)
+    p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+    onehot = np.zeros_like(p)
+    np.put_along_axis(onehot, safe[..., None], 1.0, axis=-1)
+    d = (p - onehot) * mask[..., None] * (np.asarray(g) / n)
+    return y, d.astype(logits.dtype, copy=False)
+
+
+def _out_of_place_softmax(x, axis, g):
+    z = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=axis, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def _mean_layer_norm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    n = x.shape[-1]
+    dxhat = g * gain
+    dx = (inv / n) * (n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+    return xhat * gain + bias, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rewritten_hot_ops_are_bit_identical_to_their_old_formulas(dtype):
+    rng = Rng(22)
+    logits = (rng.normal(size=(3, 7, 11)) * 4.0).astype(dtype)
+    targets = rng.integers(0, 11, size=(3, 7))
+    mask = rng.uniform(size=(3, 7)) < 0.6
+    mask[0, 0] = True
+    loss = masked_cross_entropy(parameter(logits), targets, mask)
+    want_y, want_d = _two_exp_cross_entropy(logits, targets, mask, np.ones((), dtype=dtype))
+    assert _same_bits(loss.data, want_y)
+    assert _same_bits(loss._backward(np.ones((), dtype=dtype))[0], want_d)
+
+    for axis in (-1, 0):
+        g = rng.split("sm", str(axis)).normal(size=logits.shape).astype(dtype)
+        y = softmax(parameter(logits), axis=axis)
+        want_y, want_d = _out_of_place_softmax(logits, axis, g)
+        assert _same_bits(y.data, want_y) and _same_bits(y._backward(g)[0], want_d)
+
+    for width in (5, 16, 64):
+        x = (rng.split("ln", str(width)).normal(size=(4, 3, width)) * 3.0 + 1.0).astype(dtype)
+        gain = rng.split("gain", str(width)).normal(size=width).astype(dtype)
+        bias = rng.split("bias", str(width)).normal(size=width).astype(dtype)
+        g = rng.split("lng", str(width)).normal(size=x.shape).astype(dtype)
+        y = layer_norm(parameter(x), parameter(gain), parameter(bias))
+        want_y, want_dx = _mean_layer_norm(x, gain, bias, g)
+        assert _same_bits(y.data, want_y) and _same_bits(y._backward(g)[0], want_dx)

@@ -1,5 +1,10 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
+
+from mmadapt import trainer as trainer_module
 
 from mmadapt.corpus import CorpusConfig, build_corpus
 from mmadapt.errors import ConfigError
@@ -141,3 +146,67 @@ def test_adamw_first_step_moves_each_weight_by_lr_against_its_gradient():
     opt = AdamW({"w": p}, OptimizerConfig(lr=0.1, eps=1e-12))
     assert opt.step({"w": np.array([3.0, -0.25, 1e-3])}) == 0.1
     np.testing.assert_allclose(p.data, [0.9, -1.9, 0.4], rtol=1e-9)
+
+
+def test_partial_last_window_is_applied(corpus):
+    # grad_accum=2 over 3 steps: the window {0, 1} steps at 1, the partial
+    # window {2} steps at 2 instead of being dropped.
+    plan = dataclasses.replace(_plan("B", max_steps=3), optimizers={"lora": OptimizerConfig(lr=1e-3, grad_accum=2)})
+    log, _, _ = run_stage(plan, _trainer(corpus, _models()), Rng(1))
+    lrs = [r.lr for r in log]
+    assert len(lrs) == 3 and np.isnan(lrs[0]) and lrs[1:] == [1e-3, 1e-3]
+
+
+class _RecordingAdamW(AdamW):
+    """AdamW that keeps a copy of every gradient buffer it is stepped with."""
+
+    steps: list = []
+
+    def step(self, grads):
+        _RecordingAdamW.steps.append({k: g.copy() for k, g in grads.items()})
+        return super().step(grads)
+
+
+@pytest.mark.parametrize("accum,steps", [(2, 2), (3, 3), (3, 2)])
+def test_identical_micro_batches_give_the_update_of_one_step(corpus, monkeypatch, accum, steps):
+    # A one-example pool makes every micro-batch the same batch. A window of
+    # k of them, full (accum == steps) or partial (accum > steps), must apply
+    # the same mean gradient, and so the same update, as one plain step.
+    one = dataclasses.replace(corpus, splits={**corpus.splits, ("MT", "tgt1", "valid", "train"): corpus.split("MT", "tgt1")[:1]})
+    sampler = SamplerConfig(task_ratios={"MT": 1.0}, split_ratios={"MT": {("tgt1", "valid"): 1.0}}, batch_size=1,
+                            interleave_text=False)
+    monkeypatch.setattr(trainer_module, "AdamW", _RecordingAdamW)
+    results = []
+    for grad_accum, max_steps in ((1, 1), (accum, steps)):
+        _RecordingAdamW.steps = []
+        models = _models()
+        lora = models["lora"]
+        for (layer, site), pair in lora.pairs.items():  # non-zero B, so every A gets a gradient too
+            pair.B.data = Rng(5).split(str(layer), site).normal(size=pair.B.shape).astype(np.float32) * 0.1
+        plan = StagePlan("B", ("lora",), sampler, {"lora": OptimizerConfig(lr=1e-3, grad_accum=grad_accum)},
+                         max_steps=max_steps)
+        run_stage(plan, _trainer(one, models), Rng(1))
+        assert len(_RecordingAdamW.steps) == 1
+        results.append((_RecordingAdamW.steps[0], lora.param_arrays()))
+    (g_one, p_one), (g_acc, p_acc) = results
+    for name, g in g_one.items():
+        assert np.any(g != 0)
+        # Scaling the loss by 1/k rounds differently through a float32 graph.
+        np.testing.assert_allclose(g_acc[name], g, rtol=1e-5, atol=1e-5 * np.abs(g).max())
+        np.testing.assert_allclose(p_acc[name], p_one[name], rtol=1e-6, atol=1e-7)
+
+
+def test_each_micro_batch_graph_is_released_before_the_next_forward(corpus, monkeypatch):
+    real = trainer_module.batch_loss
+    live = []  # weak references into each earlier micro-batch's graph
+
+    def watched(*args, **kwargs):
+        assert all(ref() is None for ref in live), "an earlier micro-batch's graph is still alive"
+        loss = real(*args, **kwargs)
+        live.extend((weakref.ref(loss.data), weakref.ref(loss.parents[0].data)))  # the loss and its logits
+        return loss
+
+    monkeypatch.setattr(trainer_module, "batch_loss", watched)
+    plan = dataclasses.replace(_plan("B", max_steps=3), optimizers={"lora": OptimizerConfig(lr=1e-3, grad_accum=2)})
+    run_stage(plan, _trainer(corpus, _models()), Rng(1))
+    assert len(live) == 6
