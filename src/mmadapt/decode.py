@@ -7,8 +7,8 @@ call's `KVCache`, so nothing on the backbone or the adapters can go stale.
 One prefill forward over the prompt fills the cache with every layer's keys
 and values, and each new token is then fed as a single row that attends
 over the cache. The definition it must match is the plain loop: run the
-unfolded model over the whole prefix and append the argmax of the last row;
-the tests keep that loop as the oracle, token for token.
+full model over the whole prefix, with no cache, and append the argmax of
+the last row; the tests keep that loop as the oracle, token for token.
 """
 
 from __future__ import annotations

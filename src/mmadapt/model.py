@@ -16,7 +16,8 @@ folded in by `fold_adapters`.
 
 Weights are stored (d_out, d_in); forward passes compute x @ W^T. Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
-adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685).
+adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685). In training
+and inference alike, adapters enter only as W + delta_W (`fold_adapters`).
 """
 
 from __future__ import annotations
@@ -171,21 +172,13 @@ class LoraAdapters(_Params):
             self.params[f"layers.{layer}.{site}.B"] = pair.B
 
 
-def _linear(x: Tensor, W: Tensor, lora: "LoraAdapters | None", key: tuple[int, str]) -> Tensor:
-    y = matmul(x, W, transpose_b=True)
-    if lora is not None and key in lora.pairs:
-        pair = lora.pairs[key]
-        delta = matmul(matmul(x, pair.A, transpose_b=True), pair.B, transpose_b=True)
-        y = add(y, scale(delta, lora.cfg.scaling))
-    return y
-
-
 def fold_adapters(params: dict[str, Tensor], lora: LoraAdapters | None) -> dict[str, Tensor]:
     """`params` with each adapted site weight W replaced by W + (alpha/r)*B@A.
 
-    The folded weights give the adapted outputs with no adapter matmuls per
-    row (LoRA's zero-latency merge, Hu et al. 2021, section 4.1). The result
-    is a new dict; `params` and `lora` are left untouched.
+    Adapters enter the model only this way, in training and inference: the
+    folded weights need no adapter matmuls per row (LoRA's zero-latency
+    merge, Hu et al. 2021, section 4.1) and pass gradients on to A and B.
+    The result is a new dict; `params` and `lora` are left untouched.
     """
     if lora is None:
         return params
@@ -273,35 +266,34 @@ class _Stack(_Params):
         name, shape = head
         self.params[name] = init(name, shape)
 
-    def _layers(self, x: Tensor, mask: Tensor | None, lora: LoraAdapters | None = None, drop: float = 0.0,
+    def _layers(self, x: Tensor, mask: Tensor | None, p: dict[str, Tensor], drop: float = 0.0,
                 rng: Rng | None = None, train: bool = False, cache: KVCache | None = None) -> Tensor:
         """The pre-LN layers and final layer norm over (..., L, d) inputs.
 
-        `lora` adds its low-rank deltas at every projection; `drop` > 0 in
-        training applies dropout to attention probabilities and to both
-        residual branches, drawn from `rng`. With a `cache`, the layers use
-        `cache.params` and attend over the cached keys and values followed
-        by the new rows' own, which they append to the cache.
+        Every projection is x @ W^T over the weights `p`, into which any
+        adapters are already folded. `drop` > 0 in training applies dropout
+        to attention probabilities and to both residual branches, drawn from
+        `rng`. With a `cache`, the layers attend over the cached keys and
+        values followed by the new rows' own, which they append to the cache.
         """
-        p = self.params if cache is None else cache.params
         head_dim = x.shape[-1] // self.n_heads
         for i in range(self.n_layers):
             pre = f"layers.{i}."
             r = rng.split(f"layer{i}") if (train and drop > 0) else None
             h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q = _linear(h, p[pre + "wq"], lora, (i, "attn_q"))
-            k = _linear(h, p[pre + "wk"], lora, (i, "attn_k"))
-            v = _linear(h, p[pre + "wv"], lora, (i, "attn_v"))
+            q = matmul(h, p[pre + "wq"], transpose_b=True)
+            k = matmul(h, p[pre + "wk"], transpose_b=True)
+            v = matmul(h, p[pre + "wv"], transpose_b=True)
             if cache is not None:
                 k, v = cache.extend(i, k, v)
             ctx = _multi_head_attention(q, k, v, self.n_heads, head_dim, mask, drop, r, train)
-            a = _linear(ctx, p[pre + "wo"], lora, (i, "attn_out"))
+            a = matmul(ctx, p[pre + "wo"], transpose_b=True)
             if r is not None:
                 a = dropout(a, drop, r.split("post-attn"), train)
             x = add(x, a)
             h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            u = gelu(_linear(h, p[pre + "ffn_up"], lora, (i, "ffn_up")))
-            u = _linear(u, p[pre + "ffn_down"], lora, (i, "ffn_down"))
+            u = gelu(matmul(h, p[pre + "ffn_up"], transpose_b=True))
+            u = matmul(u, p[pre + "ffn_down"], transpose_b=True)
             if r is not None:
                 u = dropout(u, drop, r.split("post-ffn"), train)
             x = add(x, u)
@@ -332,10 +324,11 @@ class Backbone(_Stack):
     def forward(self, emb: Tensor, positions, lora: LoraAdapters | None = None, cache: KVCache | None = None) -> Tensor:
         """emb: (..., L, d_model) content embeddings; returns (..., L, vocab) logits.
 
-        With a `cache`, `emb` holds the rows that follow the `cache.length`
+        `lora` is folded into the backbone's weights for this call. With a
+        `cache`, the forward runs over `cache.params`, which already hold any
+        adapters, and `emb` holds the rows that follow the `cache.length`
         rows already fed: they attend over those rows' cached keys and
-        values, the forward runs over `cache.params`, and the new rows' keys
-        and values are appended. A single row needs no mask.
+        values, and their own are appended. A single row needs no mask.
         """
         if emb.shape[-1] != self.cfg.d_model:
             raise ShapeError(f"expected embeddings of width {self.cfg.d_model}, got {emb.shape}")
@@ -343,9 +336,11 @@ class Backbone(_Stack):
         past = 0 if cache is None else cache.length
         if past + L > self.cfg.max_seq_len:
             raise LengthError(f"sequence length {past + L} exceeds max_seq_len {self.cfg.max_seq_len}")
-        p = self.params if cache is None else cache.params
+        if cache is not None and lora is not None:
+            raise ContractViolation("cache.params already hold the adapters; fold lora when building the cache")
+        p = cache.params if cache is not None else fold_adapters(self.params, lora)
         x = add(emb, embedding_lookup(p["wpe"], np.asarray(positions, dtype=np.int64)))
-        x = self._layers(x, None if L == 1 else self._causal_mask(L, past), lora=lora, cache=cache)
+        x = self._layers(x, None if L == 1 else self._causal_mask(L, past), p, cache=cache)
         return matmul(x, p["lm_head"], transpose_b=True)
 
 
@@ -378,7 +373,7 @@ class SpeechProjector(_Stack):
             raise ContractViolation("training-mode projector needs an rng for dropout")
         mask = Tensor(pad_mask) if pad_mask is not None else None
         x = add(frames, embedding_lookup(self.params["wpe"], np.arange(frames.shape[-2], dtype=np.int64)))
-        x = self._layers(x, mask, drop=self.cfg.dropout, rng=rng, train=train)
+        x = self._layers(x, mask, self.params, drop=self.cfg.dropout, rng=rng, train=train)
         return matmul(x, self.params["out_proj"], transpose_b=True)
 
 

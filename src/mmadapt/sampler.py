@@ -31,7 +31,6 @@ class SamplerConfig:
     epoch_steps: int | None = None  # X; derived from the data when None
     interleave_text: bool = True
     text_mode: bool = False  # render every entry in the text modality
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:

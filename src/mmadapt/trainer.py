@@ -230,6 +230,7 @@ class EvalRecord:
 
 
 STAGES = ("pretrain", "A", "B", "C")
+SELECTIONS = ("last", "best-st-bleu")
 COMPONENTS = ("backbone", "projector", "lora")
 
 
@@ -249,6 +250,8 @@ class StagePlan:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}")
+        if self.selection not in SELECTIONS:
+            raise ConfigError(f"unknown checkpoint selection {self.selection!r}")
         if self.stage == "pretrain" and not self.sampler.text_mode:
             raise ConfigError("backbone pretraining runs on text-rendered batches")
         if self.stage != "pretrain" and "backbone" in self.trainable:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmadapt.decode import detect_degeneration, flag_degeneration, greedy_decode
-from mmadapt.errors import ConfigError, LengthError
+from mmadapt.errors import ConfigError, ContractViolation, LengthError
 from mmadapt.model import (
     LORA_SITES,
     Backbone,
@@ -119,8 +119,8 @@ def _adapted_models(seed: int):
 
 
 def _full_recompute_decode(bb, prompt, max_new_tokens, projector=None, adapters=None):
-    """Greedy decoding by definition: run the unfolded model over the whole
-    prefix for every new token and take the argmax of the last row."""
+    """Greedy decoding by definition: run the full model, with no cache, over
+    the whole prefix for every new token and take the argmax of the last row."""
     with no_grad():
         speech = None if prompt.frames is None else projector.forward(Tensor(prompt.frames), train=False)
         content = list(prompt.content_tokens or ())
@@ -176,6 +176,16 @@ def test_cached_logits_equal_the_full_forward():
         assert cache.length == fed == 20
         with pytest.raises(LengthError):  # the cached rows count toward max_seq_len
             bb.forward(bb.embed(np.zeros(29, dtype=int)), np.arange(20, 49), cache=cache)
+
+
+def test_cache_rejects_lora_passed_again():
+    # A cache already holds folded weights; folding the adapters in again
+    # would apply them twice.
+    bb, adapters, _ = _adapted_models(38)
+    cache = KVCache(fold_adapters(bb.params, adapters))
+    with pytest.raises(ContractViolation):
+        bb.forward(bb.embed([2, 3]), np.arange(2), lora=adapters, cache=cache)
+    assert cache.length == 0
 
 
 def test_decode_leaves_backbone_and_adapters_untouched():

@@ -10,12 +10,12 @@ from mmadapt.model import (
     LoraConfig,
     ProjectorConfig,
     SpeechProjector,
-    _linear,
     average_frames,
+    fold_adapters,
     splice_prompt,
 )
 from mmadapt.rng import Rng
-from mmadapt.tensor import Tensor, finite_diff_check, grad, masked_cross_entropy, mean, mul
+from mmadapt.tensor import Tensor, add, finite_diff_check, grad, masked_cross_entropy, matmul, mean, mul, scale
 
 SMALL_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=32)
 SMALL_PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
@@ -111,19 +111,29 @@ def _one_pair(cfg: LoraConfig, A, B) -> LoraAdapters:
     return adapters
 
 
+def _unfolded_linear(x: Tensor, W: Tensor, lora: LoraAdapters, key: tuple[int, str]) -> Tensor:
+    """The reference adapted projection, x @ W^T + (alpha/r) * (x @ A^T) @ B^T,
+    computed per row without touching W."""
+    pair = lora.pairs[key]
+    delta = matmul(matmul(x, pair.A, transpose_b=True), pair.B, transpose_b=True)
+    return add(matmul(x, W, transpose_b=True), scale(delta, lora.cfg.scaling))
+
+
 def test_lora_zero_b_is_exact_identity():
     rng = Rng(8)
     adapters = LoraAdapters(ONE_SITE, LoraConfig(rank=4, alpha=8.0, targets=("attn_q",)), rng, dtype=np.float64)
     W = Tensor(rng.normal(size=(2, 2)))
+    folded = fold_adapters({"layers.0.wq": W}, adapters)["layers.0.wq"]
+    assert folded.data.tobytes() == W.data.tobytes()
     x = Tensor(rng.normal(size=(5, 2)))
-    y = _linear(x, W, adapters, (0, "attn_q"))
-    np.testing.assert_array_equal(y.data, x.data @ W.data.T)
+    np.testing.assert_array_equal(matmul(x, folded, transpose_b=True).data, x.data @ W.data.T)
 
 
 def test_lora_hand_case():
     adapters = _one_pair(LoraConfig(rank=1, alpha=2.0, targets=("attn_q",)), [[1.0, 0.0]], [[1.0], [0.0]])
-    y = _linear(Tensor(np.array([1.0, 1.0])), Tensor(np.eye(2)), adapters, (0, "attn_q"))
-    np.testing.assert_allclose(y.data, [3.0, 1.0])
+    folded = fold_adapters({"layers.0.wq": Tensor(np.eye(2))}, adapters)["layers.0.wq"]
+    np.testing.assert_allclose(folded.data, [[3.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_allclose(matmul(Tensor(np.array([1.0, 1.0])), folded, transpose_b=True).data, [3.0, 1.0])
 
 
 def _with_random_b(adapters: LoraAdapters, rng: Rng, std: float = 0.3) -> LoraAdapters:
@@ -165,10 +175,35 @@ def test_lora_frozen_base_gets_no_gradient():
     adapters = LoraAdapters(ONE_SITE, LoraConfig(rank=2, alpha=4.0, targets=("attn_q",)), rng, dtype=np.float64)
     pair = _with_random_b(adapters, rng.split("B")).pairs[(0, "attn_q")]
     W = Tensor(rng.normal(size=(2, 2)))  # frozen: requires_grad False
-    y = _linear(Tensor(rng.normal(size=(3, 2))), W, adapters, (0, "attn_q"))
+    folded = fold_adapters({"layers.0.wq": W}, adapters)["layers.0.wq"]
+    y = matmul(Tensor(rng.normal(size=(3, 2))), folded, transpose_b=True)
     g = grad(mean(mul(y, y)), [pair.A, pair.B, W])
     assert np.any(g[pair.A].data != 0) and np.any(g[pair.B].data != 0)
     np.testing.assert_array_equal(g[W].data, 0)
+
+
+def test_folded_projection_matches_unfolded_reference_on_every_site():
+    # Values and A/B gradients through the fold equal the per-row formula.
+    bb = Backbone(SMALL_BB, Rng(40), dtype=np.float64)
+    _scale_up_weights(bb.params, Rng(41))
+    adapters = _with_random_b(
+        LoraAdapters(SMALL_BB, LoraConfig(rank=3, alpha=6.0, targets=LORA_SITES), Rng(42), dtype=np.float64), Rng(43)
+    )
+    folded = fold_adapters(bb.params, adapters)
+    rng = Rng(44)
+    for (layer, site), pair in sorted(adapters.pairs.items()):
+        name = f"layers.{layer}.{SITE_WEIGHTS[site]}"
+        W = bb.params[name]
+        x = Tensor(rng.split(name).normal(size=(2, 5, W.shape[1])))
+        weights = Tensor(rng.split(name, "w").normal(size=(2, 5, W.shape[0])))
+        want = _unfolded_linear(x, W, adapters, (layer, site))
+        got = matmul(x, folded[name], transpose_b=True)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=1e-12)
+        g_want = grad(mean(mul(want, weights)), [pair.A, pair.B])
+        g_got = grad(mean(mul(got, weights)), [pair.A, pair.B])
+        for t in (pair.A, pair.B):
+            assert np.any(g_want[t].data != 0)
+            np.testing.assert_allclose(g_got[t].data, g_want[t].data, rtol=1e-10, atol=1e-12)
 
 
 def test_lora_config_guards():

@@ -35,7 +35,6 @@ def _config(**kw):
         split_ratios={"ASR": {("src", "valid"): 1.0}, "ST": st_splits, "SQA": sqa_splits},
         batch_size=4,
         batch_sizes={"SQA": 2},
-        seed=7,
     )
     defaults.update(kw)
     return SamplerConfig(**defaults)

@@ -120,6 +120,25 @@ def test_stage_plan_rejects_what_the_recipe_forbids():
         StagePlan("B", ("lora",), _sampler(("ST", "MT")), {"lora": OptimizerConfig()}, max_steps=1)
     with pytest.raises(ConfigError):
         StagePlan("D", ("lora",), text, {"lora": OptimizerConfig()}, max_steps=1)
+    with pytest.raises(ConfigError, match="best"):  # a selection typo must not act as "last"
+        _plan("A", selection="best")
+
+
+def test_best_selection_returns_the_snapshot_from_the_best_eval(corpus):
+    models = _models()
+    metrics = iter([0.1, 0.5, 0.3, 0.2])
+    at_eval = []
+
+    def eval_fn():
+        at_eval.append({k: a.copy() for k, a in models["projector"].param_arrays().items()})
+        return next(metrics), {}
+
+    plan = _plan("A", max_steps=4, selection="best-st-bleu")
+    _, evals, snaps = _trainer(corpus, models).run(plan, Rng(6), eval_fn=eval_fn)
+    assert [e.metric for e in evals] == [0.1, 0.5, 0.3, 0.2]
+    for k, a in snaps["projector"].items():
+        np.testing.assert_array_equal(a, at_eval[1][k])
+    assert any(not np.array_equal(a, at_eval[-1][k]) for k, a in snaps["projector"].items())
 
 
 def test_merge_stage_needs_both_components(corpus):
