@@ -6,7 +6,7 @@ tensor      dense arrays with reverse-mode gradients over a fixed op set
 rng         deterministic label-splittable random streams
 vocab       token layout and toy languages
 corpus      synthetic speech/text corpus generation and preprocessing
-prompting   prompt templates, rendering, loss masks
+prompting   prompt templates and rendering
 model       one transformer stack (backbone, speech projector), adapters, splicing
 checkpoint  versioned binary parameter bundles
 sampler     two-level interleaved batch scheduling

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, LengthError
 from .model import Backbone, KVCache, LoraAdapters, SpeechProjector, fold_adapters, splice_prompt
 from .prompting import PromptedExample
-from .tensor import Tensor, concat, embedding_lookup, no_grad  # noqa: F401  (concat re-exported: perfbench wraps decode.concat)
+from .tensor import Tensor, concat, embedding_lookup, no_grad  # noqa: F401  (perfbench wraps decode.concat)
 from .vocab import EOS
 
 

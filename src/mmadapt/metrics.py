@@ -133,26 +133,6 @@ def make_default_judge(vocab: Vocab):
     return judge
 
 
-def make_text_judge_adapter(verdict_fn, vocab: Vocab):
-    """Adapt a text-in/verdict-out callable (an external judge) to the judge
-    interface. The callable sees a plain-text blob and answers yes/no."""
-
-    def render(tokens) -> str:
-        return " ".join(f"t{t}" for t in tokens)
-
-    def judge(example: Example, output_tokens) -> bool:
-        blob = (
-            f"question: {render(example.question_tokens or ())}\n"
-            f"reference: {render(example.answer_tokens)}\n"
-            f"answer: {render(output_tokens)}\n"
-            "Is the answer correct? Reply yes or no."
-        )
-        verdict = str(verdict_fn(blob)).strip().lower()
-        return verdict.startswith("y")
-
-    return judge
-
-
 def qa_accuracy(examples: list[Example], outputs: list, judge) -> float:
     """Fraction of outputs the judge accepts; lists must be aligned."""
     if len(examples) != len(outputs):

@@ -36,7 +36,7 @@ from .tensor import (
     embedding_lookup,
     gelu,
     layer_norm,
-    masked_cross_entropy,  # noqa: F401  (loss op re-exported alongside the model)
+    masked_cross_entropy,  # noqa: F401  (perfbench wraps model.masked_cross_entropy)
     matmul,
     parameter,
     scale,

@@ -1,4 +1,4 @@
-"""Prompt rendering: templates, placeholder sizing, loss masks.
+"""Prompt rendering: templates and placeholder sizing.
 
 Every rendered instance has the same shape: an opening content tag, the
 content block (speech frames or source tokens), a closing tag, a task
@@ -42,12 +42,6 @@ class PromptedExample:
 
     def __len__(self) -> int:
         return self.prompt_len + len(self.target_tokens)
-
-    @property
-    def loss_mask(self) -> np.ndarray:
-        mask = np.zeros(len(self), dtype=bool)
-        mask[self.prompt_len :] = True
-        return mask
 
 
 def question_line(task: str, language: str, vocab: Vocab, example: Example | None = None) -> tuple[int, ...]:
@@ -98,21 +92,3 @@ def render_prompt(example: Example, modality: str, vocab: Vocab, frame_avg_k: in
         suffix_tokens=(TEXT_CLOSE,) + question + (ANSWER_PROMPT,),
         target_tokens=targets,
     )
-
-
-def template_manifest(vocab: Vocab) -> dict:
-    """Serializable description of the template set, for corpus manifests."""
-    lines = {"ASR": {"any": [Q_ASR]}}
-    lines["ST"] = {lid: [vocab.lang(lid).q_st] for lid in vocab.languages if vocab.lang(lid).q_st is not None}
-    lines["MT"] = dict(lines["ST"])
-    lines["SQA"] = {lid: [vocab.lang(lid).q_sqa, "<anchor>"] for lid in vocab.languages}
-    lines["QA"] = dict(lines["SQA"])
-    return {
-        "speech_prefix": [SPEECH_OPEN],
-        "speech_close": [SPEECH_CLOSE],
-        "text_prefix": [TEXT_OPEN],
-        "text_close": [TEXT_CLOSE],
-        "suffix": [ANSWER_PROMPT],
-        "end_of_answer": [EOS],
-        "question_lines": lines,
-    }

@@ -78,35 +78,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad}, op={self.op})"
-
-    # Small operator surface; everything lowers to the fixed op set.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return tslice(self, key)
 
 
 def parameter(data, dtype=None) -> Tensor:
@@ -148,10 +121,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product with optional transposes on the last two axes."""
+    """Batched matrix product of operands of rank >= 2, with optional
+    transposes on the last two axes."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if (transpose_a and a.ndim < 2) or (transpose_b and b.ndim < 2):
-        raise ShapeError("cannot transpose a 1-D operand")
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} x {b.shape}")
     A = a.data.swapaxes(-1, -2) if transpose_a else a.data
     B = b.data.swapaxes(-1, -2) if transpose_b else b.data
     try:
@@ -160,21 +134,8 @@ def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = 
         raise ShapeError(f"matmul: {a.shape} x {b.shape} ({e})") from None
 
     def backward(g):
-        gm = g
-        if a.ndim == 1 and b.ndim == 1:
-            raise ShapeError("matmul of two vectors is unsupported")
-        A2 = A if A.ndim > 1 else A[None, :]
-        B2 = B if B.ndim > 1 else B[:, None]
-        if a.ndim == 1:
-            gm = gm[..., None, :]
-        if b.ndim == 1:
-            gm = gm[..., :, None]
-        dA = gm @ B2.swapaxes(-1, -2)
-        dB = A2.swapaxes(-1, -2) @ gm
-        if a.ndim == 1:
-            dA = dA[..., 0, :]
-        if b.ndim == 1:
-            dB = dB[..., :, 0]
+        dA = g @ B.swapaxes(-1, -2)
+        dB = A.swapaxes(-1, -2) @ g
         da = dA.swapaxes(-1, -2) if transpose_a else dA
         db = dB.swapaxes(-1, -2) if transpose_b else dB
         return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)

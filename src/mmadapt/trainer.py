@@ -11,6 +11,9 @@ optimizers, and rejects combinations the recipe does not allow. One runner,
 component outside `plan.trainable`, steps one AdamW per trainable component
 and returns snapshots of those components; `run_stage` adds the stage's dev
 metric (MT accuracy while pretraining, ST BLEU in stage A, none in B/C).
+
+Every dev metric (`st_dev_bleu`, `task_dev_accuracy`, `sqa_dev_accuracy`)
+decodes through one loop, `_dev_outputs`, and then scores its outputs.
 """
 
 from __future__ import annotations
@@ -229,7 +232,8 @@ class EvalRecord:
     details: dict = field(default_factory=dict)
 
 
-STAGES = ("pretrain", "A", "B", "C")
+# What each stage trains, sorted. Only pretraining trains the backbone: it is frozen after.
+STAGE_TRAINABLE = {"pretrain": ("backbone",), "A": ("projector",), "B": ("lora",), "C": ("lora", "projector")}
 SELECTIONS = ("last", "best-st-bleu")
 COMPONENTS = ("backbone", "projector", "lora")
 
@@ -248,25 +252,21 @@ class StagePlan:
     content_noise: float = 0.0  # text content-embedding noise (pretraining)
 
     def __post_init__(self):
-        if self.stage not in STAGES:
+        if self.stage not in STAGE_TRAINABLE:
             raise ConfigError(f"unknown stage {self.stage!r}")
+        if tuple(sorted(self.trainable)) != STAGE_TRAINABLE[self.stage]:
+            raise ConfigError(f"stage {self.stage} trains {STAGE_TRAINABLE[self.stage]}, not {self.trainable}")
         if self.selection not in SELECTIONS:
             raise ConfigError(f"unknown checkpoint selection {self.selection!r}")
         if self.stage == "pretrain" and not self.sampler.text_mode:
             raise ConfigError("backbone pretraining runs on text-rendered batches")
-        if self.stage != "pretrain" and "backbone" in self.trainable:
-            raise ConfigError("the backbone is frozen after pretraining")
         if self.stage == "B" and not self.sampler.text_mode and any(t in self.sampler.task_ratios for t in SPEECH_TASKS):
             raise ConfigError("adapter training is text-only")
-        if self.stage == "C":
-            if set(self.trainable) != {"projector", "lora"}:
-                raise ConfigError("the merge stage trains projector and adapters")
-            lrs = {c: self.optimizers[c].lr for c in ("projector", "lora")}
-            if len(set(lrs.values())) != 2:
-                raise ConfigError("merge stage needs distinct per-component learning rates")
         for c in self.trainable:
             if c not in self.optimizers:
                 raise ConfigError(f"trainable component {c!r} has no optimizer config")
+        if self.stage == "C" and self.optimizers["projector"].lr == self.optimizers["lora"].lr:
+            raise ConfigError("merge stage needs distinct per-component learning rates")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be >= 1")
 
@@ -434,71 +434,52 @@ class Trainer:
 # ---------------------------------------------------------------------------
 
 
-def decode_examples(
+def _dev_outputs(
     backbone: Backbone,
     corpus: Corpus,
     task: str,
-    language: str,
     modality: str,
+    splits: list[tuple[str, str]],
     frame_avg_k: int,
-    projector: SpeechProjector | None = None,
-    adapters: LoraAdapters | None = None,
-    validity: str = "valid",
-    part: str = "dev",
-    max_examples: int | None = None,
-    max_new_tokens: int = 16,
-) -> tuple[list[Example], list[list[int]]]:
-    pool = corpus.splits[(task, language, validity, part)]
-    if max_examples is not None:
-        pool = pool[:max_examples]
-    outputs = []
-    for ex in pool:
-        prompt = render_prompt(ex, modality, corpus.vocab, frame_avg_k)
-        outputs.append(
-            greedy_decode(backbone, prompt, max_new_tokens, projector=projector, adapters=adapters)
-        )
-    return list(pool), outputs
+    projector: SpeechProjector | None,
+    adapters: LoraAdapters | None,
+    max_examples: int,
+    max_new_tokens: int,
+) -> list[tuple[Example, list[int]]]:
+    """(example, greedy output) for the first `max_examples` of each
+    `(language, validity)` dev split of `task`, split by split, in order."""
+    out = []
+    for language, validity in splits:
+        for ex in corpus.splits[(task, language, validity, "dev")][:max_examples]:
+            prompt = render_prompt(ex, modality, corpus.vocab, frame_avg_k)
+            out.append((ex, greedy_decode(backbone, prompt, max_new_tokens, projector=projector, adapters=adapters)))
+    return out
 
 
 def st_dev_bleu(backbone, corpus, frame_avg_k, projector, adapters=None, max_examples=12, max_new_tokens=16) -> tuple[float, dict]:
     """Mean sentence BLEU over the speech-translation dev split, averaged
     across target languages (the stage-A selection metric)."""
+    splits = [(lang, "valid") for lang in TARGET_LANGUAGES]
+    pairs = _dev_outputs(backbone, corpus, "ST", "speech", splits, frame_avg_k, projector, adapters, max_examples, max_new_tokens)
     per_lang = {}
     for lang in TARGET_LANGUAGES:
-        exs, outs = decode_examples(
-            backbone, corpus, "ST", lang, "speech", frame_avg_k,
-            projector=projector, adapters=adapters,
-            max_examples=max_examples, max_new_tokens=max_new_tokens,
-        )
-        scores = [bleu4([tuple(e.answer_tokens)], tuple(o)) for e, o in zip(exs, outs)]
+        scores = [bleu4([tuple(e.answer_tokens)], tuple(o)) for e, o in pairs if e.language == lang]
         per_lang[lang] = float(np.mean(scores)) if scores else 0.0
     return float(np.mean(list(per_lang.values()))), per_lang
 
 
 def task_dev_accuracy(backbone, corpus, task, language, modality, frame_avg_k, projector=None, adapters=None, max_examples=24, max_new_tokens=16) -> float:
-    exs, outs = decode_examples(
-        backbone, corpus, task, language, modality, frame_avg_k,
-        projector=projector, adapters=adapters,
-        max_examples=max_examples, max_new_tokens=max_new_tokens,
-    )
-    return sequence_accuracy([tuple(e.answer_tokens) for e in exs], [tuple(o) for o in outs])
+    """Exact-match accuracy over one language's valid dev split of `task`."""
+    pairs = _dev_outputs(backbone, corpus, task, modality, [(language, "valid")], frame_avg_k, projector, adapters, max_examples, max_new_tokens)
+    return sequence_accuracy([tuple(e.answer_tokens) for e, _ in pairs], [tuple(o) for _, o in pairs])
 
 
-def sqa_dev_accuracy(backbone, corpus, languages, frame_avg_k, projector=None, adapters=None, modality="speech", task="SQA", max_examples=16, max_new_tokens=16, include_invalid=True) -> float:
-    judge = make_default_judge(corpus.vocab)
-    all_ex: list[Example] = []
-    all_out: list[list[int]] = []
-    for lang in languages:
-        validities = ("valid", "invalid") if include_invalid else ("valid",)
-        for validity in validities:
-            exs, outs = decode_examples(
-                backbone, corpus, task, lang, modality, frame_avg_k,
-                projector=projector, adapters=adapters, validity=validity,
-                max_examples=max_examples, max_new_tokens=max_new_tokens,
-            )
-            all_ex.extend(exs)
-            all_out.extend(outs)
-    return qa_accuracy(all_ex, all_out, judge)
+def sqa_dev_accuracy(backbone, corpus, languages, frame_avg_k, projector=None, adapters=None, modality="speech", task="SQA", max_examples=16, max_new_tokens=16) -> float:
+    """Judged QA accuracy over the valid then the invalid dev split of each
+    language: SQA on speech by default, text QA with task="QA", modality="text"."""
+    splits = [(lang, validity) for lang in languages for validity in ("valid", "invalid")]
+    pairs = _dev_outputs(backbone, corpus, task, modality, splits, frame_avg_k, projector, adapters, max_examples, max_new_tokens)
+    return qa_accuracy([e for e, _ in pairs], [o for _, o in pairs], make_default_judge(corpus.vocab))
 
 
 # ---------------------------------------------------------------------------

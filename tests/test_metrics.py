@@ -11,7 +11,6 @@ from mmadapt.metrics import (
     bleu4,
     language_confusion,
     make_default_judge,
-    make_text_judge_adapter,
     normalize_text,
     qa_accuracy,
     sequence_accuracy,
@@ -195,14 +194,6 @@ def test_qa_accuracy_counts(corpus):
     exs = corpus.split("QA", "src")[:4]
     outputs = [tuple(e.answer_tokens) for e in exs[:2]] + [(), ()]
     assert qa_accuracy(exs, outputs, judge) == 0.5
-
-
-def test_text_judge_adapter(corpus):
-    exs = corpus.split("QA", "src")[:2]
-    yes_judge = make_text_judge_adapter(lambda blob: "YES", corpus.vocab)
-    no_judge = make_text_judge_adapter(lambda blob: "no, wrong", corpus.vocab)
-    assert qa_accuracy(exs, [(), ()], yes_judge) == 1.0
-    assert qa_accuracy(exs, [(), ()], no_judge) == 0.0
 
 
 def test_language_confusion_classification(corpus):

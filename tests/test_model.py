@@ -133,7 +133,7 @@ def test_lora_hand_case():
     adapters = _one_pair(LoraConfig(rank=1, alpha=2.0, targets=("attn_q",)), [[1.0, 0.0]], [[1.0], [0.0]])
     folded = fold_adapters({"layers.0.wq": Tensor(np.eye(2))}, adapters)["layers.0.wq"]
     np.testing.assert_allclose(folded.data, [[3.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(matmul(Tensor(np.array([1.0, 1.0])), folded, transpose_b=True).data, [3.0, 1.0])
+    np.testing.assert_allclose(matmul(Tensor(np.array([[1.0, 1.0]])), folded, transpose_b=True).data, [[3.0, 1.0]])
 
 
 def _with_random_b(adapters: LoraAdapters, rng: Rng, std: float = 0.3) -> LoraAdapters:

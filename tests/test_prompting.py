@@ -3,7 +3,9 @@ import pytest
 
 from mmadapt.corpus import CorpusConfig, build_corpus
 from mmadapt.errors import ContractViolation
-from mmadapt.prompting import question_line, render_prompt, template_manifest
+from mmadapt.model import splice_prompt
+from mmadapt.prompting import question_line, render_prompt
+from mmadapt.tensor import Tensor
 from mmadapt.vocab import (
     ANSWER_PROMPT,
     EOS,
@@ -46,10 +48,13 @@ def test_suffix_immediately_precedes_first_masked_position(corpus):
     for key in (("ASR", "src"), ("ST", "tgt2"), ("SQA", "tgt1")):
         ex = corpus.split(*key)[0]
         p = render_prompt(ex, "speech", corpus.vocab, frame_avg_k=3)
-        mask = p.loss_mask
+        # Spliced as training splices it, with a stand-in projector output.
+        wte, speech = Tensor(np.zeros((96, 4))), Tensor(np.zeros((p.content_len, 4)))
+        sp = splice_prompt(wte, p.prefix_tokens, speech, p.suffix_tokens, p.target_tokens, 256)
+        mask = sp.loss_mask
         first = int(np.argmax(mask))
         assert mask[first:].all() and not mask[:first].any()
-        assert p.suffix_tokens[-1] == ANSWER_PROMPT
+        assert sp.token_ids[first - 1] == ANSWER_PROMPT
         assert first == p.prompt_len
 
 
@@ -91,11 +96,3 @@ def test_sqa_question_is_example_specific(corpus):
     assert tuple(a.question_tokens) == pa.suffix_tokens[1:-1]
     if a.question_tokens != b.question_tokens:
         assert pa.suffix_tokens != pb.suffix_tokens
-
-
-def test_template_manifest_is_serializable(corpus):
-    import json
-
-    manifest = template_manifest(corpus.vocab)
-    blob = json.dumps(manifest)
-    assert "question_lines" in json.loads(blob)

@@ -124,6 +124,23 @@ def test_stage_plan_rejects_what_the_recipe_forbids():
         _plan("A", selection="best")
 
 
+@pytest.mark.parametrize("stage,trainable", [
+    ("A", ("lora",)),
+    ("A", ("projector", "lora")),
+    ("B", ("projector",)),
+    ("pretrain", ("lora",)),
+    ("B", ("lora", "lora")),
+    ("B", ()),
+    ("C", ("projector",)),
+    ("C", ("projector", "lora", "backbone")),
+])
+def test_stage_plan_rejects_a_trainable_set_outside_the_recipe(stage, trainable):
+    # pretrain -> backbone, A -> projector, B -> lora, C -> projector + lora.
+    optimizers = {c: OptimizerConfig(lr=lr) for c, lr in zip(("backbone", "projector", "lora"), (1e-3, 5e-4, 2e-3))}
+    with pytest.raises(ConfigError, match=f"stage {stage} trains"):
+        StagePlan(stage, trainable, _sampler(("MT", "QA"), text_mode=True), optimizers, max_steps=1)
+
+
 def test_best_selection_returns_the_snapshot_from_the_best_eval(corpus):
     models = _models()
     metrics = iter([0.1, 0.5, 0.3, 0.2])
@@ -229,3 +246,71 @@ def test_each_micro_batch_graph_is_released_before_the_next_forward(corpus, monk
     plan = dataclasses.replace(_plan("B", max_steps=3), optimizers={"lora": OptimizerConfig(lr=1e-3, grad_accum=2)})
     run_stage(plan, _trainer(corpus, _models()), Rng(1))
     assert len(live) == 6
+
+
+def _decoder(monkeypatch, answer):
+    """Replace `trainer.greedy_decode` with `answer(prompt)`; returns the
+    list of (task, language, validity, modality, id) it is asked to decode."""
+    seen = []
+
+    def fake(backbone, prompt, max_new_tokens, projector=None, adapters=None):
+        seen.append((prompt.task, prompt.language, prompt.validity, prompt.modality, prompt.id))
+        return answer(prompt)
+
+    monkeypatch.setattr(trainer_module, "greedy_decode", fake)
+    return seen
+
+
+def _perfect(prompt):
+    return list(prompt.target_tokens[:-1])  # the answer without its end-of-answer token
+
+
+def _empty(prompt):
+    return []
+
+
+def _dev_keys(corpus, task, languages, validities, modality, n):
+    return [(task, lang, v, modality, e.id) for lang in languages for v in validities
+            for e in corpus.splits[(task, lang, v, "dev")][:n]]
+
+
+def test_st_dev_bleu_decodes_each_target_split_in_order(corpus, monkeypatch):
+    m = _models()
+    seen = _decoder(monkeypatch, _perfect)
+    # Every ST dev answer here has at least 4 tokens, so a perfect output scores 100.
+    assert trainer_module.st_dev_bleu(m["backbone"], corpus, 3, m["projector"], m["lora"], 2, 4) == (
+        100.0, {lang: 100.0 for lang in TARGET_LANGUAGES})
+    assert seen == _dev_keys(corpus, "ST", TARGET_LANGUAGES, ("valid",), "speech", 2)
+    _decoder(monkeypatch, _empty)
+    with pytest.warns(UserWarning, match="empty hypothesis"):
+        assert trainer_module.st_dev_bleu(m["backbone"], corpus, 3, m["projector"], max_examples=2) == (
+            0.0, {lang: 0.0 for lang in TARGET_LANGUAGES})
+    # Each language is scored on its own outputs only.
+    _decoder(monkeypatch, lambda p: _perfect(p) if p.language == "tgt2" else [])
+    with pytest.warns(UserWarning, match="empty hypothesis"):
+        assert trainer_module.st_dev_bleu(m["backbone"], corpus, 3, m["projector"], max_examples=2) == (
+            100.0 / 3, {"tgt1": 0.0, "tgt2": 100.0, "tgt3": 0.0})
+
+
+def test_task_dev_accuracy_decodes_one_split_in_order(corpus, monkeypatch):
+    m = _models()
+    seen = _decoder(monkeypatch, _perfect)
+    assert trainer_module.task_dev_accuracy(m["backbone"], corpus, "MT", "tgt2", "text", 3, None, m["lora"], 3) == 1.0
+    assert seen == _dev_keys(corpus, "MT", ("tgt2",), ("valid",), "text", 3)
+    _decoder(monkeypatch, _empty)
+    assert trainer_module.task_dev_accuracy(m["backbone"], corpus, "MT", "tgt2", "text", 3, max_examples=3) == 0.0
+
+
+@pytest.mark.parametrize("task,modality", [("SQA", "speech"), ("QA", "text")])
+def test_sqa_dev_accuracy_decodes_valid_then_invalid_per_language(corpus, monkeypatch, task, modality):
+    m = _models()
+    seen = _decoder(monkeypatch, _perfect)
+    # An invalid example's answer is its language's not-answerable sequence,
+    # which the judge accepts; a valid answer contains every reference token.
+    acc = trainer_module.sqa_dev_accuracy(m["backbone"], corpus, ("src", "tgt1"), 3, m["projector"], m["lora"],
+                                          modality=modality, task=task, max_examples=2)
+    assert acc == 1.0
+    assert seen == _dev_keys(corpus, task, ("src", "tgt1"), ("valid", "invalid"), modality, 2)
+    _decoder(monkeypatch, _empty)
+    assert trainer_module.sqa_dev_accuracy(m["backbone"], corpus, ("src", "tgt1"), 3, m["projector"],
+                                           modality=modality, task=task, max_examples=2) == 0.0
