@@ -9,10 +9,12 @@ key-padding mask, dropout and an output projection into the backbone's
 embedding space. Every component, adapters included, holds its named
 parameter tensors in `params` and shares one freeze/export/load path.
 
+Attention runs every head in one stacked product: queries, keys and
+values are split into the head layout (..., H, L, dh) once per layer.
 Inference can run the backbone one new row at a time over a `KVCache`,
-which holds every layer's keys and values for the rows fed so far together
-with the weights that produced them, e.g. site weights with the adapters
-folded in by `fold_adapters`.
+which holds every layer's keys and values for the rows fed so far, in that
+head layout, together with the weights that produced them, e.g. site
+weights with the adapters folded in by `fold_adapters`.
 
 Weights are stored (d_out, d_in); forward passes compute x @ W^T. Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
@@ -38,10 +40,12 @@ from .tensor import (
     layer_norm,
     masked_cross_entropy,  # noqa: F401  (perfbench wraps model.masked_cross_entropy)
     matmul,
+    merge_heads,
     parameter,
     scale,
     softmax,
-    tslice,
+    split_heads,
+    tslice,  # noqa: F401  (perfbench wraps model.tslice)
 )
 
 LORA_SITES = ("attn_q", "attn_k", "attn_v", "attn_out", "ffn_up", "ffn_down")
@@ -192,7 +196,8 @@ def fold_adapters(params: dict[str, Tensor], lora: LoraAdapters | None) -> dict[
 @dataclass
 class KVCache:
     """Every layer's keys and values for the rows a backbone has been fed,
-    and the weights (`params`, all of the backbone's names) that made them.
+    each (..., H, S, dh) over S rows so far, and the weights (`params`, all
+    of the backbone's names) that made them.
 
     A cache serves one sequence: its entries are valid only for `params`,
     so the weights travel with it instead of being stored on the model.
@@ -212,26 +217,6 @@ class KVCache:
             k, v = concat([old_k, k], axis=-2), concat([old_v, v], axis=-2)
         self.kv[layer] = (k, v)
         return k, v
-
-
-def _last_axis_slice(t: Tensor, lo: int, hi: int) -> Tensor:
-    return tslice(t, (Ellipsis, slice(lo, hi)))
-
-
-def _multi_head_attention(q, k, v, n_heads, head_dim, attn_mask, drop_p=0.0, rng=None, train=False):
-    heads = []
-    inv = 1.0 / float(np.sqrt(head_dim))
-    for h in range(n_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh, kh, vh = (_last_axis_slice(t, lo, hi) for t in (q, k, v))
-        scores = scale(matmul(qh, kh, transpose_b=True), inv)
-        if attn_mask is not None:
-            scores = add(scores, attn_mask)
-        probs = softmax(scores)
-        if drop_p > 0 and train:
-            probs = dropout(probs, drop_p, rng.split(f"attn{h}"), train)
-        heads.append(matmul(probs, vh))
-    return concat(heads, axis=-1)
 
 
 class _Stack(_Params):
@@ -271,23 +256,30 @@ class _Stack(_Params):
         """The pre-LN layers and final layer norm over (..., L, d) inputs.
 
         Every projection is x @ W^T over the weights `p`, into which any
-        adapters are already folded. `drop` > 0 in training applies dropout
-        to attention probabilities and to both residual branches, drawn from
-        `rng`. With a `cache`, the layers attend over the cached keys and
-        values followed by the new rows' own, which they append to the cache.
+        adapters are already folded. Each layer splits its queries, keys and
+        values into `n_heads` heads, (..., H, L, d/H), and attends with all
+        heads in one stacked product; `mask` is an additive mask that
+        broadcasts against the (..., H, L, S) scores. `drop` > 0 in training
+        applies dropout to attention probabilities (one draw over every
+        head) and to both residual branches, drawn from `rng`. With a
+        `cache`, the layers attend over the cached keys and values followed
+        by the new rows' own, which they append to the cache.
         """
-        head_dim = x.shape[-1] // self.n_heads
+        inv = 1.0 / float(np.sqrt(x.shape[-1] // self.n_heads))
         for i in range(self.n_layers):
             pre = f"layers.{i}."
             r = rng.split(f"layer{i}") if (train and drop > 0) else None
             h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q = matmul(h, p[pre + "wq"], transpose_b=True)
-            k = matmul(h, p[pre + "wk"], transpose_b=True)
-            v = matmul(h, p[pre + "wv"], transpose_b=True)
+            q, k, v = (split_heads(matmul(h, p[pre + w], transpose_b=True), self.n_heads) for w in ("wq", "wk", "wv"))
             if cache is not None:
                 k, v = cache.extend(i, k, v)
-            ctx = _multi_head_attention(q, k, v, self.n_heads, head_dim, mask, drop, r, train)
-            a = matmul(ctx, p[pre + "wo"], transpose_b=True)
+            scores = scale(matmul(q, k, transpose_b=True), inv)
+            if mask is not None:
+                scores = add(scores, mask)
+            probs = softmax(scores)
+            if r is not None:
+                probs = dropout(probs, drop, r.split("attn"), train)
+            a = matmul(merge_heads(matmul(probs, v)), p[pre + "wo"], transpose_b=True)
             if r is not None:
                 a = dropout(a, drop, r.split("post-attn"), train)
             x = add(x, a)
@@ -362,17 +354,25 @@ class SpeechProjector(_Stack):
     def forward(self, frames: Tensor, train: bool = False, rng: Rng | None = None, pad_mask=None) -> Tensor:
         """frames: (..., M, d_in) averaged frames; returns (..., M, d_out).
 
-        pad_mask: optional additive attention mask (..., 1, M) with large
-        negative values at padded key positions.
+        pad_mask: optional additive key-padding mask of shape
+        frames.shape[:-2] + (1, M), with large negative values at padded key
+        positions; it gains a head axis, (..., 1, 1, M), before it meets the
+        (..., H, M, M) attention scores.
         """
+        M = frames.shape[-2]
         if frames.shape[-1] != self.cfg.d_in:
             raise ShapeError(f"expected frames of width {self.cfg.d_in}, got {frames.shape}")
-        if frames.shape[-2] > self.cfg.max_frames:
-            raise LengthError(f"{frames.shape[-2]} frames exceed max_frames {self.cfg.max_frames}")
+        if M > self.cfg.max_frames:
+            raise LengthError(f"{M} frames exceed max_frames {self.cfg.max_frames}")
         if train and self.cfg.dropout > 0 and rng is None:
             raise ContractViolation("training-mode projector needs an rng for dropout")
-        mask = Tensor(pad_mask) if pad_mask is not None else None
-        x = add(frames, embedding_lookup(self.params["wpe"], np.arange(frames.shape[-2], dtype=np.int64)))
+        mask = None
+        if pad_mask is not None:
+            pad_mask = np.asarray(pad_mask)
+            if pad_mask.shape != frames.shape[:-2] + (1, M):
+                raise ShapeError(f"pad_mask must be {frames.shape[:-2] + (1, M)} for frames {frames.shape}, got {pad_mask.shape}")
+            mask = Tensor(pad_mask[..., None, :, :])
+        x = add(frames, embedding_lookup(self.params["wpe"], np.arange(M, dtype=np.int64)))
         x = self._layers(x, mask, self.params, drop=self.cfg.dropout, rng=rng, train=train)
         return matmul(x, self.params["out_proj"], transpose_b=True)
 

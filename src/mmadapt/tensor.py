@@ -26,6 +26,8 @@ SUPPORTED_OPS = frozenset(
         "elementwise-product",
         "concat",
         "slice",
+        "split-heads",
+        "merge-heads",
         "embedding-lookup",
         "layer-norm",
         "softmax",
@@ -145,7 +147,10 @@ def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = 
 
 def add(a: Tensor, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    y = a.data + b.data
+    try:
+        y = a.data + b.data
+    except ValueError as e:
+        raise ShapeError(f"add: {a.shape} + {b.shape} ({e})") from None
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -218,6 +223,35 @@ def tslice(a: Tensor, key) -> Tensor:
         return (buf,)
 
     return _make_node("slice", y, (a,), backward)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(..., L, H*dh) -> (..., H, L, dh): the last axis cut into `n_heads`
+    equal heads, which move in front of the row axis."""
+    x = _as_tensor(x)
+    if x.ndim < 2 or n_heads < 1 or x.shape[-1] % n_heads:
+        raise ShapeError(f"split_heads: cannot cut {x.shape} into {n_heads} heads of rows")
+    y = x.data.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-2, -3)
+
+    def backward(g):
+        return (g.swapaxes(-2, -3).reshape(x.shape),)
+
+    return _make_node("split-heads", y, (x,), backward)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(..., H, L, dh) -> (..., L, H*dh), the inverse of `split_heads`."""
+    x = _as_tensor(x)
+    if x.ndim < 3:
+        raise ShapeError(f"merge_heads needs (..., H, L, dh), got {x.shape}")
+    rows_first = x.data.swapaxes(-2, -3)  # (..., L, H, dh)
+    shape = rows_first.shape
+    y = rows_first.reshape(shape[:-2] + (-1,))
+
+    def backward(g):
+        return (g.reshape(shape).swapaxes(-2, -3),)
+
+    return _make_node("merge-heads", y, (x,), backward)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

@@ -72,37 +72,57 @@ def lr_at(scheduler: str, step: int, base_lr: float, warmup_steps: int) -> float
 
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments over one
-    component's named parameters."""
+    component's named parameters, updated as one flat array.
+
+    The moments live in two flat arrays, `m` and `v`, in parameter order;
+    `state["m"]` and `state["v"]` map each name to its reshaped view. Each
+    step gathers the gradients and the weights into flat arrays, updates
+    them in a handful of array ops and rebinds every `Tensor.data` to a view
+    of the new flat weights. The weights are gathered afresh each step, not
+    kept as long-lived views updated in place: callers rebind `Tensor.data`
+    (`load_arrays`, a reset to saved arrays), which would detach such views,
+    and arrays handed out earlier (`param_arrays()`) must not change.
+    """
 
     def __init__(self, params: dict[str, Tensor], cfg: OptimizerConfig):
         self.params = dict(params)
         self.cfg = cfg
         self.t = 0
-        self.state = {
-            "m": {k: np.zeros_like(v.data) for k, v in self.params.items()},
-            "v": {k: np.zeros_like(v.data) for k, v in self.params.items()},
-        }
+        dtypes = {p.data.dtype for p in self.params.values()}
+        if len(dtypes) != 1:
+            raise ContractViolation(f"an optimizer needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        self._bounds = np.cumsum([0] + [p.data.size for p in self.params.values()])
+        dtype = dtypes.pop()
+        self._m, self._v = np.zeros(self._bounds[-1], dtype), np.zeros(self._bounds[-1], dtype)
+        self.state = {"m": self._views(self._m), "v": self._views(self._v)}
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """name -> that parameter's slice of `flat`, in its shape."""
+        return {k: flat[lo:hi].reshape(p.shape) for (k, p), lo, hi in zip(self.params.items(), self._bounds, self._bounds[1:])}
 
     def step(self, grads: dict[str, np.ndarray]) -> float:
-        """Update every parameter in place from `grads` (same names);
-        returns the learning rate used."""
+        """Update every parameter from `grads` (same names); returns the
+        learning rate used. A non-finite gradient raises before anything,
+        the step count included, changes."""
+        g = np.concatenate([grads[k].reshape(-1) for k in self.params])
+        if not np.isfinite(g).all():
+            bad = next(k for k in self.params if not np.isfinite(grads[k]).all())
+            raise TrainingDivergenceError(f"non-finite gradient for {bad}")
         self.t += 1
         cfg, step = self.cfg, self.t
         b1, b2 = cfg.betas
         lr = lr_at(cfg.scheduler, step, cfg.lr, cfg.warmup_steps)
-        for name, p in self.params.items():
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise TrainingDivergenceError(f"non-finite gradient for {name}")
-            m = self.state["m"][name]
-            v = self.state["v"][name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            m_hat = m / (1 - b1**step)
-            v_hat = v / (1 - b2**step)
-            p.data = p.data - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data)
+        w = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        m_hat = m / (1 - b1**step)
+        v_hat = v / (1 - b2**step)
+        w = w - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * w)
+        for p, view in zip(self.params.values(), self._views(w).values()):
+            p.data = view
         return lr
 
     def state_dict(self) -> dict:
@@ -114,10 +134,9 @@ class AdamW:
 
     def load_state_dict(self, sd: dict) -> None:
         self.t = sd["t"]
-        self.state = {
-            "m": {k: v.copy() for k, v in sd["m"].items()},
-            "v": {k: v.copy() for k, v in sd["v"].items()},
-        }
+        for s in ("m", "v"):
+            for k, view in self.state[s].items():
+                view[...] = sd[s][k]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +254,7 @@ class EvalRecord:
 # What each stage trains, sorted. Only pretraining trains the backbone: it is frozen after.
 STAGE_TRAINABLE = {"pretrain": ("backbone",), "A": ("projector",), "B": ("lora",), "C": ("lora", "projector")}
 SELECTIONS = ("last", "best-st-bleu")
+STAGES_WITH_DEV_METRIC = ("pretrain", "A")  # `run_stage` evaluates MT accuracy / ST BLEU
 COMPONENTS = ("backbone", "projector", "lora")
 
 
@@ -258,6 +278,8 @@ class StagePlan:
             raise ConfigError(f"stage {self.stage} trains {STAGE_TRAINABLE[self.stage]}, not {self.trainable}")
         if self.selection not in SELECTIONS:
             raise ConfigError(f"unknown checkpoint selection {self.selection!r}")
+        if self.selection == "best-st-bleu" and self.stage not in STAGES_WITH_DEV_METRIC:
+            raise ConfigError(f"stage {self.stage} has no dev metric for selection {self.selection!r}")
         if self.stage == "pretrain" and not self.sampler.text_mode:
             raise ConfigError("backbone pretraining runs on text-rendered batches")
         if self.stage == "B" and not self.sampler.text_mode and any(t in self.sampler.task_ratios for t in SPEECH_TASKS):

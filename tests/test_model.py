@@ -6,6 +6,7 @@ from mmadapt.model import (
     LORA_SITES,
     Backbone,
     BackboneConfig,
+    KVCache,
     LoraAdapters,
     LoraConfig,
     ProjectorConfig,
@@ -15,7 +16,23 @@ from mmadapt.model import (
     splice_prompt,
 )
 from mmadapt.rng import Rng
-from mmadapt.tensor import Tensor, add, finite_diff_check, grad, masked_cross_entropy, matmul, mean, mul, scale
+from mmadapt.tensor import (
+    Tensor,
+    add,
+    concat,
+    embedding_lookup,
+    finite_diff_check,
+    gelu,
+    grad,
+    layer_norm,
+    masked_cross_entropy,
+    matmul,
+    mean,
+    mul,
+    scale,
+    softmax,
+    tslice,
+)
 
 SMALL_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=32)
 SMALL_PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
@@ -84,7 +101,7 @@ def _scale_up_weights(params: dict, rng: Rng, std: float = 0.4) -> None:
     # ~1e-9; the relative-error denominator then amplifies rounding noise.
     for name, t in params.items():
         if not name.endswith((".g", ".b")):
-            t.data = rng.split(name).normal(size=t.shape) * std
+            t.data = (rng.split(name).normal(size=t.shape) * std).astype(t.data.dtype)
 
 
 def test_projector_gradients_match_finite_differences():
@@ -344,3 +361,133 @@ def test_backbone_unreachable_when_frozen():
         g = grad(loss, list(bb.params.values()) + list(adapters.params.values()))
         assert all(np.all(g[t].data == 0) for t in bb.params.values())
         assert all(np.any(g[t].data != 0) == (lora is not None) for t in adapters.params.values())
+
+
+# --- head-batched attention, pinned against the per-head loop it replaced ---
+
+HEADS_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=4, d_ffn=24, max_seq_len=32)
+HEADS_PROJ = ProjectorConfig(n_layers=2, n_heads=4, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
+
+
+def _per_head_attention(q, k, v, n_heads, mask):
+    """Each head sliced out of q/k/v and attended alone; heads concatenated."""
+    head_dim = q.shape[-1] // n_heads
+    inv = 1.0 / float(np.sqrt(head_dim))
+    heads = []
+    for h in range(n_heads):
+        key = (Ellipsis, slice(h * head_dim, (h + 1) * head_dim))
+        qh, kh, vh = (tslice(t, key) for t in (q, k, v))
+        scores = scale(matmul(qh, kh, transpose_b=True), inv)
+        if mask is not None:
+            scores = add(scores, mask)
+        heads.append(matmul(softmax(scores), vh))
+    return concat(heads, axis=-1)
+
+
+def _per_head_layers(stack, x, mask, kv=None):
+    """`_Stack._layers` with dropout off, attending head by head; `kv` maps
+    layer -> (keys, values) of shape (..., S, d) for cached rows."""
+    p = stack.params
+    for i in range(stack.n_layers):
+        pre = f"layers.{i}."
+        h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        q, k, v = (matmul(h, p[pre + w], transpose_b=True) for w in ("wq", "wk", "wv"))
+        if kv is not None:
+            if i in kv:
+                k, v = concat([kv[i][0], k], axis=-2), concat([kv[i][1], v], axis=-2)
+            kv[i] = (k, v)
+        x = add(x, matmul(_per_head_attention(q, k, v, stack.n_heads, mask), p[pre + "wo"], transpose_b=True))
+        h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+        x = add(x, matmul(gelu(matmul(h, p[pre + "ffn_up"], transpose_b=True)), p[pre + "ffn_down"], transpose_b=True))
+    return layer_norm(x, p["ln_f.g"], p["ln_f.b"])
+
+
+def _per_head_backbone(bb, emb, past=0, kv=None):
+    L = emb.shape[-2]
+    x = add(emb, embedding_lookup(bb.params["wpe"], np.arange(past, past + L)))
+    mask = None if L == 1 else Tensor(np.triu(np.full((L, past + L), -1e9, dtype=np.float32), k=past + 1))
+    return matmul(_per_head_layers(bb, x, mask, kv), bb.params["lm_head"], transpose_b=True)
+
+
+def _assert_same_grads(loss_a, loss_b, params):
+    ga, gb = grad(loss_a, params), grad(loss_b, params)
+    for t in params:
+        np.testing.assert_array_equal(ga[t].data, gb[t].data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_batched_backbone_equals_the_per_head_loop(dtype):
+    bb = Backbone(HEADS_BB, Rng(50), dtype=dtype)
+    _scale_up_weights(bb.params, Rng(51))
+    ids = Rng(52).integers(0, HEADS_BB.vocab_size, size=(3, 9))
+    weights = Tensor(Rng(53).normal(size=(3, 9, HEADS_BB.vocab_size)).astype(dtype))
+    got = bb.forward(bb.embed(ids), np.arange(9))
+    want = _per_head_backbone(bb, bb.embed(ids))
+    np.testing.assert_array_equal(got.data, want.data)
+    _assert_same_grads(mean(mul(got, weights)), mean(mul(want, weights)), list(bb.params.values()))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_batched_cached_backbone_equals_the_per_head_loop(dtype):
+    # A 5-row prefill, then one row at a time, as greedy decoding feeds it.
+    bb = Backbone(HEADS_BB, Rng(54), dtype=dtype)
+    _scale_up_weights(bb.params, Rng(55))
+    ids = Rng(56).integers(0, HEADS_BB.vocab_size, size=9)
+    cache, kv = KVCache(bb.params), {}
+    loss_got = loss_want = None
+    for lo, hi in ((0, 5), (5, 6), (6, 7), (7, 8), (8, 9)):
+        got = bb.forward(bb.embed(ids[lo:hi]), np.arange(lo, hi), cache=cache)
+        want = _per_head_backbone(bb, bb.embed(ids[lo:hi]), past=lo, kv=kv)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert cache.length == hi
+        w = Tensor(Rng(57).split(str(lo)).normal(size=got.shape).astype(dtype))
+        step_got, step_want = mean(mul(got, w)), mean(mul(want, w))
+        loss_got = step_got if loss_got is None else add(loss_got, step_got)
+        loss_want = step_want if loss_want is None else add(loss_want, step_want)
+    _assert_same_grads(loss_got, loss_want, list(bb.params.values()))
+
+
+def _padded_frames(lengths, d_in, dtype, rng):
+    """Frames and the key-padding mask for one batch, as `batch_loss` builds them."""
+    frames = [rng.split(str(i)).normal(size=(n, d_in)).astype(dtype) for i, n in enumerate(lengths)]
+    padded = np.zeros((len(lengths), max(lengths), d_in), dtype=dtype)
+    pad = np.zeros((len(lengths), 1, max(lengths)), dtype=np.float32)
+    for i, f in enumerate(frames):
+        padded[i, : len(f)] = f
+        pad[i, 0, len(f) :] = -1e9
+    return frames, padded, pad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_batched_projector_equals_the_per_head_loop(dtype):
+    proj = SpeechProjector(HEADS_PROJ, Rng(58), dtype=dtype)
+    _scale_up_weights(proj.params, Rng(59))
+    _, padded, pad = _padded_frames((3, 7, 5), HEADS_PROJ.d_in, dtype, Rng(60))
+    got = proj.forward(Tensor(padded), train=False, pad_mask=pad)
+    x = add(Tensor(padded), embedding_lookup(proj.params["wpe"], np.arange(padded.shape[1])))
+    want = matmul(_per_head_layers(proj, x, Tensor(pad)), proj.params["out_proj"], transpose_b=True)
+    np.testing.assert_array_equal(got.data, want.data)
+    weights = Tensor(Rng(61).normal(size=got.shape).astype(dtype))
+    _assert_same_grads(mean(mul(got, weights)), mean(mul(want, weights)), list(proj.params.values()))
+
+
+def test_padded_projector_rows_match_each_unpadded_forward():
+    # As many prompts as heads: a mask without its head axis would broadcast
+    # the batch axis against the head axis here and raise no error.
+    cfg = ProjectorConfig()
+    assert cfg.n_heads == 4
+    proj = SpeechProjector(cfg, Rng(62))
+    _scale_up_weights(proj.params, Rng(63), std=0.1)
+    frames, padded, pad = _padded_frames((5, 9, 2, 7), cfg.d_in, np.float32, Rng(64))
+    batch = proj.forward(Tensor(padded), train=False, pad_mask=pad).data
+    for i, f in enumerate(frames):
+        alone = proj.forward(Tensor(f), train=False).data
+        np.testing.assert_allclose(batch[i, : len(f)], alone, rtol=1e-5, atol=1e-6)
+
+
+def test_projector_rejects_a_pad_mask_of_the_wrong_shape():
+    proj = SpeechProjector(HEADS_PROJ, Rng(65))
+    _, padded, pad = _padded_frames((3, 4), HEADS_PROJ.d_in, np.float32, Rng(66))
+    for bad in (pad[:, 0], pad[:1], pad[:, :, :3], pad[:, :, None]):
+        with pytest.raises(ShapeError, match="pad_mask"):
+            proj.forward(Tensor(padded), train=False, pad_mask=bad)

@@ -1,4 +1,6 @@
+import ast
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +21,13 @@ from mmadapt.tensor import (
     masked_cross_entropy,
     matmul,
     mean,
+    merge_heads,
     mul,
     no_grad,
     parameter,
     scale,
     softmax,
+    split_heads,
     stack,
     tape_of,
     tslice,
@@ -110,6 +114,8 @@ def test_finite_diff_rejects_nondeterministic_f():
         "concat",
         "stack",
         "slice",
+        "split_heads",
+        "merge_heads",
         "embedding",
         "layer_norm",
         "softmax",
@@ -157,6 +163,14 @@ def test_every_op_gradient_matches_finite_differences(name):
     elif name == "slice":
         a = parameter(rng.normal(size=(4, 6)))
         f = lambda _: mean(mul(tslice(a, (slice(1, 3), slice(None, 4))), tslice(a, (slice(1, 3), slice(None, 4)))))
+        params = [a]
+    elif name == "split_heads":
+        a, w = parameter(rng.normal(size=(2, 3, 6))), Tensor(rng.split("w").normal(size=(2, 3, 3, 2)))
+        f = lambda _: mean(mul(split_heads(a, 3), w))
+        params = [a]
+    elif name == "merge_heads":
+        a, w = parameter(rng.normal(size=(2, 3, 4, 2))), Tensor(rng.split("w").normal(size=(2, 4, 6)))
+        f = lambda _: mean(mul(merge_heads(a), w))
         params = [a]
     elif name == "embedding":
         table = parameter(rng.normal(size=(7, 3)))
@@ -286,6 +300,39 @@ def test_masked_ce_ignores_unmasked_positions():
 def test_masked_ce_empty_mask_raises():
     with pytest.raises(ContractViolation):
         masked_cross_entropy(Tensor(np.zeros((2, 4))), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
+
+
+def test_split_and_merge_heads_are_the_per_head_slices_and_their_concat():
+    x = Tensor(np.arange(2 * 3 * 8, dtype=np.float32).reshape(2, 3, 8))
+    heads = split_heads(x, 4)
+    assert heads.shape == (2, 4, 3, 2)
+    for h in range(4):
+        np.testing.assert_array_equal(heads.data[:, h], x.data[..., 2 * h : 2 * h + 2])
+    np.testing.assert_array_equal(merge_heads(heads).data, x.data)
+
+
+def test_split_heads_and_add_raise_shape_errors():
+    with pytest.raises(ShapeError, match="split_heads"):
+        split_heads(Tensor(np.ones((3, 10))), 4)
+    with pytest.raises(ShapeError, match="split_heads"):
+        split_heads(Tensor(np.ones(8)), 2)
+    with pytest.raises(ShapeError, match="add"):
+        add(Tensor(np.ones((3, 4))), Tensor(np.ones((3,))))
+    with pytest.raises(ShapeError, match="merge_heads"):
+        merge_heads(Tensor(np.ones((3, 4))))
+
+
+def test_every_op_made_by_tensor_py_is_supported():
+    # The op-name literal of every `_make_node(...)` call in tensor.py is
+    # exactly the supported set: a new op left out of the set would be
+    # rejected by `tape_of` the first time a gradient runs through it.
+    tree = ast.parse(Path(T.__file__).read_text())
+    made = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_make_node"
+    }
+    assert made == T.SUPPORTED_OPS
 
 
 def test_matmul_shape_error():

@@ -7,13 +7,13 @@ import pytest
 from mmadapt import trainer as trainer_module
 
 from mmadapt.corpus import CorpusConfig, build_corpus
-from mmadapt.errors import ConfigError
+from mmadapt.errors import ConfigError, TrainingDivergenceError
 from mmadapt.model import Backbone, BackboneConfig, LoraAdapters, LoraConfig, ProjectorConfig, SpeechProjector
 from mmadapt.prompting import render_prompt
 from mmadapt.rng import Rng
 from mmadapt.sampler import SamplerConfig
 from mmadapt.tensor import parameter
-from mmadapt.trainer import AdamW, OptimizerConfig, StagePlan, Trainer, batch_loss, run_stage
+from mmadapt.trainer import AdamW, OptimizerConfig, StagePlan, Trainer, batch_loss, lr_at, run_stage
 from mmadapt.vocab import LANGUAGES, TARGET_LANGUAGES
 
 BB = BackboneConfig(vocab_size=96, d_model=16, n_layers=1, n_heads=2, d_ffn=24)
@@ -141,6 +141,14 @@ def test_stage_plan_rejects_a_trainable_set_outside_the_recipe(stage, trainable)
         StagePlan(stage, trainable, _sampler(("MT", "QA"), text_mode=True), optimizers, max_steps=1)
 
 
+@pytest.mark.parametrize("stage", ["B", "C"])
+def test_stage_plan_rejects_best_selection_where_there_is_no_dev_metric(stage):
+    # Stages B and C evaluate nothing during training, so selecting the best
+    # evaluation could only fail after every step had run.
+    with pytest.raises(ConfigError, match="no dev metric"):
+        _plan(stage, selection="best-st-bleu")
+
+
 def test_best_selection_returns_the_snapshot_from_the_best_eval(corpus):
     models = _models()
     metrics = iter([0.1, 0.5, 0.3, 0.2])
@@ -182,6 +190,106 @@ def test_adamw_first_step_moves_each_weight_by_lr_against_its_gradient():
     opt = AdamW({"w": p}, OptimizerConfig(lr=0.1, eps=1e-12))
     assert opt.step({"w": np.array([3.0, -0.25, 1e-3])}) == 0.1
     np.testing.assert_allclose(p.data, [0.9, -1.9, 0.4], rtol=1e-9)
+
+
+class _PerTensorAdamW:
+    """The per-tensor AdamW loop the flat update replaced: the reference."""
+
+    def __init__(self, arrays: dict, cfg: OptimizerConfig):
+        self.arrays = {k: a.copy() for k, a in arrays.items()}
+        self.cfg = cfg
+        self.t = 0
+        self.m = {k: np.zeros_like(a) for k, a in arrays.items()}
+        self.v = {k: np.zeros_like(a) for k, a in arrays.items()}
+
+    def step(self, grads: dict) -> float:
+        self.t += 1
+        cfg, step = self.cfg, self.t
+        b1, b2 = cfg.betas
+        lr = lr_at(cfg.scheduler, step, cfg.lr, cfg.warmup_steps)
+        for name, p in self.arrays.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            m_hat = m / (1 - b1**step)
+            v_hat = v / (1 - b2**step)
+            self.arrays[name] = p - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p)
+        return lr
+
+
+SHAPES = {"w": (4, 3), "b": (3,), "table": (5, 2, 2)}
+
+
+def _adamw_case(dtype=np.float32):
+    rng = Rng(70)
+    params = {k: parameter(rng.split(k).normal(size=s).astype(dtype)) for k, s in SHAPES.items()}
+    cfg = OptimizerConfig(lr=1e-2, weight_decay=0.1, scheduler="warmup-constant", warmup_steps=3)
+    return params, cfg
+
+
+def _grads(step: int, dtype=np.float32) -> dict:
+    return {k: Rng(71).split(str(step), k).normal(size=s).astype(dtype) for k, s in SHAPES.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adamw_is_bit_identical_to_the_per_tensor_loop(dtype):
+    params, cfg = _adamw_case(dtype)
+    ref = _PerTensorAdamW({k: t.data for k, t in params.items()}, cfg)
+    opt = AdamW(params, cfg)
+    for step in range(5):
+        grads = _grads(step, dtype)
+        assert opt.step(grads) == ref.step(grads)
+        for k, t in params.items():
+            assert t.data.dtype == dtype and t.data.shape == SHAPES[k]
+            np.testing.assert_array_equal(t.data, ref.arrays[k])
+    sd = opt.state_dict()
+    assert sd["t"] == 5
+    for k in SHAPES:
+        np.testing.assert_array_equal(sd["m"][k], ref.m[k])
+        np.testing.assert_array_equal(sd["v"][k], ref.v[k])
+    # A state dict loaded into a fresh optimizer continues the same run.
+    again = AdamW(params, cfg)
+    again.load_state_dict(sd)
+    grads = _grads(5, dtype)
+    ref.step(grads)
+    again.step(grads)
+    for k, t in params.items():
+        np.testing.assert_array_equal(t.data, ref.arrays[k])
+
+
+def test_adamw_step_leaves_arrays_handed_out_earlier_unchanged():
+    params, cfg = _adamw_case()
+    opt = AdamW(params, cfg)
+    opt.step(_grads(0))
+    handed_out = {k: t.data for k, t in params.items()}  # no copies
+    kept = {k: a.copy() for k, a in handed_out.items()}
+    opt.step(_grads(1))
+    for k, a in handed_out.items():
+        np.testing.assert_array_equal(a, kept[k])
+        assert not np.array_equal(params[k].data, kept[k])
+
+
+def test_non_finite_gradient_changes_nothing():
+    # The check runs once, over every gradient, before any update: a NaN in
+    # the last parameter leaves the earlier ones and their moments untouched.
+    params, cfg = _adamw_case()
+    opt = AdamW(params, cfg)
+    opt.step(_grads(0))
+    before = {k: t.data.copy() for k, t in params.items()}
+    sd = opt.state_dict()
+    grads = _grads(1)
+    grads["table"][2, 1, 0] = np.nan
+    with pytest.raises(TrainingDivergenceError, match="table"):
+        opt.step(grads)
+    for k, t in params.items():
+        np.testing.assert_array_equal(t.data, before[k])
+    after = opt.state_dict()
+    assert after["t"] == sd["t"]
+    for s in ("m", "v"):
+        for k in SHAPES:
+            np.testing.assert_array_equal(after[s][k], sd[s][k])
 
 
 def test_partial_last_window_is_applied(corpus):
