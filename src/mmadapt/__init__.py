@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-tensor      dense arrays with reverse-mode gradients over a fixed op set
+tensor      dense arrays with reverse-mode gradients over the ops defined there
 rng         deterministic label-splittable random streams
 vocab       token layout and toy languages
 corpus      synthetic speech/text corpus generation and preprocessing
@@ -12,7 +12,7 @@ checkpoint  versioned binary parameter bundles
 sampler     two-level interleaved batch scheduling
 trainer     AdamW, schedulers, one runner for every training stage
 decode      greedy decoding and degeneration detection
-metrics     WER, smoothed BLEU-4, QA accuracy, language confusion
+metrics     WER, smoothed BLEU-4, QA accuracy, language confusion over token ids
 """
 
 __version__ = "0.1.0"

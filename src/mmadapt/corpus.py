@@ -21,6 +21,7 @@ from .vocab import BOUND, LANGUAGES, TARGET_LANGUAGES, Vocab, build_vocab
 
 TASKS = ("ASR", "ST", "MT", "SQA", "QA")
 SPEECH_TASKS = ("ASR", "ST", "SQA")
+CARVE_THEMES = 2  # themes held out of every task's train split as its dev split
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,7 @@ class Corpus:
         }
 
 
-def build_corpus(cfg: CorpusConfig, fluent: bool = True, carve_themes: int = 2) -> Corpus:
+def build_corpus(cfg: CorpusConfig) -> Corpus:
     """Generate, clean, carve, corrupt and rewrite every task/language split."""
     vocab = build_vocab(cfg.n_symbols, cfg.seed)
     root = Rng(cfg.seed)
@@ -408,7 +409,7 @@ def build_corpus(cfg: CorpusConfig, fluent: bool = True, carve_themes: int = 2) 
     for task, langs in (("ASR", ("src",)), ("ST", TARGET_LANGUAGES), ("MT", TARGET_LANGUAGES)):
         for lang in langs:
             exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic)
-            train, val = carve_validation(exs, carve_themes)
+            train, val = carve_validation(exs, CARVE_THEMES)
             put(task, lang, "valid", "train", train)
             put(task, lang, "valid", "dev", val)
 
@@ -433,15 +434,14 @@ def build_corpus(cfg: CorpusConfig, fluent: bool = True, carve_themes: int = 2) 
         for lang in LANGUAGES:
             exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic)
             exs = dedup_answers(exs)
-            train, val = carve_validation(exs, carve_themes)
+            train, val = carve_validation(exs, CARVE_THEMES)
             scorer = default_quality_scorer(vocab, lang)
             for part, pool in (("train", train), ("dev", val)):
                 pool = make_invalid_split(pool, cfg.invalid_fraction, root.split("invalid", task, lang, part), vocab)
                 pool = quality_filter(pool, scorer, cfg.quality_threshold)
                 valid = [ex for ex in pool if ex.validity == "valid"]
                 invalid = [ex for ex in pool if ex.validity == "invalid"]
-                if fluent:
-                    valid = [fluent_rewrite(ex, vocab) for ex in valid]
+                valid = [fluent_rewrite(ex, vocab) for ex in valid]
                 put(task, lang, "valid", part, valid)
                 put(task, lang, "invalid", part, invalid)
 

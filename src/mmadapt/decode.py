@@ -28,7 +28,6 @@ def greedy_decode(
     max_new_tokens: int,
     projector: SpeechProjector | None = None,
     adapters: LoraAdapters | None = None,
-    eos_id: int = EOS,
 ) -> list[int]:
     """Decode with batch size 1: at every step append the argmax token
     (ties break to the lowest id) until the end-of-answer token or the cap.
@@ -62,7 +61,7 @@ def greedy_decode(
             rows = emb.shape[0]
             logits = backbone.forward(emb, np.arange(start, start + rows), cache=cache)
             tok = int(np.argmax(logits.data[-1]))  # argmax takes the lowest id on ties
-            if tok == eos_id:
+            if tok == EOS:
                 break
             out.append(tok)
             start += rows

@@ -13,10 +13,6 @@ class LengthError(ValueError):
     """A sequence exceeds the model's maximum length."""
 
 
-class UnsupportedOpError(RuntimeError):
-    """A gradient record references an op outside the supported set."""
-
-
 class ConfigError(ValueError):
     """A configuration value or combination is invalid."""
 

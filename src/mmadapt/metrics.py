@@ -1,15 +1,12 @@
-"""Evaluation metrics: normalization, WER, smoothed BLEU-4, QA accuracy,
-language confusion.
+"""Evaluation metrics over token-id sequences: normalization, WER,
+smoothed BLEU-4, QA accuracy, language confusion.
 
-Text normalization applies exactly these rules, in order: lowercase,
-delete punctuation characters, collapse whitespace runs, strip. For token
-sequences the analog is dropping the caller-provided punctuation-like ids.
-Both forms are idempotent.
+Every input is a sequence of token ids. Normalization only drops the
+caller-provided punctuation-like ids; there are no text rules.
 """
 
 from __future__ import annotations
 
-import string
 import warnings
 from math import exp, log
 
@@ -17,26 +14,17 @@ from .corpus import Example
 from .errors import ContractViolation, UndefinedWerError
 from .vocab import Vocab
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+def normalize_text(tokens, drop_tokens: frozenset[int] | set[int]) -> tuple[int, ...]:
+    """`tokens` without the `drop_tokens` ids (idempotent)."""
+    return tuple(t for t in tokens if t not in drop_tokens)
 
 
-def normalize_text(x, drop_tokens: frozenset[int] | set[int] = frozenset()):
-    """Canonical form of a string or a token-id sequence (idempotent)."""
-    if isinstance(x, str):
-        return " ".join(x.lower().translate(_PUNCT_TABLE).split())
-    return tuple(t for t in x if t not in drop_tokens)
-
-
-def _as_units(x, drop_tokens) -> list:
-    norm = normalize_text(x, drop_tokens)
-    return norm.split() if isinstance(norm, str) else list(norm)
-
-
-def wer(reference, hypothesis, drop_tokens: frozenset[int] | set[int] = frozenset()) -> float:
+def wer(reference, hypothesis, drop_tokens: frozenset[int] | set[int]) -> float:
     """Token-level Levenshtein distance over normalized forms, divided by
     the reference length. Substitution, insertion and deletion all cost 1."""
-    ref = _as_units(reference, drop_tokens)
-    hyp = _as_units(hypothesis, drop_tokens)
+    ref = normalize_text(reference, drop_tokens)
+    hyp = normalize_text(hypothesis, drop_tokens)
     if not ref:
         raise UndefinedWerError("reference is empty after normalization")
     prev = list(range(len(hyp) + 1))
@@ -48,16 +36,6 @@ def wer(reference, hypothesis, drop_tokens: frozenset[int] | set[int] = frozense
     return prev[-1] / len(ref)
 
 
-def _tokenize(x, tokenizer: str) -> list:
-    if isinstance(x, str):
-        if tokenizer == "word":
-            return x.split()
-        if tokenizer == "char":
-            return [c for c in x if not c.isspace()]
-        raise ContractViolation(f"unknown tokenizer {tokenizer!r}")
-    return list(x)
-
-
 def _ngram_counts(units: list, n: int) -> dict:
     counts: dict = {}
     for i in range(len(units) - n + 1):
@@ -66,7 +44,7 @@ def _ngram_counts(units: list, n: int) -> dict:
     return counts
 
 
-def bleu4(references, hypothesis, tokenizer: str = "word", smoothing: str = "exp") -> float:
+def bleu4(references, hypothesis) -> float:
     """Smoothed BLEU-4 in [0, 100].
 
     score = BP * exp(mean_n log p_n) * 100 over n = 1..4, where p_n is the
@@ -75,12 +53,10 @@ def bleu4(references, hypothesis, tokenizer: str = "word", smoothing: str = "exp
     all (hypothesis shorter than n) makes the score 0. BP = min(1,
     exp(1 - ref_len / hyp_len)) with the closest reference length.
     """
-    if smoothing != "exp":
-        raise ContractViolation(f"unknown smoothing {smoothing!r}")
-    refs = [_tokenize(r, tokenizer) for r in references]
+    refs = [list(r) for r in references]
     if not refs:
         raise ContractViolation("bleu4 needs at least one reference")
-    hyp = _tokenize(hypothesis, tokenizer)
+    hyp = list(hypothesis)
     if not hyp:
         warnings.warn("empty hypothesis scores 0 BLEU", stacklevel=2)
         return 0.0

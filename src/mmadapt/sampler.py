@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ContractViolation
+from .corpus import SPEECH_TASKS
+from .errors import ConfigError
 from .rng import Rng
 
 TEXT_EQUIVALENT = {"ST": "MT", "SQA": "QA"}
-SPEECH_TASKS = ("ASR", "ST", "SQA")
 
 SplitKey = tuple[str, str]  # (language, validity)
 
@@ -182,38 +182,3 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
             entries.append(BatchEntry(text_task, lang, validity, "text", text_ids, interleaved=True))
     return BatchSchedule(entries=entries, epoch_steps=steps)
 
-
-def empirical_ratios(schedule: BatchSchedule) -> dict[str, float]:
-    """Task frequencies over primary (non-interleaved) entries."""
-    primary = schedule.primary_entries
-    if not primary:
-        raise ContractViolation("schedule has no primary entries")
-    counts: dict[str, int] = {}
-    for e in primary:
-        counts[e.task] = counts.get(e.task, 0) + 1
-    return {task: c / len(primary) for task, c in counts.items()}
-
-
-def check_interleaving(schedule: BatchSchedule) -> bool:
-    """Linear scan of the pairing rule; True when every speech entry with a
-    text equivalent is immediately followed by the matching text entry."""
-    entries = schedule.entries
-    i = 0
-    while i < len(entries):
-        e = entries[i]
-        if e.interleaved:
-            return False  # interleaved entry without a preceding speech draw
-        if e.modality == "speech" and e.task in TEXT_EQUIVALENT:
-            nxt = entries[i + 1] if i + 1 < len(entries) else None
-            if (
-                nxt is None
-                or not nxt.interleaved
-                or nxt.task != TEXT_EQUIVALENT[e.task]
-                or nxt.modality != "text"
-                or (nxt.language, nxt.validity) != (e.language, e.validity)
-            ):
-                return False
-            i += 2
-            continue
-        i += 1
-    return True

@@ -1,4 +1,4 @@
-"""Dense tensors with reverse-mode gradients over a fixed op set.
+"""Dense tensors with reverse-mode gradients over the ops defined here.
 
 Ops build a DAG eagerly; `grad` replays it in reverse execution order.
 Values are immutable once written (backward never mutates forward data).
@@ -15,28 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ShapeError, UnsupportedOpError
+from .errors import ContractViolation, ShapeError
 from .rng import Rng
-
-SUPPORTED_OPS = frozenset(
-    {
-        "matmul",
-        "add",
-        "scale",
-        "elementwise-product",
-        "concat",
-        "slice",
-        "split-heads",
-        "merge-heads",
-        "embedding-lookup",
-        "layer-norm",
-        "softmax",
-        "gelu",
-        "dropout",
-        "mean",
-        "masked-cross-entropy",
-    }
-)
 
 _SEQ = itertools.count()
 _GRAD_ENABLED = True
@@ -153,7 +133,11 @@ def add(a: Tensor, b) -> Tensor:
         raise ShapeError(f"add: {a.shape} + {b.shape} ({e})") from None
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        # A constant operand (an attention mask, noise) gets no gradient: its
+        # reduction to a broadcast shape would cost as much as an op on `g`.
+        da = _unbroadcast(g, a.shape) if a.requires_grad else None
+        db = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return da, db
 
     return _make_node("add", y, (a, b), backward)
 
@@ -167,17 +151,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _make_node("scale", y, (a,), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    y = a.data * b.data
-
-    def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _make_node("elementwise-product", y, (a, b), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -340,22 +313,6 @@ def dropout(x: Tensor, p: float, rng: Rng, train: bool) -> Tensor:
     return _make_node("dropout", y, (x,), backward)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    y = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else np.prod([x.data.shape[a] for a in np.atleast_1d(axis)])
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(np.asarray(g) / count, x.shape).astype(x.data.dtype, copy=False),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis=axis)
-        return (np.broadcast_to(gg / count, x.shape).astype(x.data.dtype, copy=False),)
-
-    return _make_node("mean", y, (x,), backward)
-
-
 def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean next-token NLL over masked positions only.
 
@@ -416,9 +373,6 @@ def tape_of(root: Tensor) -> GradTape:
             nodes.append(t)
             stack.extend(t.parents)
     nodes.sort(key=lambda t: t._seq)
-    for n in nodes:
-        if n.op not in SUPPORTED_OPS:
-            raise UnsupportedOpError(f"op {n.op!r} is not in the supported set")
     return GradTape(tuple(nodes))
 
 
@@ -453,33 +407,3 @@ def grad(loss: Tensor, params) -> dict[Tensor, Tensor]:
         out[p] = Tensor(g)
     return out
 
-
-def finite_diff_check(f, params, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `f(params) -> scalar Tensor` must be deterministic (dropout off); this is
-    verified by evaluating it twice before differencing.
-    """
-    if epsilon <= 0:
-        raise ContractViolation("epsilon must be positive")
-    params = list(params)
-    v1 = f(params).data.copy()
-    v2 = f(params).data.copy()
-    if not np.array_equal(v1, v2):
-        raise ContractViolation("f is not deterministic (is dropout enabled?)")
-    analytic = grad(f(params), params)
-    worst = 0.0
-    for p in params:
-        an = analytic[p].data
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            fp = float(f(params).data)
-            flat[i] = orig - epsilon
-            fm = float(f(params).data)
-            flat[i] = orig
-            central = (fp - fm) / (2.0 * epsilon)
-            err = abs(an.reshape(-1)[i] - central) / (abs(central) + 1e-12)
-            worst = max(worst, err)
-    return worst

@@ -22,14 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Example
+from .checkpoint import COMPONENT_KINDS
+from .corpus import SPEECH_TASKS, Corpus, Example
 from .decode import greedy_decode
 from .errors import ConfigError, ContractViolation, TrainingDivergenceError
 from .metrics import bleu4, make_default_judge, qa_accuracy, sequence_accuracy
 from .model import Backbone, LoraAdapters, SpeechProjector, splice_prompt
 from .prompting import PromptedExample, render_prompt
 from .rng import Rng
-from .sampler import SPEECH_TASKS, BatchEntry, SamplerConfig, plan_epoch
+from .sampler import BatchEntry, SamplerConfig, plan_epoch
 from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, scale, stack, tslice
 from .vocab import TARGET_LANGUAGES
 
@@ -255,7 +256,6 @@ class EvalRecord:
 STAGE_TRAINABLE = {"pretrain": ("backbone",), "A": ("projector",), "B": ("lora",), "C": ("lora", "projector")}
 SELECTIONS = ("last", "best-st-bleu")
 STAGES_WITH_DEV_METRIC = ("pretrain", "A")  # `run_stage` evaluates MT accuracy / ST BLEU
-COMPONENTS = ("backbone", "projector", "lora")
 
 
 @dataclass
@@ -332,11 +332,11 @@ class Trainer:
         return prompts
 
     def _components(self) -> dict:
-        attached = zip(COMPONENTS, (self.backbone, self.projector, self.adapters))
+        attached = zip(COMPONENT_KINDS, (self.backbone, self.projector, self.adapters))
         return {c: obj for c, obj in attached if obj is not None}
 
     def component_params(self, component: str) -> dict[str, Tensor]:
-        if component not in COMPONENTS:
+        if component not in COMPONENT_KINDS:
             raise ConfigError(f"unknown component {component!r}")
         obj = self._components().get(component)
         if obj is None:
@@ -354,6 +354,8 @@ class Trainer:
         each trainable component name -> parameter arrays for the selected
         checkpoint.
         """
+        if plan.selection == "best-st-bleu" and eval_fn is None:
+            raise ConfigError("checkpoint selection needs dev evaluations")
         if eval_fn is not None and not (0 < plan.eval_every <= plan.max_steps):
             raise ConfigError("dev evaluation cadence does not fit the step budget")
         params = {c: self.component_params(c) for c in plan.trainable}
@@ -436,12 +438,8 @@ class Trainer:
                 if primary_done >= plan.max_steps:
                     break
             epoch += 1
-        if plan.selection == "best-st-bleu":
-            if eval_fn is None or not evals:
-                raise ConfigError("checkpoint selection needs dev evaluations")
-            snapshots = best[1]
-        else:
-            snapshots = self._snapshots(plan.trainable)
+        # An eval ran: `eval_every <= max_steps` whenever there is an `eval_fn`.
+        snapshots = best[1] if plan.selection == "best-st-bleu" else self._snapshots(plan.trainable)
         return log, evals, snapshots
 
     def _snapshots(self, components) -> dict[str, dict[str, np.ndarray]]:

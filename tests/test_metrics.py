@@ -21,19 +21,13 @@ from mmadapt.rng import Rng
 
 # --- normalization ---------------------------------------------------------
 
-
-def test_normalize_hand_case():
-    assert normalize_text("A, b  C.") == "a b c"
+NO_DROP = frozenset()
 
 
-def test_normalize_already_normal_unchanged():
-    assert normalize_text("a b c") == "a b c"
-
-
-@given(st.text(max_size=60))
-def test_normalize_idempotent(s):
-    once = normalize_text(s)
-    assert normalize_text(once) == once
+@given(st.lists(st.integers(0, 20), max_size=40), st.frozensets(st.integers(0, 20), max_size=8))
+def test_normalize_idempotent(tokens, drop):
+    once = normalize_text(tokens, drop)
+    assert normalize_text(once, drop) == once
 
 
 def test_normalize_token_sequences_drop_ids():
@@ -61,11 +55,11 @@ def _wer_oracle(ref, hyp):
 
 
 def test_wer_identical_zero():
-    assert wer("a b c", "a b c") == 0.0
+    assert wer((1, 2, 3), (1, 2, 3), NO_DROP) == 0.0
 
 
 def test_wer_single_substitution():
-    assert wer("a b c", "a x c") == pytest.approx(1 / 3)
+    assert wer((1, 2, 3), (1, 9, 3), NO_DROP) == pytest.approx(1 / 3)
 
 
 def test_wer_matches_dp_oracle_on_random_pairs():
@@ -73,30 +67,32 @@ def test_wer_matches_dp_oracle_on_random_pairs():
     for _ in range(1000):
         n = int(rng.integers(1, 12))
         m = int(rng.integers(0, 12))
-        ref = [f"w{int(t)}" for t in rng.integers(0, 6, size=n)]
-        hyp = [f"w{int(t)}" for t in rng.integers(0, 6, size=m)]
-        assert wer(" ".join(ref), " ".join(hyp)) == _wer_oracle(ref, hyp)
+        ref = [int(t) for t in rng.integers(0, 6, size=n)]
+        hyp = [int(t) for t in rng.integers(0, 6, size=m)]
+        assert wer(ref, hyp, NO_DROP) == _wer_oracle(ref, hyp)
 
 
 def test_wer_invariant_to_normalized_away_text():
-    assert wer("a b c", "a b c") == wer("A, b c!!", "a... B c")
+    # 0 plays punctuation: dropping it leaves both pairs equal.
+    assert wer((1, 2, 3), (1, 2, 3), {0}) == wer((1, 0, 2, 3, 0, 0), (0, 1, 0, 2, 3), {0}) == 0.0
+    assert wer((1, 2, 3), (1, 9, 3), {0}) == wer((0, 1, 2, 0, 3), (1, 9, 0, 3, 0), {0})
 
 
 def test_wer_empty_reference_rejected():
     with pytest.raises(UndefinedWerError):
-        wer("...", "a b")
+        wer((0, 0, 0), (1, 2), {0})
 
 
 # --- BLEU -------------------------------------------------------------------
 
 
 def test_bleu_perfect_match_is_100():
-    assert bleu4(["the cat sat on the mat"], "the cat sat on the mat") == pytest.approx(100.0)
+    assert bleu4([(1, 2, 3, 4, 1, 5)], (1, 2, 3, 4, 1, 5)) == pytest.approx(100.0)
 
 
 def test_bleu_unigram_only_matches_closed_form():
-    ref = "a b c d e"
-    hyp = "a c e b d"  # all unigrams match, no higher n-gram does
+    ref = (1, 2, 3, 4, 5)
+    hyp = (1, 3, 5, 2, 4)  # all unigrams match, no higher n-gram does
     # closed form: p1=1, p2=1/(2*4), p3=1/(4*3), p4=1/(8*2), BP=1
     expected = 100.0 * math.exp(
         (math.log(1.0) + math.log(1 / 8) + math.log(1 / 12) + math.log(1 / 16)) / 4
@@ -105,37 +101,26 @@ def test_bleu_unigram_only_matches_closed_form():
 
 
 def test_bleu_brevity_penalty_closed_form():
-    ref = "a b c d e f"
-    hyp = "a b c d e"
+    ref = (1, 2, 3, 4, 5, 6)
+    hyp = (1, 2, 3, 4, 5)
     # p_n all 1 for the 5-token hyp; BP = exp(1 - 6/5)
     expected = 100.0 * math.exp(1.0 - 6 / 5)
     assert bleu4([ref], hyp) == pytest.approx(expected, rel=1e-12)
 
 
-def test_bleu_char_tokenizer_counts_symbols():
-    assert bleu4(["abcdef"], "abcdef", tokenizer="char") == pytest.approx(100.0)
-    assert bleu4(["ab cd ef"], "ab cd ef", tokenizer="char") == pytest.approx(100.0)
-
-
 def test_bleu_corruption_strictly_lowers_score():
-    ref = "a b c d e f g h"
-    hyp_tokens = ref.split()
-    perfect = bleu4([ref], " ".join(hyp_tokens))
-    hyp_tokens[3] = "zz"
-    corrupted = bleu4([ref], " ".join(hyp_tokens))
+    ref = tuple(range(1, 9))
+    hyp = list(ref)
+    perfect = bleu4([ref], tuple(hyp))
+    hyp[3] = 99
+    corrupted = bleu4([ref], tuple(hyp))
     assert corrupted < perfect
-
-
-def test_bleu_tokenizer_invariant_at_perfect_match():
-    s = "ab cd ef gh"
-    assert bleu4([s], s, tokenizer="word") == pytest.approx(100.0)
-    assert bleu4([s], s, tokenizer="char") == pytest.approx(100.0)
 
 
 def test_bleu_empty_hypothesis_warns_and_scores_zero():
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        assert bleu4(["a b c"], "") == 0.0
+        assert bleu4([(1, 2, 3)], ()) == 0.0
     assert w
 
 
@@ -145,11 +130,11 @@ def test_bleu_token_id_sequences():
 
 def test_bleu_needs_a_reference():
     with pytest.raises(ContractViolation):
-        bleu4([], "a b")
+        bleu4([], (1, 2))
 
 
 def test_bleu_short_hypothesis_without_four_grams_scores_zero():
-    assert bleu4(["a b c d"], "a b") == 0.0
+    assert bleu4([(1, 2, 3, 4)], (1, 2)) == 0.0
 
 
 # --- QA accuracy and language confusion -------------------------------------

@@ -21,18 +21,17 @@ from mmadapt.tensor import (
     add,
     concat,
     embedding_lookup,
-    finite_diff_check,
     gelu,
     grad,
     layer_norm,
     masked_cross_entropy,
     matmul,
-    mean,
-    mul,
     scale,
     softmax,
     tslice,
 )
+
+from references import finite_diff_check, mean, mul
 
 SMALL_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=32)
 SMALL_PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)

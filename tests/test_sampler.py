@@ -2,13 +2,9 @@ import pytest
 
 from mmadapt.errors import ConfigError, ContractViolation
 from mmadapt.rng import Rng
-from mmadapt.sampler import (
-    BatchSchedule,
-    SamplerConfig,
-    check_interleaving,
-    empirical_ratios,
-    plan_epoch,
-)
+from mmadapt.sampler import BatchSchedule, SamplerConfig, plan_epoch
+
+from references import check_interleaving, empirical_ratios
 
 
 def _pools(n_per_split=400):

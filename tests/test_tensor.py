@@ -1,28 +1,22 @@
-import ast
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmadapt.errors import ContractViolation, ShapeError, UnsupportedOpError
+from mmadapt.errors import ContractViolation, ShapeError
 from mmadapt.rng import Rng
-from mmadapt import tensor as T
 from mmadapt.tensor import (
     Tensor,
     add,
     concat,
     dropout,
     embedding_lookup,
-    finite_diff_check,
     gelu,
     grad,
     layer_norm,
     masked_cross_entropy,
     matmul,
-    mean,
     merge_heads,
-    mul,
     no_grad,
     parameter,
     scale,
@@ -32,6 +26,8 @@ from mmadapt.tensor import (
     tape_of,
     tslice,
 )
+
+from references import finite_diff_check, mean, mul
 
 
 def test_grad_sum_of_squares():
@@ -255,12 +251,15 @@ def test_grad_unreachable_param_is_zero():
     assert g[other].shape == (2, 2)
 
 
-def test_unsupported_op_rejected():
-    x = parameter(np.ones(3))
-    y = mean(x)
-    y.op = "fused-frobnicate"
-    with pytest.raises(UnsupportedOpError):
-        tape_of(y)
+def test_add_backward_skips_a_constant_operand():
+    x = parameter(np.ones((2, 3, 4)))
+    mask = Tensor(np.zeros((3, 4)))
+    g = np.arange(24.0).reshape(2, 3, 4)
+    dx, dmask = add(x, mask)._backward(g)
+    assert dmask is None
+    np.testing.assert_array_equal(dx, g)
+    assert add(mask, x)._backward(g)[0] is None
+    np.testing.assert_array_equal(add(x, parameter(np.zeros((3, 4))))._backward(g)[1], g.sum(axis=0))
 
 
 def test_tape_is_execution_ordered():
@@ -269,7 +268,6 @@ def test_tape_is_execution_ordered():
     tape = tape_of(y)
     seqs = [n._seq for n in tape.nodes]
     assert seqs == sorted(seqs)
-    assert {n.op for n in tape.nodes} <= T.SUPPORTED_OPS
 
 
 def test_no_grad_suppresses_recording():
@@ -320,19 +318,6 @@ def test_split_heads_and_add_raise_shape_errors():
         add(Tensor(np.ones((3, 4))), Tensor(np.ones((3,))))
     with pytest.raises(ShapeError, match="merge_heads"):
         merge_heads(Tensor(np.ones((3, 4))))
-
-
-def test_every_op_made_by_tensor_py_is_supported():
-    # The op-name literal of every `_make_node(...)` call in tensor.py is
-    # exactly the supported set: a new op left out of the set would be
-    # rejected by `tape_of` the first time a gradient runs through it.
-    tree = ast.parse(Path(T.__file__).read_text())
-    made = {
-        node.args[0].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_make_node"
-    }
-    assert made == T.SUPPORTED_OPS
 
 
 def test_matmul_shape_error():

@@ -149,6 +149,21 @@ def test_stage_plan_rejects_best_selection_where_there_is_no_dev_metric(stage):
         _plan(stage, selection="best-st-bleu")
 
 
+def test_best_selection_without_an_eval_fn_fails_before_the_first_batch(corpus, monkeypatch):
+    real = trainer_module.batch_loss
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "batch_loss", counted)
+    plan = _plan("A", max_steps=5, selection="best-st-bleu")
+    with pytest.raises(ConfigError, match="needs dev evaluations"):
+        _trainer(corpus, _models()).run(plan, Rng(6))
+    assert calls == []
+
+
 def test_best_selection_returns_the_snapshot_from_the_best_eval(corpus):
     models = _models()
     metrics = iter([0.1, 0.5, 0.3, 0.2])
