@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     CheckpointVersionError,
     ComponentKindError,
+    ConfigError,
     CorruptCheckpointError,
 )
 
@@ -43,7 +44,7 @@ def save_checkpoint(component: str, params: dict[str, np.ndarray], config: dict,
     """Write a bundle; returns the hex digest. Arrays are stored as
     little-endian float32 (cast if needed)."""
     if component not in COMPONENT_KINDS:
-        raise ValueError(f"unknown component kind {component!r}")
+        raise ConfigError(f"unknown component kind {component!r}")
     names = list(params)
     arrays = {k: np.ascontiguousarray(np.asarray(v), dtype="<f4") for k, v in params.items()}
     header = json.dumps(

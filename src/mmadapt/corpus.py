@@ -91,10 +91,6 @@ class Example:
         if self.validity == "invalid" and self.task not in ("SQA", "QA"):
             raise ContractViolation("only SQA/QA examples can be invalid")
 
-    @property
-    def effective_question_theme(self) -> int:
-        return self.theme_id if self.question_theme_id is None else self.question_theme_id
-
 
 # ---------------------------------------------------------------------------
 # speech synthesis
@@ -309,7 +305,11 @@ def _round_half_down(x: float) -> int:
 
 def make_invalid_split(examples: list[Example], fraction: float, rng: Rng, vocab: Vocab) -> list[Example]:
     """Mismatch question and context themes for a deterministic fraction of
-    examples; their answers become the language's not-answerable sequence."""
+    examples; their answers become the language's not-answerable sequence.
+    Every example must be in one language, so a donor question is too."""
+    languages = {ex.language for ex in examples}
+    if len(languages) > 1:
+        raise ContractViolation(f"an invalid split draws on one language, got {sorted(languages)}")
     if fraction == 0:
         return list(examples)
     themes = {ex.theme_id for ex in examples}
@@ -324,7 +324,6 @@ def make_invalid_split(examples: list[Example], fraction: float, rng: Rng, vocab
         ex = out[idx]
         donors = [d for d in examples if d.theme_id != ex.theme_id and d.question_tokens is not None]
         donor = donors[int(donor_rng.split(str(idx)).integers(0, len(donors)))]
-        assert donor.language == ex.language
         out[idx] = replace(
             ex,
             question_tokens=donor.question_tokens,
@@ -383,9 +382,6 @@ class Corpus:
     vocab: Vocab
     acoustic: AcousticCode
     splits: dict[tuple[str, str, str, str], list[Example]]  # (task, lang, validity, part)
-
-    def split(self, task: str, language: str, validity: str = "valid", part: str = "train") -> list[Example]:
-        return self.splits[(task, language, validity, part)]
 
     def sampler_pools(self, part: str = "train") -> dict[tuple[str, str, str], list[Example]]:
         return {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, LengthError
+from .errors import ConfigError, ContractViolation, LengthError
 from .model import Backbone, KVCache, LoraAdapters, SpeechProjector, fold_adapters, splice_prompt
 from .prompting import PromptedExample
 from .tensor import Tensor, concat, embedding_lookup, no_grad  # noqa: F401  (perfbench wraps decode.concat)
@@ -76,9 +76,9 @@ def detect_degeneration(tokens, n: int, min_repeats: int) -> tuple[bool, tuple[i
     offending run, covering every consecutive repeat.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ContractViolation("n must be >= 1")
     if min_repeats < 2:
-        raise ValueError("min_repeats must be >= 2")
+        raise ContractViolation("min_repeats must be >= 2")
     tokens = list(tokens)
     for i in range(0, len(tokens) - n * min_repeats + 1):
         gram = tokens[i : i + n]

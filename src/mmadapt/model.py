@@ -302,9 +302,6 @@ class Backbone(_Stack):
         super().__init__(d, cfg.d_ffn, cfg.n_layers, cfg.n_heads, tables, ("lm_head", (cfg.vocab_size, d)), rng, dtype)
         self._masks: dict[int, Tensor] = {}
 
-    def embed(self, token_ids) -> Tensor:
-        return embedding_lookup(self.params["wte"], np.asarray(token_ids, dtype=np.int64))
-
     def _causal_mask(self, L: int, past: int) -> Tensor:
         """(L, past + L) additive mask: row i sees keys up to past + i."""
         m = self._masks.get((L, past))

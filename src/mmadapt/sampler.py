@@ -1,11 +1,11 @@
 """Two-level interleaved batch scheduling.
 
-An epoch is X primary-entry steps. Each step draws a task by the task-level
-ratios, then a (language, validity) split by the within-task ratios, and
-fills the batch from that split's shuffled without-replacement cursor.
-When a drawn speech task has a text equivalent (ST -> MT, SQA -> QA), a text
-batch from the same language-split immediately follows; those interleaved
-entries do not count toward X.
+An epoch is X steps. Each step draws a task by the task-level ratios, then
+a (language, validity) split by the within-task ratios, and fills its
+primary batch from that split's shuffled without-replacement cursor. When a
+drawn speech task has a text equivalent (ST -> MT, SQA -> QA), the step
+also holds a text batch from the same language-split, interleaved right
+after the primary one; interleaved batches do not count toward X.
 """
 
 from __future__ import annotations
@@ -68,12 +68,15 @@ class BatchEntry:
 
 @dataclass
 class BatchSchedule:
-    entries: list[BatchEntry]
-    epoch_steps: int
+    """One epoch's steps in order: each is its primary batch, then its
+    interleaved text batch if it has one."""
+
+    steps: list[tuple[BatchEntry, ...]]
 
     @property
-    def primary_entries(self) -> list[BatchEntry]:
-        return [e for e in self.entries if not e.interleaved]
+    def entries(self) -> list[BatchEntry]:
+        """Every batch of every step, in training order."""
+        return [e for step in self.steps for e in step]
 
     def to_manifest_lines(self) -> list[str]:
         return [
@@ -148,8 +151,8 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
         for task in active
         for (lang, validity), _ in active[task]
     )
-    steps = cfg.epoch_steps if cfg.epoch_steps is not None else n_primary // cfg.batch_size
-    if steps < 1:
+    n_steps = cfg.epoch_steps if cfg.epoch_steps is not None else n_primary // cfg.batch_size
+    if n_steps < 1:
         raise ConfigError(f"epoch has no steps (pool of {n_primary} with batch {cfg.batch_size})")
 
     cursors: dict[tuple[str, str, str], _Cursor] = {}
@@ -166,19 +169,20 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
     task_group = [(t, cfg.task_ratios[t] / total) for t in active]
 
     draw_rng = rng.split("draw")
-    entries: list[BatchEntry] = []
-    for step in range(steps):
-        r = draw_rng.split(str(step))
+    steps: list[tuple[BatchEntry, ...]] = []
+    for i in range(n_steps):
+        r = draw_rng.split(str(i))
         task = _draw(float(r.uniform()), task_group)
         splits = active[task]
         z = sum(p for _, p in splits)
         (lang, validity) = _draw(float(r.uniform()), [(k, p / z) for k, p in splits])
         modality = "text" if (cfg.text_mode or task not in SPEECH_TASKS) else "speech"
         ids = cursor(task, lang, validity).take(cfg.task_batch_size(task))
-        entries.append(BatchEntry(task, lang, validity, modality, ids))
+        step = (BatchEntry(task, lang, validity, modality, ids),)
         if cfg.interleave_text and not cfg.text_mode and task in TEXT_EQUIVALENT:
             text_task = TEXT_EQUIVALENT[task]
             text_ids = cursor(text_task, lang, validity).take(cfg.task_batch_size(text_task))
-            entries.append(BatchEntry(text_task, lang, validity, "text", text_ids, interleaved=True))
-    return BatchSchedule(entries=entries, epoch_steps=steps)
+            step += (BatchEntry(text_task, lang, validity, "text", text_ids, interleaved=True),)
+        steps.append(step)
+    return BatchSchedule(steps=steps)
 

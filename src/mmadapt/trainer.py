@@ -8,9 +8,11 @@ interleaved speech+text schedule. The backbone is frozen in A/B/C.
 A `StagePlan` names the stage, its trainable components and their
 optimizers, and rejects combinations the recipe does not allow. One runner,
 `run_stage`, executes any stage on a `Trainer`: the trainer freezes every
-component outside `plan.trainable`, steps one AdamW per trainable component
-and returns snapshots of those components; `run_stage` adds the stage's dev
-metric (MT accuracy while pretraining, ST BLEU in stage A, none in B/C).
+component outside `plan.trainable`, runs the sampler's steps (a primary
+batch, then its interleaved text batch if it has one) with one AdamW update
+per trainable component on every batch, and returns snapshots of those
+components; `run_stage` adds the stage's dev metric from `DEV_METRICS` (MT
+accuracy while pretraining, ST BLEU in stage A, none in B/C).
 
 Every dev metric (`st_dev_bleu`, `task_dev_accuracy`, `sqa_dev_accuracy`)
 decodes through one loop, `_dev_outputs`, and then scores its outputs.
@@ -25,13 +27,13 @@ import numpy as np
 from .checkpoint import COMPONENT_KINDS
 from .corpus import SPEECH_TASKS, Corpus, Example
 from .decode import greedy_decode
-from .errors import ConfigError, ContractViolation, TrainingDivergenceError
+from .errors import ConfigError, ContractViolation, ShapeError, TrainingDivergenceError
 from .metrics import bleu4, make_default_judge, qa_accuracy, sequence_accuracy
 from .model import Backbone, LoraAdapters, SpeechProjector, splice_prompt
 from .prompting import PromptedExample, render_prompt
 from .rng import Rng
 from .sampler import BatchEntry, SamplerConfig, plan_epoch
-from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, scale, stack, tslice
+from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, scale, stack, tslice  # noqa: F401  (perfbench wraps trainer.scale)
 from .vocab import TARGET_LANGUAGES
 
 # ---------------------------------------------------------------------------
@@ -47,13 +49,10 @@ class OptimizerConfig:
     weight_decay: float = 0.0
     scheduler: str = "constant"  # constant | warmup-constant
     warmup_steps: int = 0
-    grad_accum: int = 1
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.grad_accum < 1:
-            raise ConfigError("grad_accum must be >= 1")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be >= 0")
         if self.scheduler not in ("constant", "warmup-constant"):
@@ -134,6 +133,16 @@ class AdamW:
         }
 
     def load_state_dict(self, sd: dict) -> None:
+        """Load `t` and every moment of `sd`; a wrong type, name set or shape
+        raises `ShapeError` before anything changes."""
+        if not isinstance(sd["t"], (int, np.integer)) or sd["t"] < 0:
+            raise ShapeError(f"step count must be a non-negative integer, got {sd['t']!r}")
+        for s in ("m", "v"):
+            if set(sd[s]) != set(self.params):
+                raise ShapeError(f"{s} names {sorted(sd[s])} do not match {sorted(self.params)}")
+            for k, view in self.state[s].items():
+                if np.shape(sd[s][k]) != view.shape:
+                    raise ShapeError(f"{s}[{k}] has shape {np.shape(sd[s][k])}, expected {view.shape}")
         self.t = sd["t"]
         for s in ("m", "v"):
             for k, view in self.state[s].items():
@@ -255,7 +264,6 @@ class EvalRecord:
 # What each stage trains, sorted. Only pretraining trains the backbone: it is frozen after.
 STAGE_TRAINABLE = {"pretrain": ("backbone",), "A": ("projector",), "B": ("lora",), "C": ("lora", "projector")}
 SELECTIONS = ("last", "best-st-bleu")
-STAGES_WITH_DEV_METRIC = ("pretrain", "A")  # `run_stage` evaluates MT accuracy / ST BLEU
 
 
 @dataclass
@@ -278,7 +286,7 @@ class StagePlan:
             raise ConfigError(f"stage {self.stage} trains {STAGE_TRAINABLE[self.stage]}, not {self.trainable}")
         if self.selection not in SELECTIONS:
             raise ConfigError(f"unknown checkpoint selection {self.selection!r}")
-        if self.selection == "best-st-bleu" and self.stage not in STAGES_WITH_DEV_METRIC:
+        if self.selection == "best-st-bleu" and self.stage not in DEV_METRICS:
             raise ConfigError(f"stage {self.stage} has no dev metric for selection {self.selection!r}")
         if self.stage == "pretrain" and not self.sampler.text_mode:
             raise ConfigError("backbone pretraining runs on text-rendered batches")
@@ -294,8 +302,8 @@ class StagePlan:
 
 
 class Trainer:
-    """Drives one stage: schedules epochs, renders batches, accumulates
-    gradients and steps one optimizer per trainable component."""
+    """Drives one stage: schedules epochs, renders batches and steps one
+    optimizer per trainable component on every batch."""
 
     def __init__(
         self,
@@ -344,15 +352,15 @@ class Trainer:
         return obj.param_dict()
 
     def run(self, plan: StagePlan, rng: Rng, eval_fn=None) -> tuple[list[TrainLogRecord], list[EvalRecord], dict]:
-        """Train until `plan.max_steps` primary entries are consumed.
+        """Train for `plan.max_steps` schedule steps.
 
         Every attached component outside `plan.trainable` is frozen; each
-        trainable one must be attached. Gradients are averaged over windows
-        of `grad_accum` micro-batches; a last, partial window at
-        `max_steps` is applied as the mean over the micro-batches it holds.
-        Returns (train log, eval records, snapshots) where snapshots maps
-        each trainable component name -> parameter arrays for the selected
-        checkpoint.
+        trainable one must be attached. Each batch of a step, the primary
+        one and its interleaved text batch alike, is one update: forward,
+        backward, then one AdamW step per trainable component. The log holds
+        one record per batch, under its step's index. Returns (train log,
+        eval records, snapshots) where snapshots maps each trainable
+        component name -> parameter arrays for the selected checkpoint.
         """
         if plan.selection == "best-st-bleu" and eval_fn is None:
             raise ConfigError("checkpoint selection needs dev evaluations")
@@ -363,35 +371,20 @@ class Trainer:
             obj.set_trainable(c in plan.trainable)
         optimizers = {c: AdamW(params[c], plan.optimizers[c]) for c in plan.trainable}
         param_list = [t for ps in params.values() for t in ps.values()]
-        accums = {plan.optimizers[c].grad_accum for c in plan.trainable}
-        if len(accums) != 1:
-            raise ConfigError("trainable components must share one accumulation window")
-        accum = accums.pop()
 
         pools = self.corpus.sampler_pools("train")
         log: list[TrainLogRecord] = []
         evals: list[EvalRecord] = []
         best: tuple[float, dict] | None = None
         train_rng = rng.split("train")
-        buffers: dict[str, dict[str, np.ndarray]] | None = None  # component -> name -> summed gradient
-        micro = 0
         primary_done = 0
         epoch = 0
         while primary_done < plan.max_steps:
-            schedule = plan_epoch(plan.sampler, pools, rng.split(f"epoch{epoch}"))
-            groups: list[list[BatchEntry]] = []
-            for e in schedule.entries:
-                if e.interleaved:
-                    groups[-1].append(e)
-                else:
-                    groups.append([e])
-            for group in groups:
-                last_step = primary_done + 1 == plan.max_steps
-                for j, entry in enumerate(group):
-                    prompts = self.render_batch(entry)
+            for step in plan_epoch(plan.sampler, pools, rng.split(f"epoch{epoch}")).steps:
+                for entry in step:
                     loss = batch_loss(
                         self.backbone,
-                        prompts,
+                        self.render_batch(entry),
                         projector=self.projector,
                         adapters=self.adapters,
                         train=True,
@@ -401,34 +394,12 @@ class Trainer:
                     loss_val = float(loss.data)
                     if not np.isfinite(loss_val):
                         raise TrainingDivergenceError(f"loss diverged at step {primary_done}")
-                    grads = grad(scale(loss, 1.0 / accum), param_list)
-                    if buffers is None:
-                        buffers = {c: {name: grads[t].data for name, t in ps.items()} for c, ps in params.items()}
-                    else:
-                        for c, ps in params.items():
-                            for name, t in ps.items():
-                                buffers[c][name] += grads[t].data
-                    # Drop this micro-batch's graph before the next forward builds one.
-                    del loss, grads
-                    micro += 1
-                    if micro == accum or (last_step and j == len(group) - 1):
-                        for c, opt in optimizers.items():
-                            if micro < accum:
-                                for g in buffers[c].values():
-                                    g *= accum / micro
-                            lr_now = opt.step(buffers[c])
-                        buffers, micro = None, 0
-                    else:
-                        lr_now = float("nan")
-                    log.append(
-                        TrainLogRecord(
-                            step=primary_done,
-                            task=entry.task,
-                            modality=entry.modality,
-                            loss=loss_val,
-                            lr=lr_now,
-                        )
-                    )
+                    grads = grad(loss, param_list)
+                    del loss  # free this batch's graph before the update
+                    for c, opt in optimizers.items():
+                        lr_now = opt.step({name: grads[t].data for name, t in params[c].items()})
+                    del grads  # and its gradients before the next forward
+                    log.append(TrainLogRecord(primary_done, entry.task, entry.modality, loss_val, lr_now))
                 primary_done += 1
                 if eval_fn is not None and primary_done % plan.eval_every == 0:
                     metric, details = eval_fn()
@@ -507,25 +478,32 @@ def sqa_dev_accuracy(backbone, corpus, languages, frame_avg_k, projector=None, a
 # ---------------------------------------------------------------------------
 
 
+def _mt_accuracy(trainer: Trainer, plan: StagePlan) -> tuple[float, dict]:
+    accs = [
+        task_dev_accuracy(trainer.backbone, trainer.corpus, "MT", lang, "text", trainer.frame_avg_k, trainer.projector,
+                          trainer.adapters, plan.dev_examples, plan.max_new_tokens)
+        for lang in TARGET_LANGUAGES
+    ]
+    return float(np.mean(accs)), {"mt_acc": dict(zip(TARGET_LANGUAGES, accs))}
+
+
+def _st_bleu(trainer: Trainer, plan: StagePlan) -> tuple[float, dict]:
+    mean_bleu, per_lang = st_dev_bleu(trainer.backbone, trainer.corpus, trainer.frame_avg_k, trainer.projector,
+                                      trainer.adapters, plan.dev_examples, plan.max_new_tokens)
+    return mean_bleu, {"st_bleu": per_lang}
+
+
+# The dev metric of each stage that has one: mean MT exact match across target
+# languages while pretraining, mean ST BLEU in stage A (the metric that
+# `best-st-bleu` selects on). Stages B and C evaluate nothing during training.
+DEV_METRICS = {"pretrain": _mt_accuracy, "A": _st_bleu}
+
+
 def run_stage(plan: StagePlan, trainer: Trainer, rng: Rng) -> tuple[list[TrainLogRecord], list[EvalRecord], dict]:
-    """Run one stage of the recipe on `trainer`'s components.
-
-    The dev metric follows `plan.stage`: mean MT exact match across target
-    languages while pretraining, mean ST BLEU in stage A (the metric that
-    `best-st-bleu` selects on), none in stages B and C. Returns (train log,
-    eval records, snapshots of the `plan.trainable` components).
+    """Run one stage of the recipe on `trainer`'s components, evaluating
+    the stage's entry in `DEV_METRICS` every `plan.eval_every` steps.
+    Returns (train log, eval records, snapshots of the `plan.trainable`
+    components).
     """
-    bb, corpus, k = trainer.backbone, trainer.corpus, trainer.frame_avg_k
-    models = {"projector": trainer.projector, "adapters": trainer.adapters}
-    limits = {"max_examples": plan.dev_examples, "max_new_tokens": plan.max_new_tokens}
-
-    def mt_accuracy():
-        accs = [task_dev_accuracy(bb, corpus, "MT", lang, "text", k, **models, **limits) for lang in TARGET_LANGUAGES]
-        return float(np.mean(accs)), {"mt_acc": dict(zip(TARGET_LANGUAGES, accs))}
-
-    def st_bleu():
-        mean_bleu, per_lang = st_dev_bleu(bb, corpus, k, **models, **limits)
-        return mean_bleu, {"st_bleu": per_lang}
-
-    eval_fn = {"pretrain": mt_accuracy, "A": st_bleu}.get(plan.stage)
-    return trainer.run(plan, rng, eval_fn=eval_fn)
+    metric = DEV_METRICS.get(plan.stage)
+    return trainer.run(plan, rng, eval_fn=None if metric is None else lambda: metric(trainer, plan))

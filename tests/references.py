@@ -1,16 +1,20 @@
-"""Reference ops and checks that only the tests use.
+"""Reference ops, checks and accessors that only the tests use.
 
 `mul` and `mean` build graph nodes the way the ops in `mmadapt.tensor` do,
 so test losses can reduce any output to a scalar; `finite_diff_check`
 compares analytic gradients with central differences. `empirical_ratios`
-and `check_interleaving` read a sampler schedule back.
+and `check_interleaving` read a sampler schedule back. `embed`,
+`corpus_split` and `effective_question_theme` are shorthands for reading a
+backbone, a corpus and an example.
 """
 
 import numpy as np
 
+from mmadapt.corpus import Corpus, Example
 from mmadapt.errors import ContractViolation
+from mmadapt.model import Backbone
 from mmadapt.sampler import TEXT_EQUIVALENT, BatchSchedule
-from mmadapt.tensor import Tensor, _as_tensor, _make_node, _unbroadcast, grad
+from mmadapt.tensor import Tensor, _as_tensor, _make_node, _unbroadcast, embedding_lookup, grad
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -72,8 +76,8 @@ def finite_diff_check(f, params, epsilon: float = 1e-5) -> float:
 
 
 def empirical_ratios(schedule: BatchSchedule) -> dict[str, float]:
-    """Task frequencies over primary (non-interleaved) entries."""
-    primary = schedule.primary_entries
+    """Task frequencies over the steps' primary entries."""
+    primary = [step[0] for step in schedule.steps]
     if not primary:
         raise ContractViolation("schedule has no primary entries")
     counts: dict[str, int] = {}
@@ -105,3 +109,17 @@ def check_interleaving(schedule: BatchSchedule) -> bool:
             continue
         i += 1
     return True
+
+
+def embed(backbone: Backbone, token_ids) -> Tensor:
+    """The backbone's token embeddings of `token_ids`, without positions."""
+    return embedding_lookup(backbone.params["wte"], np.asarray(token_ids, dtype=np.int64))
+
+
+def corpus_split(corpus: Corpus, task: str, language: str, validity: str = "valid", part: str = "train") -> list[Example]:
+    return corpus.splits[(task, language, validity, part)]
+
+
+def effective_question_theme(example: Example) -> int:
+    """The theme of the example's question: its own unless the invalid split swapped it."""
+    return example.theme_id if example.question_theme_id is None else example.question_theme_id

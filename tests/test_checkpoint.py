@@ -5,6 +5,7 @@ from mmadapt.checkpoint import load_checkpoint, save_checkpoint
 from mmadapt.errors import (
     CheckpointVersionError,
     ComponentKindError,
+    ConfigError,
     CorruptCheckpointError,
 )
 from mmadapt.model import ProjectorConfig, SpeechProjector
@@ -28,6 +29,13 @@ def test_round_trip_bit_identical(tmp_path, proj_params):
     for name, arr in proj_params.items():
         assert bundle.arrays[name].dtype == np.float32
         np.testing.assert_array_equal(bundle.arrays[name], arr)
+
+
+def test_unknown_component_kind_is_a_config_error(tmp_path, proj_params):
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(ConfigError, match="unknown component kind"):
+        save_checkpoint("encoder", proj_params, {}, path)
+    assert not path.exists()
 
 
 def test_save_load_save_is_stable(tmp_path, proj_params):

@@ -18,6 +18,8 @@ from mmadapt.errors import ConfigError, ContractViolation, VocabularyError
 from mmadapt.rng import Rng
 from mmadapt.vocab import BOUND, TARGET_LANGUAGES, build_vocab
 
+from references import corpus_split, effective_question_theme
+
 
 @pytest.fixture(scope="module")
 def cfg():
@@ -157,7 +159,7 @@ def test_invalid_split_mismatches_themes(cfg, vocab, acoustic):
     invalid = [e for e in out if e.validity == "invalid"]
     assert invalid
     for e in invalid:
-        assert e.effective_question_theme != e.theme_id
+        assert effective_question_theme(e) != e.theme_id
         assert e.answer_tokens == vocab.lang("tgt2").not_answerable
 
 
@@ -180,6 +182,18 @@ def test_invalid_split_single_theme_rejected(cfg, vocab, acoustic):
     one_theme = [e for e in exs if e.theme_id == 2]
     with pytest.raises(ConfigError):
         make_invalid_split(one_theme, 0.5, Rng(0), vocab)
+
+
+def test_invalid_split_rejects_mixed_languages_before_any_change(cfg, vocab, acoustic):
+    # A donor question must come from the example's own language.
+    src = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic))
+    tgt = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(9).split("qa"), vocab, acoustic))
+    mixed = src[:6] + tgt[:6]
+    kept = list(mixed)
+    for fraction in (0.0, 0.5):
+        with pytest.raises(ContractViolation, match="one language"):
+            make_invalid_split(mixed, fraction, Rng(3), vocab)
+    assert mixed == kept and all(e.validity == "valid" for e in mixed)
 
 
 def test_quality_filter_requires_both_scores():
@@ -237,6 +251,6 @@ def test_build_corpus_deterministic_and_well_formed():
     # invalid dev/train splits exist for QA tasks and are theme-mismatched
     for lang in ("src", *TARGET_LANGUAGES):
         for part in ("train", "dev"):
-            inv = c1.split("SQA", lang, "invalid", part)
+            inv = corpus_split(c1, "SQA", lang, "invalid", part)
             assert inv
-            assert all(e.effective_question_theme != e.theme_id for e in inv)
+            assert all(effective_question_theme(e) != e.theme_id for e in inv)

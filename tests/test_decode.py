@@ -20,6 +20,8 @@ from mmadapt.rng import Rng
 from mmadapt.tensor import Tensor, concat, no_grad
 from mmadapt.vocab import EOS
 
+from references import embed
+
 CFG = BackboneConfig(vocab_size=12, d_model=16, n_layers=1, n_heads=2, d_ffn=24, max_seq_len=48)
 
 
@@ -87,7 +89,7 @@ def test_matches_per_step_argmax_oracle():
     ids = [1, 2, 3, 4, 5]
     out = []
     for _ in range(6):
-        emb = bb.embed(np.array(ids))
+        emb = embed(bb, np.array(ids))
         logits = bb.forward(emb, np.arange(len(ids))).data
         tok = int(np.argmax(logits[-1]))
         if tok == 1:
@@ -132,7 +134,7 @@ def _full_recompute_decode(bb, prompt, max_new_tokens, projector=None, adapters=
             if tok == EOS:
                 break
             out.append(tok)
-            emb = concat([emb, bb.embed([tok])], axis=0)
+            emb = concat([emb, embed(bb, [tok])], axis=0)
     return out
 
 
@@ -169,13 +171,13 @@ def test_cached_logits_equal_the_full_forward():
         cache = KVCache(fold_adapters(bb.params, adapters))
         fed = 0
         for rows in (6, 3, 1, 1, 4, 1, 1, 1, 1, 1):  # a prefill, then chunks and single rows
-            got = bb.forward(bb.embed(ids[fed : fed + rows]), np.arange(fed, fed + rows), cache=cache).data
+            got = bb.forward(embed(bb, ids[fed : fed + rows]), np.arange(fed, fed + rows), cache=cache).data
             fed += rows
-            want = bb.forward(bb.embed(ids[:fed]), np.arange(fed), lora=adapters).data[-rows:]
+            want = bb.forward(embed(bb, ids[:fed]), np.arange(fed), lora=adapters).data[-rows:]
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         assert cache.length == fed == 20
         with pytest.raises(LengthError):  # the cached rows count toward max_seq_len
-            bb.forward(bb.embed(np.zeros(29, dtype=int)), np.arange(20, 49), cache=cache)
+            bb.forward(embed(bb, np.zeros(29, dtype=int)), np.arange(20, 49), cache=cache)
 
 
 def test_cache_rejects_lora_passed_again():
@@ -184,7 +186,7 @@ def test_cache_rejects_lora_passed_again():
     bb, adapters, _ = _adapted_models(38)
     cache = KVCache(fold_adapters(bb.params, adapters))
     with pytest.raises(ContractViolation):
-        bb.forward(bb.embed([2, 3]), np.arange(2), lora=adapters, cache=cache)
+        bb.forward(embed(bb, [2, 3]), np.arange(2), lora=adapters, cache=cache)
     assert cache.length == 0
 
 
@@ -239,6 +241,12 @@ def test_degeneration_bigram_case():
     tokens = [3, 7, 3, 7, 3, 7, 3, 7, 1]
     assert detect_degeneration(tokens, n=2, min_repeats=4)[0]
     assert not detect_degeneration(tokens, n=2, min_repeats=5)[0]
+
+
+@pytest.mark.parametrize("n,min_repeats", [(0, 4), (2, 1)])
+def test_degeneration_rejects_an_empty_gram_or_a_single_repeat(n, min_repeats):
+    with pytest.raises(ContractViolation):
+        detect_degeneration([8, 8, 8, 8], n, min_repeats)
 
 
 def _brute_force_repeat(tokens, n, min_repeats):

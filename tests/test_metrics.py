@@ -18,6 +18,8 @@ from mmadapt.metrics import (
 )
 from mmadapt.rng import Rng
 
+from references import corpus_split
+
 
 # --- normalization ---------------------------------------------------------
 
@@ -147,9 +149,9 @@ def corpus():
 
 def test_default_judge_exact_and_invalid(corpus):
     judge = make_default_judge(corpus.vocab)
-    ex = corpus.split("QA", "src")[0]
+    ex = corpus_split(corpus, "QA", "src")[0]
     assert judge(ex, tuple(ex.answer_tokens))
-    inv = corpus.split("QA", "src", "invalid")[0]
+    inv = corpus_split(corpus, "QA", "src", "invalid")[0]
     assert judge(inv, tuple(corpus.vocab.lang("src").not_answerable))
     assert not judge(inv, tuple(ex.answer_tokens))  # content instead of not-answerable
 
@@ -160,7 +162,7 @@ def test_default_judge_accepts_fluent_wrapped_span(corpus):
     vocab = corpus.vocab
     wrong = vocab.lang("tgt3").not_answerable
     for lang in ("src", "tgt1"):
-        for ex in corpus.split("QA", lang)[:20]:
+        for ex in corpus_split(corpus, "QA", lang)[:20]:
             assert judge(ex, tuple(ex.answer_tokens))
             lang_obj = vocab.lang(lang)
             bare = tuple(t for t in ex.answer_tokens if t not in (lang_obj.ans_open, lang_obj.ans_close))
@@ -171,12 +173,12 @@ def test_default_judge_accepts_fluent_wrapped_span(corpus):
 def test_qa_accuracy_alignment_guard(corpus):
     judge = make_default_judge(corpus.vocab)
     with pytest.raises(ContractViolation):
-        qa_accuracy(corpus.split("QA", "src")[:3], [()] * 2, judge)
+        qa_accuracy(corpus_split(corpus, "QA", "src")[:3], [()] * 2, judge)
 
 
 def test_qa_accuracy_counts(corpus):
     judge = make_default_judge(corpus.vocab)
-    exs = corpus.split("QA", "src")[:4]
+    exs = corpus_split(corpus, "QA", "src")[:4]
     outputs = [tuple(e.answer_tokens) for e in exs[:2]] + [(), ()]
     assert qa_accuracy(exs, outputs, judge) == 0.5
 

@@ -31,7 +31,7 @@ from mmadapt.tensor import (
     tslice,
 )
 
-from references import finite_diff_check, mean, mul
+from references import embed, finite_diff_check, mean, mul
 
 SMALL_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=32)
 SMALL_PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
@@ -174,8 +174,8 @@ def test_lora_matches_dense_delta_oracle():
     for _ in range(10):
         L = int(rng.integers(2, 12))
         ids = rng.integers(0, SMALL_BB.vocab_size, size=(2, L))
-        got = bb.forward(bb.embed(ids), np.arange(L), lora=adapters).data
-        want = merged.forward(merged.embed(ids), np.arange(L)).data
+        got = bb.forward(embed(bb, ids), np.arange(L), lora=adapters).data
+        want = merged.forward(embed(merged, ids), np.arange(L)).data
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -265,17 +265,17 @@ def test_zero_init_adapters_leave_backbone_logits_bit_identical():
     for _ in range(20):
         L = int(rng.integers(2, 10))
         ids = rng.integers(0, SMALL_BB.vocab_size, size=L)
-        emb = bb.embed(ids)
+        emb = embed(bb, ids)
         pos = np.arange(L)
         base = bb.forward(emb, pos).data
-        with_lora = bb.forward(bb.embed(ids), pos, lora=adapters).data
+        with_lora = bb.forward(embed(bb, ids), pos, lora=adapters).data
         assert np.array_equal(base, with_lora)
 
 
 def test_backbone_rejects_overflow_and_bad_width():
     bb = Backbone(SMALL_BB, Rng(14))
     with pytest.raises(LengthError):
-        bb.forward(bb.embed(np.zeros(SMALL_BB.max_seq_len + 1, dtype=int)), np.zeros(SMALL_BB.max_seq_len + 1, dtype=int))
+        bb.forward(embed(bb, np.zeros(SMALL_BB.max_seq_len + 1, dtype=int)), np.zeros(SMALL_BB.max_seq_len + 1, dtype=int))
     with pytest.raises(ShapeError):
         bb.forward(Tensor(np.zeros((3, SMALL_BB.d_model + 1))), np.arange(3))
 
@@ -355,7 +355,7 @@ def test_backbone_unreachable_when_frozen():
     adapters = _with_random_b(LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0), Rng(27), dtype=np.float64), Rng(28))
     ids = np.arange(5)
     for lora in (None, adapters):
-        logits = bb.forward(bb.embed(ids), np.arange(5), lora=lora)
+        logits = bb.forward(embed(bb, ids), np.arange(5), lora=lora)
         loss = masked_cross_entropy(logits, np.zeros(5, dtype=int), np.ones(5, dtype=bool))
         g = grad(loss, list(bb.params.values()) + list(adapters.params.values()))
         assert all(np.all(g[t].data == 0) for t in bb.params.values())
@@ -420,8 +420,8 @@ def test_head_batched_backbone_equals_the_per_head_loop(dtype):
     _scale_up_weights(bb.params, Rng(51))
     ids = Rng(52).integers(0, HEADS_BB.vocab_size, size=(3, 9))
     weights = Tensor(Rng(53).normal(size=(3, 9, HEADS_BB.vocab_size)).astype(dtype))
-    got = bb.forward(bb.embed(ids), np.arange(9))
-    want = _per_head_backbone(bb, bb.embed(ids))
+    got = bb.forward(embed(bb, ids), np.arange(9))
+    want = _per_head_backbone(bb, embed(bb, ids))
     np.testing.assert_array_equal(got.data, want.data)
     _assert_same_grads(mean(mul(got, weights)), mean(mul(want, weights)), list(bb.params.values()))
 
@@ -435,8 +435,8 @@ def test_head_batched_cached_backbone_equals_the_per_head_loop(dtype):
     cache, kv = KVCache(bb.params), {}
     loss_got = loss_want = None
     for lo, hi in ((0, 5), (5, 6), (6, 7), (7, 8), (8, 9)):
-        got = bb.forward(bb.embed(ids[lo:hi]), np.arange(lo, hi), cache=cache)
-        want = _per_head_backbone(bb, bb.embed(ids[lo:hi]), past=lo, kv=kv)
+        got = bb.forward(embed(bb, ids[lo:hi]), np.arange(lo, hi), cache=cache)
+        want = _per_head_backbone(bb, embed(bb, ids[lo:hi]), past=lo, kv=kv)
         np.testing.assert_array_equal(got.data, want.data)
         assert cache.length == hi
         w = Tensor(Rng(57).split(str(lo)).normal(size=got.shape).astype(dtype))

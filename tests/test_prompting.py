@@ -17,6 +17,8 @@ from mmadapt.vocab import (
     TEXT_OPEN,
 )
 
+from references import corpus_split
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -24,18 +26,18 @@ def corpus():
 
 
 def test_speech_placeholder_length_is_ceil_t_over_k(corpus):
-    ex = corpus.split("ASR", "src")[0]
+    ex = corpus_split(corpus, "ASR", "src")[0]
     k = corpus.cfg.k_up  # frames per token == averaging factor
     p = render_prompt(ex, "speech", corpus.vocab, frame_avg_k=k)
     assert p.frames.shape == (int(np.ceil(ex.frames.shape[0] / k)), corpus.cfg.d_speech)
     assert p.content_len == len(ex.source_tokens)
-    ex9 = next(e for e in corpus.split("ASR", "src") if len(e.source_tokens) == 5)
+    ex9 = next(e for e in corpus_split(corpus, "ASR", "src") if len(e.source_tokens) == 5)
     p9 = render_prompt(ex9, "speech", corpus.vocab, frame_avg_k=3)
     assert p9.content_len == int(np.ceil(ex9.frames.shape[0] / 3))
 
 
 def test_text_prompt_has_no_speech_tags(corpus):
-    ex = corpus.split("MT", "tgt1")[0]
+    ex = corpus_split(corpus, "MT", "tgt1")[0]
     p = render_prompt(ex, "text", corpus.vocab, frame_avg_k=3)
     tokens = p.prefix_tokens + p.content_tokens + p.suffix_tokens + p.target_tokens
     assert SPEECH_OPEN not in tokens and SPEECH_CLOSE not in tokens
@@ -46,7 +48,7 @@ def test_text_prompt_has_no_speech_tags(corpus):
 
 def test_suffix_immediately_precedes_first_masked_position(corpus):
     for key in (("ASR", "src"), ("ST", "tgt2"), ("SQA", "tgt1")):
-        ex = corpus.split(*key)[0]
+        ex = corpus_split(corpus, *key)[0]
         p = render_prompt(ex, "speech", corpus.vocab, frame_avg_k=3)
         # Spliced as training splices it, with a stand-in projector output.
         wte, speech = Tensor(np.zeros((96, 4))), Tensor(np.zeros((p.content_len, 4)))
@@ -59,7 +61,7 @@ def test_suffix_immediately_precedes_first_masked_position(corpus):
 
 
 def test_rendering_deterministic(corpus):
-    ex = corpus.split("SQA", "src")[0]
+    ex = corpus_split(corpus, "SQA", "src")[0]
     a = render_prompt(ex, "speech", corpus.vocab, frame_avg_k=3)
     b = render_prompt(ex, "speech", corpus.vocab, frame_avg_k=3)
     assert a.prefix_tokens == b.prefix_tokens
@@ -69,7 +71,7 @@ def test_rendering_deterministic(corpus):
 
 
 def test_targets_end_with_end_of_answer(corpus):
-    ex = corpus.split("ST", "tgt3")[0]
+    ex = corpus_split(corpus, "ST", "tgt3")[0]
     p = render_prompt(ex, "speech", corpus.vocab, frame_avg_k=3)
     assert p.target_tokens[-1] == EOS
     assert p.target_tokens[:-1] == tuple(ex.answer_tokens)
@@ -84,13 +86,13 @@ def test_st_question_lines_differ_per_language_asr_fixed(corpus):
 
 
 def test_speech_rendering_requires_frames(corpus):
-    ex = corpus.split("MT", "tgt1")[0]
+    ex = corpus_split(corpus, "MT", "tgt1")[0]
     with pytest.raises(ContractViolation):
         render_prompt(ex, "speech", corpus.vocab, frame_avg_k=3)
 
 
 def test_sqa_question_is_example_specific(corpus):
-    a, b = corpus.split("SQA", "tgt2")[:2]
+    a, b = corpus_split(corpus, "SQA", "tgt2")[:2]
     pa = render_prompt(a, "speech", corpus.vocab, frame_avg_k=3)
     pb = render_prompt(b, "speech", corpus.vocab, frame_avg_k=3)
     assert tuple(a.question_tokens) == pa.suffix_tokens[1:-1]

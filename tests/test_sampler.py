@@ -41,8 +41,8 @@ def test_epoch_steps_is_floor_of_pool_over_batch():
     pools = _pools(100)
     # primary pool: ASR 100 + ST 300 + SQA 800 = 1200 -> X = 75
     schedule = plan_epoch(cfg, pools, Rng(1))
-    assert schedule.epoch_steps == 1200 // 16
-    assert len(schedule.primary_entries) == schedule.epoch_steps
+    assert len(schedule.steps) == 1200 // 16
+    assert all(not step[0].interleaved for step in schedule.steps)
 
 
 def test_exact_epoch_length_1600_over_16():
@@ -54,7 +54,7 @@ def test_exact_epoch_length_1600_over_16():
     )
     pools = {("ASR", "src", "valid"): [f"x{i}" for i in range(1600)]}
     schedule = plan_epoch(cfg, pools, Rng(2))
-    assert schedule.epoch_steps == 100
+    assert len(schedule.steps) == 100
     assert len(schedule.entries) == 100
 
 
@@ -70,7 +70,7 @@ def test_long_run_task_frequencies_match_ratios():
 def test_split_ratios_renormalized_within_task():
     cfg = _config(epoch_steps=8_000, batch_size=1, batch_sizes={})
     schedule = plan_epoch(cfg, _pools(50), Rng(4))
-    sqa = [e for e in schedule.primary_entries if e.task == "SQA"]
+    sqa = [step[0] for step in schedule.steps if step[0].task == "SQA"]
     frac_invalid = sum(1 for e in sqa if e.validity == "invalid") / len(sqa)
     assert abs(frac_invalid - 0.2) < 0.03  # 0.05 / (0.2 + 0.05) per language
     langs = {lang: sum(1 for e in sqa if e.language == lang) / len(sqa) for lang in ("src", "tgt1")}
@@ -80,6 +80,12 @@ def test_split_ratios_renormalized_within_task():
 def test_interleaving_rule_holds_and_st_pairs_with_mt():
     schedule = plan_epoch(_config(epoch_steps=300), _pools(), Rng(5))
     assert check_interleaving(schedule)
+    # Each step is its primary entry, then its interleaved text entry if any.
+    assert len(schedule.steps) == 300
+    for step in schedule.steps:
+        assert [e.interleaved for e in step] == [False, True][: len(step)]
+        assert (len(step) == 2) == (step[0].task in ("ST", "SQA"))
+    assert schedule.entries == [e for step in schedule.steps for e in step]
     # manual scan oracle
     entries = schedule.entries
     for i, e in enumerate(entries):
@@ -105,7 +111,7 @@ def test_asr_has_no_text_follow_up():
 
 def test_per_task_batch_sizes_apply():
     schedule = plan_epoch(_config(epoch_steps=200), _pools(), Rng(7))
-    for e in schedule.primary_entries:
+    for e in (step[0] for step in schedule.steps):
         expected = 2 if e.task == "SQA" else 4
         assert len(e.example_ids) == expected
 
@@ -165,14 +171,14 @@ def test_empirical_ratios_single_task_and_sum():
     f = empirical_ratios(mixed)
     assert abs(sum(f.values()) - 1.0) < 1e-12
     # counting oracle
-    primary = mixed.primary_entries
+    primary = [step[0] for step in mixed.steps]
     for task, freq in f.items():
         assert freq == sum(1 for e in primary if e.task == task) / len(primary)
 
 
 def test_empirical_ratios_empty_schedule_rejected():
     with pytest.raises(ContractViolation):
-        empirical_ratios(BatchSchedule(entries=[], epoch_steps=0))
+        empirical_ratios(BatchSchedule(steps=[]))
 
 
 def test_text_mode_renders_everything_text():

@@ -1,4 +1,3 @@
-import dataclasses
 import weakref
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from mmadapt import trainer as trainer_module
 
 from mmadapt.corpus import CorpusConfig, build_corpus
-from mmadapt.errors import ConfigError, TrainingDivergenceError
+from mmadapt.errors import ConfigError, ShapeError, TrainingDivergenceError
 from mmadapt.model import Backbone, BackboneConfig, LoraAdapters, LoraConfig, ProjectorConfig, SpeechProjector
 from mmadapt.prompting import render_prompt
 from mmadapt.rng import Rng
@@ -15,6 +14,8 @@ from mmadapt.sampler import SamplerConfig
 from mmadapt.tensor import parameter
 from mmadapt.trainer import AdamW, OptimizerConfig, StagePlan, Trainer, batch_loss, lr_at, run_stage
 from mmadapt.vocab import LANGUAGES, TARGET_LANGUAGES
+
+from references import corpus_split
 
 BB = BackboneConfig(vocab_size=96, d_model=16, n_layers=1, n_heads=2, d_ffn=24)
 PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=32, d_ffn=16, d_out=16, frame_avg_k=3)
@@ -191,7 +192,7 @@ def test_merge_stage_needs_both_components(corpus):
 
 def test_batch_loss_rejects_mixed_modalities(corpus):
     models = _models()
-    ex = corpus.split("ST", "tgt1")[0]
+    ex = corpus_split(corpus, "ST", "tgt1")[0]
     speech = render_prompt(ex, "speech", corpus.vocab, PROJ.frame_avg_k)
     text = render_prompt(ex, "text", corpus.vocab, PROJ.frame_avg_k)
     for prompts in ([text, speech], [speech, text]):
@@ -307,13 +308,46 @@ def test_non_finite_gradient_changes_nothing():
             np.testing.assert_array_equal(after[s][k], sd[s][k])
 
 
-def test_partial_last_window_is_applied(corpus):
-    # grad_accum=2 over 3 steps: the window {0, 1} steps at 1, the partial
-    # window {2} steps at 2 instead of being dropped.
-    plan = dataclasses.replace(_plan("B", max_steps=3), optimizers={"lora": OptimizerConfig(lr=1e-3, grad_accum=2)})
-    log, _, _ = run_stage(plan, _trainer(corpus, _models()), Rng(1))
-    lrs = [r.lr for r in log]
-    assert len(lrs) == 3 and np.isnan(lrs[0]) and lrs[1:] == [1e-3, 1e-3]
+def _short_moment(sd):
+    sd["v"]["w"] = sd["v"]["w"][:1]  # (1, 3) would broadcast into (4, 3)
+
+
+def _scalar_moment(sd):
+    sd["v"]["b"] = np.float32(0.5)
+
+
+def _extra_name(sd):
+    sd["v"]["extra"] = np.zeros(3, np.float32)
+
+
+def _missing_name(sd):
+    del sd["v"]["table"]
+
+
+def _fractional_step(sd):
+    sd["t"] = 1.5
+
+
+@pytest.mark.parametrize("corrupt", [_short_moment, _scalar_moment, _extra_name, _missing_name, _fractional_step])
+def test_load_state_dict_rejects_a_wrong_state_before_any_change(corrupt):
+    # The bad entry sits in `v`, after `t` and every `m` a partial load would have set.
+    params, cfg = _adamw_case()
+    opt = AdamW(params, cfg)
+    opt.step(_grads(0))
+    before = opt.state_dict()
+    bad = opt.state_dict()
+    bad["t"] = 9
+    for s in ("m", "v"):
+        for k in SHAPES:
+            bad[s][k] = bad[s][k] + 1
+    corrupt(bad)
+    with pytest.raises(ShapeError):
+        opt.load_state_dict(bad)
+    after = opt.state_dict()
+    assert after["t"] == before["t"] == 1
+    for s in ("m", "v"):
+        for k in SHAPES:
+            np.testing.assert_array_equal(after[s][k], before[s][k])
 
 
 class _RecordingAdamW(AdamW):
@@ -326,33 +360,19 @@ class _RecordingAdamW(AdamW):
         return super().step(grads)
 
 
-@pytest.mark.parametrize("accum,steps", [(2, 2), (3, 3), (3, 2)])
-def test_identical_micro_batches_give_the_update_of_one_step(corpus, monkeypatch, accum, steps):
-    # A one-example pool makes every micro-batch the same batch. A window of
-    # k of them, full (accum == steps) or partial (accum > steps), must apply
-    # the same mean gradient, and so the same update, as one plain step.
-    one = dataclasses.replace(corpus, splits={**corpus.splits, ("MT", "tgt1", "valid", "train"): corpus.split("MT", "tgt1")[:1]})
-    sampler = SamplerConfig(task_ratios={"MT": 1.0}, split_ratios={"MT": {("tgt1", "valid"): 1.0}}, batch_size=1,
-                            interleave_text=False)
+def test_interleaved_merge_stage_steps_every_optimizer_on_every_batch(corpus, monkeypatch):
+    # Stage C interleaves a text batch after each ST/SQA batch. Each batch,
+    # primary or interleaved, is one update of each trainable component.
     monkeypatch.setattr(trainer_module, "AdamW", _RecordingAdamW)
-    results = []
-    for grad_accum, max_steps in ((1, 1), (accum, steps)):
-        _RecordingAdamW.steps = []
-        models = _models()
-        lora = models["lora"]
-        for (layer, site), pair in lora.pairs.items():  # non-zero B, so every A gets a gradient too
-            pair.B.data = Rng(5).split(str(layer), site).normal(size=pair.B.shape).astype(np.float32) * 0.1
-        plan = StagePlan("B", ("lora",), sampler, {"lora": OptimizerConfig(lr=1e-3, grad_accum=grad_accum)},
-                         max_steps=max_steps)
-        run_stage(plan, _trainer(one, models), Rng(1))
-        assert len(_RecordingAdamW.steps) == 1
-        results.append((_RecordingAdamW.steps[0], lora.param_arrays()))
-    (g_one, p_one), (g_acc, p_acc) = results
-    for name, g in g_one.items():
-        assert np.any(g != 0)
-        # Scaling the loss by 1/k rounds differently through a float32 graph.
-        np.testing.assert_allclose(g_acc[name], g, rtol=1e-5, atol=1e-5 * np.abs(g).max())
-        np.testing.assert_allclose(p_acc[name], p_one[name], rtol=1e-6, atol=1e-7)
+    _RecordingAdamW.steps = []
+    models = _models()
+    plan = _plan("C", max_steps=4)
+    log, _, _ = run_stage(plan, _trainer(corpus, models), Rng(1))
+    assert len(log) > plan.max_steps  # some step had an interleaved text batch
+    names = [set(models[c].params) for c in plan.trainable]
+    assert [set(g) for g in _RecordingAdamW.steps] == names * len(log)
+    # The logged lr is the one the last trainable component stepped with.
+    assert [r.lr for r in log] == [plan.optimizers[plan.trainable[-1]].lr] * len(log)
 
 
 def test_each_micro_batch_graph_is_released_before_the_next_forward(corpus, monkeypatch):
@@ -365,10 +385,16 @@ def test_each_micro_batch_graph_is_released_before_the_next_forward(corpus, monk
         live.extend((weakref.ref(loss.data), weakref.ref(loss.parents[0].data)))  # the loss and its logits
         return loss
 
+    class WatchedAdamW(AdamW):
+        def step(self, grads):
+            assert all(ref() is None for ref in live), "the graph is still alive during the update"
+            return super().step(grads)
+
     monkeypatch.setattr(trainer_module, "batch_loss", watched)
-    plan = dataclasses.replace(_plan("B", max_steps=3), optimizers={"lora": OptimizerConfig(lr=1e-3, grad_accum=2)})
-    run_stage(plan, _trainer(corpus, _models()), Rng(1))
-    assert len(live) == 6
+    monkeypatch.setattr(trainer_module, "AdamW", WatchedAdamW)
+    log, _, _ = run_stage(_plan("C", max_steps=3), _trainer(corpus, _models()), Rng(1))
+    assert len(log) > 3  # an interleaved batch follows its primary one
+    assert len(live) == 2 * len(log)
 
 
 def _decoder(monkeypatch, answer):
