@@ -7,7 +7,7 @@ rng         deterministic label-splittable random streams
 vocab       token layout and toy languages
 corpus      synthetic speech/text corpus generation and preprocessing
 prompting   prompt templates and rendering
-model       one transformer stack (backbone, speech projector), adapters, splicing
+model       one transformer stack (backbone, speech projector), adapters, one index-grid splice
 checkpoint  versioned binary parameter bundles
 sampler     two-level interleaved batch scheduling
 trainer     AdamW, schedulers, one runner for every training stage

@@ -186,15 +186,16 @@ def gen_task_dataset(
     language: str,
     cfg: CorpusConfig,
     rng: Rng,
-    vocab: Vocab | None = None,
-    acoustic: AcousticCode | None = None,
+    vocab: Vocab,
+    acoustic: AcousticCode,
 ) -> list[Example]:
     """Generate one task/language split, deterministic in (cfg.seed, rng path).
 
-    ST and MT for the same language share source sentences; SQA and QA share
-    contexts across all languages (translated questions/answers).
+    `vocab` and `acoustic` are the corpus's own (`build_corpus` derives them
+    once from `cfg`). ST and MT for the same language share source
+    sentences; SQA and QA share contexts across all languages (translated
+    questions/answers).
     """
-    vocab = vocab or build_vocab(cfg.n_symbols, cfg.seed)
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     if task == "ASR" and language != "src":
@@ -204,8 +205,6 @@ def gen_task_dataset(
     if language not in LANGUAGES:
         raise ConfigError(f"unknown language {language!r}")
     speech = task in SPEECH_TASKS
-    if speech and acoustic is None:
-        acoustic = make_acoustic_code(vocab.size, cfg, Rng(cfg.seed).split("acoustic"))
     lang = vocab.lang(language)
 
     examples: list[Example] = []

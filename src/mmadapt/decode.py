@@ -4,11 +4,13 @@
 folds the adapters into the frozen site weights, W + (alpha/r)*B@A, so the
 forward runs with no adapter matmuls; the folded weights live only in that
 call's `KVCache`, so nothing on the backbone or the adapters can go stale.
-One prefill forward over the prompt fills the cache with every layer's keys
-and values, and each new token is then fed as a single row that attends
-over the cache. The definition it must match is the plain loop: run the
-full model over the whole prefix, with no cache, and append the argmax of
-the last row; the tests keep that loop as the oracle, token for token.
+The prompt is spliced as a batch of one (`splice_prompt`, the one-row case
+of the training batches' `splice_grid`); one prefill forward over it fills
+the cache with every layer's keys and values, and each new token is then
+fed as a single row that attends over the cache. The definition it must
+match is the plain loop: run the full model over the whole prefix, with no
+cache, and append the argmax of the last row; the tests keep that loop as
+the oracle, token for token.
 """
 
 from __future__ import annotations
@@ -45,15 +47,8 @@ def greedy_decode(
             if projector is None:
                 raise ConfigError("speech prompt needs a projector")
             speech = projector.forward(Tensor(prompt.frames.astype(projector.dtype)), train=False)
-        content = list(prompt.content_tokens) if prompt.content_tokens is not None else []
-        sp = splice_prompt(
-            backbone.params["wte"],
-            list(prompt.prefix_tokens) + content,
-            speech,
-            list(prompt.suffix_tokens),
-            [],
-            backbone.cfg.max_seq_len,
-        )
+        text = prompt.prefix_tokens + (prompt.content_tokens or ())
+        sp = splice_prompt(backbone.params["wte"], text, speech, prompt.suffix_tokens, (), backbone.cfg.max_seq_len)
         cache = KVCache(fold_adapters(backbone.params, adapters))
         emb, start = sp.embeddings, 0
         out: list[int] = []

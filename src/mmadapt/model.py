@@ -1,5 +1,5 @@
 """Model components: one pre-LN transformer stack, low-rank adapters,
-frame averaging and prompt splicing.
+frame averaging and one splice path for model inputs.
 
 `Backbone` (the frozen decoder LM) and `SpeechProjector` (the speech
 encoder) are the same pre-LN stack, `_Stack`, with different input tables,
@@ -20,6 +20,10 @@ Weights are stored (d_out, d_in); forward passes compute x @ W^T. Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
 adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685). In training
 and inference alike, adapters enter only as W + delta_W (`fold_adapters`).
+
+Inputs are spliced one way: `splice_grid` indexes a padded batch into the
+token table followed by the batch's speech rows, and one lookup gathers
+it (`trainer.batch_loss`); `splice_prompt` (decoding) is its one-row case.
 """
 
 from __future__ import annotations
@@ -300,7 +304,7 @@ class Backbone(_Stack):
         d = cfg.d_model
         tables = {"wte": (cfg.vocab_size, d), "wpe": (cfg.max_seq_len, d)}
         super().__init__(d, cfg.d_ffn, cfg.n_layers, cfg.n_heads, tables, ("lm_head", (cfg.vocab_size, d)), rng, dtype)
-        self._masks: dict[int, Tensor] = {}
+        self._masks: dict[tuple[int, int], Tensor] = {}
 
     def _causal_mask(self, L: int, past: int) -> Tensor:
         """(L, past + L) additive mask: row i sees keys up to past + i."""
@@ -392,6 +396,39 @@ def average_frames(frames: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def splice_grid(rows, vocab_size: int, max_seq_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, L) gather index, token ids and loss mask of a padded batch.
+
+    Each row is (prefix ids, content, suffix ids, target ids), where the
+    content is token ids or the number of speech rows it holds. The index
+    addresses `concat([wte, speech_rows])`: speech row j of the batch,
+    counted row by row, is table row `vocab_size + j`. `token_ids` is -1 at
+    speech rows and at padding; `loss_mask` is True exactly at the targets.
+    Padding follows every real row and gathers table row 0, which a causal
+    model's real positions never see.
+    """
+    seqs = []  # (token ids, gather index, number of targets) per row
+    speech_row = vocab_size
+    for prefix, content, suffix, targets in rows:
+        if isinstance(content, int):
+            content_ids, content_index = [-1] * content, range(speech_row, speech_row + content)
+            speech_row += content
+        else:
+            content_ids = content_index = content
+        tail = [*suffix, *targets]
+        seqs.append(([*prefix, *content_ids, *tail], [*prefix, *content_index, *tail], len(targets)))
+    L = max(len(ids) for ids, _, _ in seqs)
+    if L > max_seq_len:
+        raise LengthError(f"spliced length {L} exceeds max_seq_len {max_seq_len}")
+    shape = (len(seqs), L)
+    index, token_ids, loss_mask = np.zeros(shape, np.int64), np.full(shape, -1, np.int64), np.zeros(shape, bool)
+    for b, (ids, gather, n_targets) in enumerate(seqs):
+        n = len(ids)
+        token_ids[b, :n], index[b, :n] = ids, gather
+        loss_mask[b, n - n_targets : n] = True
+    return index, token_ids, loss_mask
+
+
 @dataclass
 class SplicedPrompt:
     """One model-ready sequence: embeddings with speech rows spliced in."""
@@ -410,30 +447,14 @@ def splice_prompt(
     target_tokens,
     max_seq_len: int,
 ) -> SplicedPrompt:
-    """embed(prefix) + speech + embed(suffix) + embed(targets), with the loss
-    mask covering exactly the target positions."""
-    prefix = list(prefix_tokens)
-    suffix = list(suffix_tokens)
-    targets = list(target_tokens)
+    """embed(prefix) + speech + embed(suffix) + embed(targets): the one-row
+    case of `splice_grid`, gathered with one lookup."""
     m = 0 if speech_embeddings is None else speech_embeddings.shape[0]
-    total = len(prefix) + m + len(suffix) + len(targets)
-    if total > max_seq_len:
-        raise LengthError(f"spliced length {total} exceeds max_seq_len {max_seq_len}")
-    pieces = []
-    if prefix:
-        pieces.append(embedding_lookup(wte, np.asarray(prefix, dtype=np.int64)))
-    if m:
-        pieces.append(speech_embeddings)
-    tail = suffix + targets
-    if tail:
-        pieces.append(embedding_lookup(wte, np.asarray(tail, dtype=np.int64)))
-    emb = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-    mask = np.zeros(total, dtype=bool)
-    mask[total - len(targets) :] = True
-    token_ids = np.asarray(prefix + [-1] * m + tail, dtype=np.int64)
+    index, token_ids, loss_mask = splice_grid([(prefix_tokens, m, suffix_tokens, target_tokens)], wte.shape[0], max_seq_len)
+    table = wte if speech_embeddings is None else concat([wte, speech_embeddings], axis=0)
     return SplicedPrompt(
-        embeddings=emb,
-        loss_mask=mask,
-        positions=np.arange(total, dtype=np.int64),
-        token_ids=token_ids,
+        embeddings=embedding_lookup(table, index[0]),
+        loss_mask=loss_mask[0],
+        positions=np.arange(index.shape[1], dtype=np.int64),
+        token_ids=token_ids[0],
     )

@@ -39,7 +39,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "op", "parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else None)
+        self.data = np.asarray(data, dtype=dtype)
         if self.data.dtype.kind != "f":
             self.data = self.data.astype(np.float64)
         self.requires_grad = bool(requires_grad)

@@ -12,7 +12,8 @@ component outside `plan.trainable`, runs the sampler's steps (a primary
 batch, then its interleaved text batch if it has one) with one AdamW update
 per trainable component on every batch, and returns snapshots of those
 components; `run_stage` adds the stage's dev metric from `DEV_METRICS` (MT
-accuracy while pretraining, ST BLEU in stage A, none in B/C).
+accuracy while pretraining, ST BLEU in stage A, none in B/C). A batch's
+input is one lookup of a `model.splice_grid` index (`batch_loss`).
 
 Every dev metric (`st_dev_bleu`, `task_dev_accuracy`, `sqa_dev_accuracy`)
 decodes through one loop, `_dev_outputs`, and then scores its outputs.
@@ -29,11 +30,13 @@ from .corpus import SPEECH_TASKS, Corpus, Example
 from .decode import greedy_decode
 from .errors import ConfigError, ContractViolation, ShapeError, TrainingDivergenceError
 from .metrics import bleu4, make_default_judge, qa_accuracy, sequence_accuracy
-from .model import Backbone, LoraAdapters, SpeechProjector, splice_prompt
+from .model import Backbone, LoraAdapters, SpeechProjector, splice_grid
+from .model import splice_prompt  # noqa: F401  (perfbench wraps trainer.splice_prompt)
 from .prompting import PromptedExample, render_prompt
 from .rng import Rng
 from .sampler import BatchEntry, SamplerConfig, plan_epoch
-from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, scale, stack, tslice  # noqa: F401  (perfbench wraps trainer.scale)
+from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, tslice
+from .tensor import scale, stack  # noqa: F401  (perfbench wraps trainer.scale and trainer.stack)
 from .vocab import TARGET_LANGUAGES
 
 # ---------------------------------------------------------------------------
@@ -165,18 +168,18 @@ def batch_loss(
 ) -> Tensor:
     """Masked next-token loss over one padded batch of rendered prompts.
 
+    The input is one lookup of a `splice_grid` index into the token table
+    and the batch's speech rows, one slice of a single projector forward.
     `content_noise` perturbs text content-block embeddings during training
     (backbone pretraining only); it makes content reading tolerant to the
     inexact embeddings a projector will later splice into the same slots.
     All prompts must share one modality: speech (with frames) or text.
     """
-    dtype = backbone.dtype
-    d = backbone.cfg.d_model
     speech = {p.frames is not None for p in prompts}
     if len(speech) > 1:
         raise ConfigError("a batch mixes speech and text prompts")
-    speech_out = None
-    frame_counts = []
+    wte = backbone.params["wte"]
+    table = wte
     if speech == {True}:
         if projector is None:
             raise ConfigError("speech batch needs a projector")
@@ -193,51 +196,24 @@ def batch_loss(
             rng=rng.split("projector") if rng is not None else None,
             pad_mask=pad if len(set(frame_counts)) > 1 else None,
         )
-    noisy = train and content_noise > 0.0 and prompts[0].content_tokens is not None
-    if noisy and rng is None:
-        raise ConfigError("content noise needs an rng")
-    spliced = []
-    for i, p in enumerate(prompts):
-        content_block = None
-        prefix = list(p.prefix_tokens)
-        if speech_out is not None:
-            content_block = tslice(speech_out, (i, slice(0, frame_counts[i]), slice(None)))
-        elif noisy:
-            ids = np.asarray(p.content_tokens, dtype=np.int64)
-            clean = embedding_lookup(backbone.params["wte"], ids)
-            noise = content_noise * rng.split("noise", p.id).normal(size=(len(ids), d))
-            content_block = add(clean, Tensor(noise.astype(dtype)))
-        elif p.content_tokens:
-            prefix += list(p.content_tokens)
-        spliced.append(
-            splice_prompt(
-                backbone.params["wte"],
-                prefix,
-                content_block,
-                list(p.suffix_tokens),
-                list(p.target_tokens),
-                backbone.cfg.max_seq_len,
-            )
-        )
-    lengths = [len(sp.token_ids) for sp in spliced]
-    l_max = max(lengths)
-    embs = []
-    ids = np.full((len(prompts), l_max), -1, dtype=np.int64)
-    mask = np.zeros((len(prompts), l_max), dtype=bool)
-    for i, sp in enumerate(spliced):
-        e = sp.embeddings
-        if lengths[i] < l_max:
-            e = concat([e, Tensor(np.zeros((l_max - lengths[i], d), dtype=dtype))], axis=0)
-        embs.append(e)
-        ids[i, : lengths[i]] = sp.token_ids
-        mask[i, : lengths[i]] = sp.loss_mask
-    emb = stack(embs, axis=0)
-    logits = backbone.forward(emb, np.arange(l_max), lora=adapters)
-    labels = np.full_like(ids, 0)
-    labels[:, :-1] = ids[:, 1:]
+        valid = (np.repeat(np.arange(len(prompts)), frame_counts), np.concatenate([np.arange(m) for m in frame_counts]))
+        table = concat([wte, tslice(speech_out, valid)], axis=0)
+    rows = [(p.prefix_tokens, p.content_tokens if p.frames is None else len(p.frames), p.suffix_tokens, p.target_tokens)
+            for p in prompts]
+    index, ids, mask = splice_grid(rows, wte.shape[0], backbone.cfg.max_seq_len)
+    emb = embedding_lookup(table, index)
+    if train and content_noise > 0.0 and speech == {False}:
+        if rng is None:
+            raise ConfigError("content noise needs an rng")
+        noise = np.zeros(emb.shape, dtype=emb.dtype)
+        for i, p in enumerate(prompts):
+            start, n = len(p.prefix_tokens), len(p.content_tokens)
+            noise[i, start : start + n] = content_noise * rng.split("noise", p.id).normal(size=(n, emb.shape[-1]))
+        emb = add(emb, Tensor(noise))
+    logits = backbone.forward(emb, np.arange(index.shape[1]), lora=adapters)
     label_mask = np.zeros_like(mask)
-    label_mask[:, :-1] = mask[:, 1:]
-    return masked_cross_entropy(logits, np.where(label_mask, labels, 0), label_mask)
+    label_mask[:, :-1] = mask[:, 1:]  # position t predicts token t + 1
+    return masked_cross_entropy(logits, np.roll(ids, -1, axis=1), label_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +227,7 @@ class TrainLogRecord:
     task: str
     modality: str
     loss: float
-    lr: float
+    lr: dict[str, float]  # component -> the learning rate its optimizer stepped with
 
 
 @dataclass
@@ -396,10 +372,9 @@ class Trainer:
                         raise TrainingDivergenceError(f"loss diverged at step {primary_done}")
                     grads = grad(loss, param_list)
                     del loss  # free this batch's graph before the update
-                    for c, opt in optimizers.items():
-                        lr_now = opt.step({name: grads[t].data for name, t in params[c].items()})
+                    lrs = {c: opt.step({name: grads[t].data for name, t in params[c].items()}) for c, opt in optimizers.items()}
                     del grads  # and its gradients before the next forward
-                    log.append(TrainLogRecord(primary_done, entry.task, entry.modality, loss_val, lr_now))
+                    log.append(TrainLogRecord(primary_done, entry.task, entry.modality, loss_val, lrs))
                 primary_done += 1
                 if eval_fn is not None and primary_done % plan.eval_every == 0:
                     metric, details = eval_fn()

@@ -5,7 +5,9 @@ so test losses can reduce any output to a scalar; `finite_diff_check`
 compares analytic gradients with central differences. `empirical_ratios`
 and `check_interleaving` read a sampler schedule back. `embed`,
 `corpus_split` and `effective_question_theme` are shorthands for reading a
-backbone, a corpus and an example.
+backbone, a corpus and an example. `per_example_batch_loss` is the batch
+loss assembled example by example, the definition the one-grid splice in
+`mmadapt.trainer.batch_loss` must match.
 """
 
 import numpy as np
@@ -14,7 +16,19 @@ from mmadapt.corpus import Corpus, Example
 from mmadapt.errors import ContractViolation
 from mmadapt.model import Backbone
 from mmadapt.sampler import TEXT_EQUIVALENT, BatchSchedule
-from mmadapt.tensor import Tensor, _as_tensor, _make_node, _unbroadcast, embedding_lookup, grad
+from mmadapt.tensor import (
+    Tensor,
+    _as_tensor,
+    _make_node,
+    _unbroadcast,
+    add,
+    concat,
+    embedding_lookup,
+    grad,
+    masked_cross_entropy,
+    stack,
+    tslice,
+)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -123,3 +137,60 @@ def corpus_split(corpus: Corpus, task: str, language: str, validity: str = "vali
 def effective_question_theme(example: Example) -> int:
     """The theme of the example's question: its own unless the invalid split swapped it."""
     return example.theme_id if example.question_theme_id is None else example.question_theme_id
+
+
+def _splice_pieces(wte: Tensor, prefix, block: Tensor | None, tail) -> Tensor:
+    """embed(prefix) + block + embed(tail), one lookup per token piece."""
+    pieces = []
+    if prefix:
+        pieces.append(embedding_lookup(wte, np.asarray(prefix, dtype=np.int64)))
+    if block is not None and block.shape[0]:
+        pieces.append(block)
+    if tail:
+        pieces.append(embedding_lookup(wte, np.asarray(tail, dtype=np.int64)))
+    return pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
+
+
+def per_example_batch_loss(backbone, prompts, projector=None, adapters=None, train=False, rng=None, content_noise=0.0):
+    """`batch_loss` assembled example by example: each sequence is spliced
+    from its own lookups (a noisy text content block, or a slice of the
+    projector output, between them), zero-padded and stacked; the returned
+    loss's parent is the logits."""
+    wte, d, dtype = backbone.params["wte"], backbone.cfg.d_model, backbone.dtype
+    speech_out = None
+    if prompts[0].frames is not None:
+        counts = [p.frames.shape[0] for p in prompts]
+        fr = np.zeros((len(prompts), max(counts), projector.cfg.d_in), dtype=projector.dtype)
+        pad = np.zeros((len(prompts), 1, max(counts)), dtype=np.float32)
+        for i, p in enumerate(prompts):
+            fr[i, : counts[i]] = p.frames
+            pad[i, 0, counts[i] :] = -1e9
+        speech_out = projector.forward(Tensor(fr), train=train, rng=rng.split("projector") if rng is not None else None,
+                                       pad_mask=pad if len(set(counts)) > 1 else None)
+    noisy = train and content_noise > 0.0 and speech_out is None
+    seqs, ids, masks = [], [], []
+    for i, p in enumerate(prompts):
+        prefix, block = list(p.prefix_tokens), None
+        if speech_out is not None:
+            block = tslice(speech_out, (i, slice(0, counts[i]), slice(None)))
+        elif noisy:
+            clean = embedding_lookup(wte, np.asarray(p.content_tokens, dtype=np.int64))
+            noise = content_noise * rng.split("noise", p.id).normal(size=(len(p.content_tokens), d))
+            block = add(clean, Tensor(noise.astype(dtype)))
+        else:
+            prefix += list(p.content_tokens)
+        tail = list(p.suffix_tokens) + list(p.target_tokens)
+        m = 0 if block is None else block.shape[0]
+        seqs.append(_splice_pieces(wte, prefix, block, tail))
+        ids.append(prefix + [-1] * m + tail)
+        masks.append([False] * (len(prefix) + m + len(p.suffix_tokens)) + [True] * len(p.target_tokens))
+    L = max(len(t) for t in ids)
+    padded = [e if e.shape[0] == L else concat([e, Tensor(np.zeros((L - e.shape[0], d), dtype=dtype))], axis=0) for e in seqs]
+    token_ids = np.array([t + [-1] * (L - len(t)) for t in ids], dtype=np.int64)
+    mask = np.array([m + [False] * (L - len(m)) for m in masks])
+    logits = backbone.forward(stack(padded, axis=0), np.arange(L), lora=adapters)
+    labels = np.zeros_like(token_ids)
+    labels[:, :-1] = token_ids[:, 1:]
+    label_mask = np.zeros_like(mask)
+    label_mask[:, :-1] = mask[:, 1:]
+    return masked_cross_entropy(logits, np.where(label_mask, labels, 0), label_mask)

@@ -101,9 +101,9 @@ def test_sqa_answers_match_spans(cfg, vocab, acoustic):
             assert ex.answer_tokens == vocab.translate(span, "src", lang)
 
 
-def test_asr_requires_source_language(cfg):
+def test_asr_requires_source_language(cfg, vocab, acoustic):
     with pytest.raises(ConfigError):
-        gen_task_dataset("ASR", "tgt1", cfg, Rng(0))
+        gen_task_dataset("ASR", "tgt1", cfg, Rng(0), vocab, acoustic)
 
 
 def test_dedup_removes_duplicate_pairs_and_crossing_spans(cfg, vocab, acoustic):
@@ -168,9 +168,9 @@ def test_invalid_split_fraction_zero_is_identity(cfg, vocab, acoustic):
     assert make_invalid_split(exs, 0.0, Rng(1), vocab) == exs
 
 
-def test_invalid_split_deterministic_count(vocab):
+def test_invalid_split_deterministic_count(vocab, acoustic):
     cfg = CorpusConfig(n_contexts=700, duplicate_fraction=0.0, crossing_fraction=0.0, seed=11)
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(11).split("qa"), vocab))
+    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(11).split("qa"), vocab, acoustic))
     assert len(exs) >= 1000
     exs = exs[:1000]
     out = make_invalid_split(exs, 0.2, Rng(12), vocab)

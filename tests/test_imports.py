@@ -1,8 +1,9 @@
 """Every name a module in src/mmadapt imports must be used in that module.
 The one exception is a name that the benchmark wraps on that module
-(`OP_BINDINGS` in perfbench/layers.py), imported on a line marked
+(whatever `perfbench.layers.install` replaces), imported on a line marked
 `# noqa: F401`: the module binds it only so that the wrapper has a
-binding to replace."""
+binding to replace. Installing the wrappers at import raises
+`MissingNameError` if a module no longer binds a name the benchmark needs."""
 
 import ast
 import sys
@@ -14,9 +15,26 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mmadapt"
 sys.path.insert(0, str(ROOT))  # perfbench is a package at the repository root
 
-from perfbench.layers import OP_BINDINGS  # noqa: E402
+from perfbench import layers  # noqa: E402
+from perfbench.tracing import Tracer  # noqa: E402
 
-WRAPPED = {module.__name__.rsplit(".", 1)[-1]: frozenset(names) for module, names in OP_BINDINGS}
+
+def _wrapped_names() -> dict[str, frozenset[str]]:
+    """Module stem -> the names `perfbench.layers.install` wraps on it."""
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        patched = [(owner, attr) for owner, attr, _ in tracer._patches]
+    finally:
+        tracer.uninstall()
+    wrapped: dict[str, set[str]] = {}
+    for owner, attr in patched:
+        if not isinstance(owner, type):
+            wrapped.setdefault(owner.__name__.rsplit(".", 1)[-1], set()).add(attr)
+    return {stem: frozenset(names) for stem, names in wrapped.items()}
+
+
+WRAPPED = _wrapped_names()
 
 
 def unused_imports(source: str, wrapped: frozenset[str] = frozenset()) -> list[tuple[int, str]]:
@@ -47,3 +65,8 @@ def test_guard_flags_an_unused_import_and_honours_noqa():
     assert unused_imports(source) == [(1, "os"), (2, "sys"), (3, "dumps")]
     assert unused_imports(source, frozenset({"sys", "loads"})) == [(1, "os"), (3, "dumps")]
     assert unused_imports(source.replace("  # noqa: F401", ""), frozenset({"sys"})) == [(1, "os"), (2, "sys"), (3, "dumps")]
+
+
+def test_wrapped_names_include_what_the_benchmark_wraps_by_name():
+    assert {"splice_prompt", "batch_loss", "stack", "tslice"} <= WRAPPED["trainer"]
+    assert {"splice_prompt", "concat"} <= WRAPPED["decode"]

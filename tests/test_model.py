@@ -13,6 +13,7 @@ from mmadapt.model import (
     SpeechProjector,
     average_frames,
     fold_adapters,
+    splice_grid,
     splice_prompt,
 )
 from mmadapt.rng import Rng
@@ -315,6 +316,27 @@ def test_splice_mask_count_matches_targets_randomized():
         )
         assert sp.loss_mask.sum() == n_tgt
         assert not sp.loss_mask[: n_pre + m + n_suf].any()
+
+
+def test_splice_grid_numbers_speech_rows_across_the_batch():
+    rows = [((1,), 2, (3,), (4,)), ((6, 7), 3, (), (8,)), ((1,), (2, 3), (), (4,))]
+    index, token_ids, loss_mask = splice_grid(rows, 10, 16)
+    # Speech rows count on from the vocabulary, row by row; padding gathers row 0.
+    np.testing.assert_array_equal(index, [[1, 10, 11, 3, 4, 0], [6, 7, 12, 13, 14, 8], [1, 2, 3, 4, 0, 0]])
+    np.testing.assert_array_equal(token_ids, [[1, -1, -1, 3, 4, -1], [6, 7, -1, -1, -1, 8], [1, 2, 3, 4, -1, -1]])
+    np.testing.assert_array_equal(loss_mask, [[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0]])
+    with pytest.raises(LengthError):
+        splice_grid(rows, 10, 5)
+
+
+def test_splice_prompt_gathers_each_piece():
+    bb = Backbone(SMALL_BB, Rng(22), dtype=np.float64)
+    wte = bb.params["wte"]
+    speech = Tensor(Rng(23).normal(size=(3, SMALL_BB.d_model)))
+    sp = splice_prompt(wte, [1, 2], speech, [3], [4, 5], SMALL_BB.max_seq_len)
+    np.testing.assert_array_equal(sp.embeddings.data[:2], wte.data[[1, 2]])
+    np.testing.assert_array_equal(sp.embeddings.data[2:5], speech.data)
+    np.testing.assert_array_equal(sp.embeddings.data[5:], wte.data[[3, 4, 5]])
 
 
 def test_splice_overflow_rejected():

@@ -11,11 +11,11 @@ from mmadapt.model import Backbone, BackboneConfig, LoraAdapters, LoraConfig, Pr
 from mmadapt.prompting import render_prompt
 from mmadapt.rng import Rng
 from mmadapt.sampler import SamplerConfig
-from mmadapt.tensor import parameter
+from mmadapt.tensor import grad, parameter, tape_of
 from mmadapt.trainer import AdamW, OptimizerConfig, StagePlan, Trainer, batch_loss, lr_at, run_stage
 from mmadapt.vocab import LANGUAGES, TARGET_LANGUAGES
 
-from references import corpus_split
+from references import corpus_split, per_example_batch_loss
 
 BB = BackboneConfig(vocab_size=96, d_model=16, n_layers=1, n_heads=2, d_ffn=24)
 PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=32, d_ffn=16, d_out=16, frame_avg_k=3)
@@ -200,6 +200,74 @@ def test_batch_loss_rejects_mixed_modalities(corpus):
             batch_loss(models["backbone"], prompts, projector=models["projector"])
 
 
+def _grid_and_reference(models, prompts, trainable, **kw):
+    """(loss, gradients) of `batch_loss`, then of the per-example assembly,
+    over the parameters of the `trainable` components."""
+    for c, obj in models.items():
+        obj.set_trainable(c in trainable)
+    params = {f"{c}.{k}": t for c in trainable for k, t in models[c].params.items()}
+    adapters = models["lora"] if "lora" in trainable else None
+    kw = dict(projector=models["projector"], adapters=adapters, train=True, rng=Rng(4), **kw)
+    out = []
+    for fn in (batch_loss, per_example_batch_loss):
+        loss = fn(models["backbone"], prompts, **kw)
+        g = grad(loss, list(params.values()))
+        out.append((loss, {k: g[t].data for k, t in params.items()}))
+    return out
+
+
+def _unequal(corpus, task, modality, size) -> list:
+    """Three prompts of `task` whose `size` (a length) differs pairwise."""
+    by_size = {}
+    for ex in corpus_split(corpus, task, "tgt1"):
+        p = render_prompt(ex, modality, corpus.vocab, PROJ.frame_avg_k)
+        by_size.setdefault(size(p), p)
+    assert len(by_size) >= 3
+    return list(by_size.values())[:3]
+
+
+def _assert_real_logits_equal(loss, ref, prompts):
+    """The logits (the loss's parent) agree at every real position; padding
+    rows may hold anything."""
+    logits, ref_logits = loss.parents[0].data, ref.parents[0].data
+    assert logits.shape == ref_logits.shape
+    real = np.arange(logits.shape[1]) < np.array([len(p) for p in prompts])[:, None]
+    np.testing.assert_array_equal(logits[real], ref_logits[real])
+
+
+def _tape_ops(loss) -> list[str]:
+    return [node.op for node in tape_of(loss).nodes]
+
+
+@pytest.mark.parametrize("content_noise", [0.0, 0.1])
+def test_text_batch_grid_matches_the_per_example_assembly(corpus, content_noise):
+    prompts = _unequal(corpus, "MT", "text", len)  # padded rows
+    (loss, g), (ref, g_ref) = _grid_and_reference(_models(), prompts, ("backbone",), content_noise=content_noise)
+    np.testing.assert_array_equal(loss.data, ref.data)
+    _assert_real_logits_equal(loss, ref, prompts)
+    assert set(g) == set(g_ref)
+    for name in g:
+        if name == "backbone.wte":  # float32 scatter-adds in another order
+            np.testing.assert_allclose(g[name], g_ref[name], rtol=0, atol=1e-6 * np.abs(g_ref[name]).max())
+        else:
+            np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
+    ops = _tape_ops(loss)
+    assert ops.count("embedding-lookup") == 2 and "concat" not in ops  # the grid and wpe
+
+
+def test_speech_batch_grid_matches_the_per_example_assembly(corpus):
+    prompts = _unequal(corpus, "ST", "speech", lambda p: p.frames.shape[0])  # padded frames
+    assert PROJ.dropout > 0
+    (loss, g), (ref, g_ref) = _grid_and_reference(_models(), prompts, ("lora", "projector"))
+    np.testing.assert_array_equal(loss.data, ref.data)
+    _assert_real_logits_equal(loss, ref, prompts)
+    assert set(g) == set(g_ref)
+    for name in g:
+        np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
+    ops = _tape_ops(loss)
+    assert ops.count("slice") == 1 and ops.count("concat") == 1  # the valid rows, then the table
+
+
 def test_adamw_first_step_moves_each_weight_by_lr_against_its_gradient():
     # After one step the bias-corrected moments give m_hat / sqrt(v_hat) = sign(g).
     p = parameter(np.array([1.0, -2.0, 0.5]))
@@ -371,8 +439,8 @@ def test_interleaved_merge_stage_steps_every_optimizer_on_every_batch(corpus, mo
     assert len(log) > plan.max_steps  # some step had an interleaved text batch
     names = [set(models[c].params) for c in plan.trainable]
     assert [set(g) for g in _RecordingAdamW.steps] == names * len(log)
-    # The logged lr is the one the last trainable component stepped with.
-    assert [r.lr for r in log] == [plan.optimizers[plan.trainable[-1]].lr] * len(log)
+    # Each record logs every component's own learning rate.
+    assert [r.lr for r in log] == [{"lora": 1e-3, "projector": 5e-4}] * len(log)
 
 
 def test_each_micro_batch_graph_is_released_before_the_next_forward(corpus, monkeypatch):
