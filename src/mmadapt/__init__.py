@@ -10,7 +10,7 @@ prompting   prompt templates and rendering
 model       one transformer stack (backbone, speech projector), adapters, one index-grid splice
 checkpoint  versioned binary parameter bundles
 sampler     two-level interleaved batch scheduling
-trainer     AdamW, schedulers, one runner for every training stage
+trainer     AdamW, one runner for every training stage
 decode      greedy decoding and degeneration detection
 metrics     WER, smoothed BLEU-4, QA accuracy, language confusion over token ids
 """

@@ -2,10 +2,10 @@
 
 Layout: magic, format version, component kind, JSON header (name order,
 shapes, config echo), little-endian float32 payload, then a SHA-256 digest
-of everything before it. Loading verifies the digest, the version and,
-when requested, the component kind. Saving writes a temporary sibling file
-and renames it over the target, so a crash mid-write leaves the previous
-bundle intact.
+of everything before it. Loading verifies the digest, the version, the
+header against the payload and, when requested, the component kind.
+Saving writes a temporary sibling file and renames it over the target, so
+a crash mid-write leaves the previous bundle intact.
 """
 
 from __future__ import annotations
@@ -95,21 +95,26 @@ def load_checkpoint(path, expect_component: str | None = None) -> CheckpointBund
         raise ComponentKindError(f"{path}: holds {component!r}, expected {expect_component!r}")
     (hlen,) = struct.unpack_from("<I", body, off)
     off += 4
-    header = json.loads(body[off : off + hlen].decode())
-    off += hlen
-    arrays: dict[str, np.ndarray] = {}
-    for name in header["names"]:
-        shape = tuple(header["shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
-        arrays[name] = arr.copy()
-        off += count * 4
+    # The digest only proves the file is what was written: a header that
+    # disagrees with its payload still fails here, as a corrupt bundle.
+    try:
+        header = json.loads(body[off : off + hlen].decode())
+        off += hlen
+        arrays: dict[str, np.ndarray] = {}
+        for name in header["names"]:
+            shape = tuple(header["shapes"][name])
+            count = int(np.prod(shape)) if shape else 1
+            arrays[name] = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape).copy()
+            off += count * 4
+        config = header["config"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptCheckpointError(f"{path}: header does not match its payload ({e!r})") from e
     if off != len(body):
         raise CorruptCheckpointError(f"{path}: payload size does not match header")
     return CheckpointBundle(
         format_version=version,
         component=component,
         arrays=arrays,
-        config=header["config"],
+        config=config,
         digest=hashlib.sha256(body).hexdigest(),
     )

@@ -23,26 +23,36 @@ TASKS = ("ASR", "ST", "MT", "SQA", "QA")
 SPEECH_TASKS = ("ASR", "ST", "SQA")
 CARVE_THEMES = 2  # themes held out of every task's train split as its dev split
 
+# The shape of the generated data.
+N_SYMBOLS = 16  # lexical symbols per language
+N_THEMES = 4
+ANCHORS_PER_THEME = 3
+N_ANCHOR_SYMBOLS = N_THEMES * ANCHORS_PER_THEME  # the first symbols; the rest are payload
+PAYLOAD_SYMBOLS = tuple(range(N_ANCHOR_SYMBOLS, N_SYMBOLS))
+SENTENCE_LEN = (4, 6)  # ASR/ST/MT source length (inclusive)
+FACTS_PER_CONTEXT = (2, 3)  # at most ANCHORS_PER_THEME
+PAYLOAD_PER_FACT = 2  # answer span length
+FILLER_PER_SLOT = (0, 2)  # distractor tokens before each fact
+D_SPEECH = 32  # frame width
+OFFSET_SCALE = 0.1  # scale of the within-token frame offsets
+INVALID_FRACTION = 0.2  # QA/SQA examples made unanswerable per split
+QUALITY_THRESHOLD = 0.85
+
+
+def theme_anchors(theme: int) -> list[int]:
+    """The anchor symbols of `theme`."""
+    base = theme * ANCHORS_PER_THEME
+    return list(range(base, base + ANCHORS_PER_THEME))
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
-    n_symbols: int = 16  # lexical symbols per language
-    n_themes: int = 4
-    anchors_per_theme: int = 3
-    sentence_len: tuple[int, int] = (4, 6)  # ASR/ST/MT source length (inclusive)
-    facts_per_context: tuple[int, int] = (2, 3)
-    payload_per_fact: int = 2  # answer span length
-    filler_per_slot: tuple[int, int] = (0, 2)  # distractor tokens before each fact
     n_sentences: int = 1200  # per ST/MT language pair; ASR uses the same pool
     n_contexts: int = 240  # QA contexts, shared across languages
     duplicate_fraction: float = 0.05  # duplicated QA pairs (cleaned by dedup)
     crossing_fraction: float = 0.15  # QA spans split across a boundary (cleaned)
-    invalid_fraction: float = 0.2
-    quality_threshold: float = 0.85
     k_up: int = 3  # frames emitted per token
-    d_speech: int = 32
     noise_sigma: float = 0.05
-    offset_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -50,25 +60,6 @@ class CorpusConfig:
             raise ConfigError("k_up must be >= 1")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
-        if self.sentence_len[0] < 1 or self.sentence_len[0] > self.sentence_len[1]:
-            raise ConfigError(f"bad sentence_len range {self.sentence_len}")
-        if self.n_themes * self.anchors_per_theme >= self.n_symbols:
-            raise ConfigError("need at least one payload symbol after theme anchors")
-        lo, hi = self.facts_per_context
-        if lo < 1 or lo > hi or hi > self.anchors_per_theme:
-            raise ConfigError(f"facts_per_context {self.facts_per_context} must fit the theme anchor pool")
-
-    @property
-    def n_anchor_symbols(self) -> int:
-        return self.n_themes * self.anchors_per_theme
-
-    def theme_anchors(self, theme: int) -> list[int]:
-        base = theme * self.anchors_per_theme
-        return list(range(base, base + self.anchors_per_theme))
-
-    @property
-    def payload_symbols(self) -> list[int]:
-        return list(range(self.n_anchor_symbols, self.n_symbols))
 
 
 @dataclass(frozen=True)
@@ -106,8 +97,8 @@ class AcousticCode:
 
 
 def make_acoustic_code(vocab_size: int, cfg: CorpusConfig, rng: Rng) -> AcousticCode:
-    code = rng.split("code").normal(size=(vocab_size, cfg.d_speech)).astype(np.float32)
-    offsets = (cfg.offset_scale * rng.split("offsets").normal(size=(cfg.k_up, cfg.d_speech))).astype(np.float32)
+    code = rng.split("code").normal(size=(vocab_size, D_SPEECH)).astype(np.float32)
+    offsets = (OFFSET_SCALE * rng.split("offsets").normal(size=(cfg.k_up, D_SPEECH))).astype(np.float32)
     return AcousticCode(code=code, offsets=offsets)
 
 
@@ -131,14 +122,14 @@ def synthesize_frames(tokens, acoustic: AcousticCode, cfg: CorpusConfig, rng: Rn
 # ---------------------------------------------------------------------------
 
 
-def _gen_sentences(cfg: CorpusConfig, vocab: Vocab, rng: Rng, n: int) -> list[tuple[int, ...]]:
+def _gen_sentences(vocab: Vocab, rng: Rng, n: int) -> list[tuple[int, ...]]:
     src = vocab.lang("src")
-    lo, hi = cfg.sentence_len
+    lo, hi = SENTENCE_LEN
     out = []
     for i in range(n):
         r = rng.split(str(i))
         length = int(r.integers(lo, hi + 1))
-        symbols = r.integers(0, cfg.n_symbols, size=length)
+        symbols = r.integers(0, N_SYMBOLS, size=length)
         out.append(tuple(src.token_for_symbol(int(s)) for s in symbols))
     return out
 
@@ -153,12 +144,11 @@ def _gen_contexts(cfg: CorpusConfig, vocab: Vocab, rng: Rng):
     spans that cross it (removed later by dedup).
     """
     src = vocab.lang("src")
-    payload = cfg.payload_symbols
-    f_lo, f_hi = cfg.facts_per_context
+    f_lo, f_hi = FACTS_PER_CONTEXT
     for c in range(cfg.n_contexts):
         r = rng.split(str(c))
-        theme = c % cfg.n_themes
-        anchors = cfg.theme_anchors(theme)
+        theme = c % N_THEMES
+        anchors = theme_anchors(theme)
         r.shuffle(anchors)
         n_facts = int(r.integers(f_lo, f_hi + 1))
         tokens: list[int] = []
@@ -166,18 +156,18 @@ def _gen_contexts(cfg: CorpusConfig, vocab: Vocab, rng: Rng):
         for f, anchor in enumerate(anchors[:n_facts]):
             if f > 0:
                 tokens.append(BOUND)
-            n_filler = int(r.integers(cfg.filler_per_slot[0], cfg.filler_per_slot[1] + 1))
-            for s in r.choice(payload, size=n_filler, replace=True):
+            n_filler = int(r.integers(FILLER_PER_SLOT[0], FILLER_PER_SLOT[1] + 1))
+            for s in r.choice(PAYLOAD_SYMBOLS, size=n_filler, replace=True):
                 tokens.append(src.token_for_symbol(int(s)))
             cross = r.uniform() < cfg.crossing_fraction
             tokens.append(src.token_for_symbol(anchor))
             start = len(tokens)
-            payload_syms = r.choice(payload, size=cfg.payload_per_fact, replace=True)
+            payload_syms = r.choice(PAYLOAD_SYMBOLS, size=PAYLOAD_PER_FACT, replace=True)
             for j, p in enumerate(payload_syms):
                 if cross and j == 1:
                     tokens.append(BOUND)
                 tokens.append(src.token_for_symbol(int(p)))
-            questions.append((anchor, (start, start + cfg.payload_per_fact + (1 if cross else 0))))
+            questions.append((anchor, (start, start + PAYLOAD_PER_FACT + (1 if cross else 0))))
         yield theme, tuple(tokens), questions
 
 
@@ -211,7 +201,7 @@ def gen_task_dataset(
     if task in ("ASR", "ST", "MT"):
         # ST/MT share sentences per language; ASR has its own pool.
         pool_key = "sentences-asr" if task == "ASR" else f"sentences-{language}"
-        sentences = _gen_sentences(cfg, vocab, Rng(cfg.seed).split(pool_key), cfg.n_sentences)
+        sentences = _gen_sentences(vocab, Rng(cfg.seed).split(pool_key), cfg.n_sentences)
         for i, source in enumerate(sentences):
             answer = source if task == "ASR" else vocab.translate(source, "src", language)
             ex_id = f"{task.lower()}-{language}-{i:05d}"
@@ -221,7 +211,7 @@ def gen_task_dataset(
             examples.append(
                 Example(
                     id=ex_id,
-                    theme_id=i % cfg.n_themes,
+                    theme_id=i % N_THEMES,
                     task=task,
                     language=language,
                     source_tokens=source,
@@ -392,7 +382,7 @@ class Corpus:
 
 def build_corpus(cfg: CorpusConfig) -> Corpus:
     """Generate, clean, carve, corrupt and rewrite every task/language split."""
-    vocab = build_vocab(cfg.n_symbols, cfg.seed)
+    vocab = build_vocab(N_SYMBOLS, cfg.seed)
     root = Rng(cfg.seed)
     acoustic = make_acoustic_code(vocab.size, cfg, root.split("acoustic"))
     splits: dict[tuple[str, str, str, str], list[Example]] = {}
@@ -432,8 +422,8 @@ def build_corpus(cfg: CorpusConfig) -> Corpus:
             train, val = carve_validation(exs, CARVE_THEMES)
             scorer = default_quality_scorer(vocab, lang)
             for part, pool in (("train", train), ("dev", val)):
-                pool = make_invalid_split(pool, cfg.invalid_fraction, root.split("invalid", task, lang, part), vocab)
-                pool = quality_filter(pool, scorer, cfg.quality_threshold)
+                pool = make_invalid_split(pool, INVALID_FRACTION, root.split("invalid", task, lang, part), vocab)
+                pool = quality_filter(pool, scorer, QUALITY_THRESHOLD)
                 valid = [ex for ex in pool if ex.validity == "valid"]
                 invalid = [ex for ex in pool if ex.validity == "invalid"]
                 valid = [fluent_rewrite(ex, vocab) for ex in valid]

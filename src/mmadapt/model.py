@@ -52,6 +52,7 @@ from .tensor import (
     tslice,  # noqa: F401  (perfbench wraps model.tslice)
 )
 
+MAX_FRAMES = 64  # rows of the projector's learned frame-position table
 LORA_SITES = ("attn_q", "attn_k", "attn_v", "attn_out", "ffn_up", "ffn_down")
 _SITE_WEIGHT = {"attn_q": "wq", "attn_k": "wk", "attn_v": "wv", "attn_out": "wo", "ffn_up": "ffn_up", "ffn_down": "ffn_down"}
 
@@ -82,7 +83,6 @@ class ProjectorConfig:
     d_out: int = 64
     dropout: float = 0.1
     frame_avg_k: int = 3
-    max_frames: int = 64  # learned positional table size
 
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
@@ -91,8 +91,6 @@ class ProjectorConfig:
             raise ConfigError("frame_avg_k must be >= 1")
         if self.d_in % self.n_heads:
             raise ConfigError("d_in must be divisible by n_heads")
-        if self.max_frames < 1:
-            raise ConfigError("max_frames must be positive")
 
 
 @dataclass(frozen=True)
@@ -349,7 +347,7 @@ class SpeechProjector(_Stack):
     def __init__(self, cfg: ProjectorConfig, rng: Rng, dtype=np.float32):
         self.cfg = cfg
         d = cfg.d_in
-        tables = {"wpe": (cfg.max_frames, d)}
+        tables = {"wpe": (MAX_FRAMES, d)}
         super().__init__(d, cfg.d_ffn, cfg.n_layers, cfg.n_heads, tables, ("out_proj", (cfg.d_out, d)), rng, dtype)
 
     def forward(self, frames: Tensor, train: bool = False, rng: Rng | None = None, pad_mask=None) -> Tensor:
@@ -363,8 +361,8 @@ class SpeechProjector(_Stack):
         M = frames.shape[-2]
         if frames.shape[-1] != self.cfg.d_in:
             raise ShapeError(f"expected frames of width {self.cfg.d_in}, got {frames.shape}")
-        if M > self.cfg.max_frames:
-            raise LengthError(f"{M} frames exceed max_frames {self.cfg.max_frames}")
+        if M > MAX_FRAMES:
+            raise LengthError(f"{M} frames exceed MAX_FRAMES {MAX_FRAMES}")
         if train and self.cfg.dropout > 0 and rng is None:
             raise ContractViolation("training-mode projector needs an rng for dropout")
         mask = None

@@ -11,7 +11,7 @@ after the primary one; interleaved batches do not count toward X.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import SPEECH_TASKS
 from .errors import ConfigError
@@ -27,7 +27,6 @@ class SamplerConfig:
     task_ratios: dict[str, float]
     split_ratios: dict[str, dict[SplitKey, float]]
     batch_size: int = 16
-    batch_sizes: dict[str, int] = field(default_factory=dict)  # per-task override
     epoch_steps: int | None = None  # X; derived from the data when None
     interleave_text: bool = True
     text_mode: bool = False  # render every entry in the text modality
@@ -43,7 +42,9 @@ class SamplerConfig:
                 raise ConfigError(f"task {task!r} has ratio {p} but no split ratios")
 
     def task_batch_size(self, task: str) -> int:
-        return self.batch_sizes.get(task, self.batch_size)
+        """Examples in a batch of `task`: `batch_size` for every task. Kept as
+        a method because the benchmark counts each step's prompts through it."""
+        return self.batch_size
 
 
 def _check_ratio_group(name: str, group: dict) -> None:
@@ -177,11 +178,11 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
         z = sum(p for _, p in splits)
         (lang, validity) = _draw(float(r.uniform()), [(k, p / z) for k, p in splits])
         modality = "text" if (cfg.text_mode or task not in SPEECH_TASKS) else "speech"
-        ids = cursor(task, lang, validity).take(cfg.task_batch_size(task))
+        ids = cursor(task, lang, validity).take(cfg.batch_size)
         step = (BatchEntry(task, lang, validity, modality, ids),)
         if cfg.interleave_text and not cfg.text_mode and task in TEXT_EQUIVALENT:
             text_task = TEXT_EQUIVALENT[task]
-            text_ids = cursor(text_task, lang, validity).take(cfg.task_batch_size(text_task))
+            text_ids = cursor(text_task, lang, validity).take(cfg.batch_size)
             step += (BatchEntry(text_task, lang, validity, "text", text_ids, interleaved=True),)
         steps.append(step)
     return BatchSchedule(steps=steps)

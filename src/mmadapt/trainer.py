@@ -47,35 +47,20 @@ from .vocab import TARGET_LANGUAGES
 @dataclass(frozen=True)
 class OptimizerConfig:
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    scheduler: str = "constant"  # constant | warmup-constant
-    warmup_steps: int = 0
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be >= 0")
-        if self.scheduler not in ("constant", "warmup-constant"):
-            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
 
 
-def lr_at(scheduler: str, step: int, base_lr: float, warmup_steps: int) -> float:
-    """Learning rate at an optimizer step (constant, or linear warmup then constant)."""
-    if step < 0:
-        raise ContractViolation("step must be >= 0")
-    if scheduler == "constant" or warmup_steps == 0:
-        return base_lr
-    if scheduler == "warmup-constant":
-        return base_lr * min(1.0, step / warmup_steps)
-    raise ConfigError(f"unknown scheduler {scheduler!r}")
+BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+EPS = 1e-8  # added to sqrt(v_hat) in the update's denominator
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam with bias-corrected moments over one
-    component's named parameters, updated as one flat array.
+    """Adam (AdamW with zero weight decay) with bias-corrected moments and a
+    constant learning rate over one component's named parameters, updated
+    as one flat array.
 
     The moments live in two flat arrays, `m` and `v`, in parameter order;
     `state["m"]` and `state["v"]` map each name to its reshaped view. Each
@@ -112,9 +97,8 @@ class AdamW:
             bad = next(k for k in self.params if not np.isfinite(grads[k]).all())
             raise TrainingDivergenceError(f"non-finite gradient for {bad}")
         self.t += 1
-        cfg, step = self.cfg, self.t
-        b1, b2 = cfg.betas
-        lr = lr_at(cfg.scheduler, step, cfg.lr, cfg.warmup_steps)
+        step, lr = self.t, self.cfg.lr
+        b1, b2 = BETAS
         w = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
         m, v = self._m, self._v
         m *= b1
@@ -123,7 +107,7 @@ class AdamW:
         v += (1 - b2) * (g * g)
         m_hat = m / (1 - b1**step)
         v_hat = v / (1 - b2**step)
-        w = w - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * w)
+        w = w - lr * (m_hat / (np.sqrt(v_hat) + EPS))
         for p, view in zip(self.params.values(), self._views(w).values()):
             p.data = view
         return lr
@@ -239,7 +223,6 @@ class EvalRecord:
 
 # What each stage trains, sorted. Only pretraining trains the backbone: it is frozen after.
 STAGE_TRAINABLE = {"pretrain": ("backbone",), "A": ("projector",), "B": ("lora",), "C": ("lora", "projector")}
-SELECTIONS = ("last", "best-st-bleu")
 
 
 @dataclass
@@ -250,7 +233,6 @@ class StagePlan:
     optimizers: dict[str, OptimizerConfig]
     max_steps: int
     eval_every: int = 50
-    selection: str = "last"  # last | best-st-bleu
     dev_examples: int = 12  # per language/task during in-training evals
     max_new_tokens: int = 16
     content_noise: float = 0.0  # text content-embedding noise (pretraining)
@@ -260,10 +242,6 @@ class StagePlan:
             raise ConfigError(f"unknown stage {self.stage!r}")
         if tuple(sorted(self.trainable)) != STAGE_TRAINABLE[self.stage]:
             raise ConfigError(f"stage {self.stage} trains {STAGE_TRAINABLE[self.stage]}, not {self.trainable}")
-        if self.selection not in SELECTIONS:
-            raise ConfigError(f"unknown checkpoint selection {self.selection!r}")
-        if self.selection == "best-st-bleu" and self.stage not in DEV_METRICS:
-            raise ConfigError(f"stage {self.stage} has no dev metric for selection {self.selection!r}")
         if self.stage == "pretrain" and not self.sampler.text_mode:
             raise ConfigError("backbone pretraining runs on text-rendered batches")
         if self.stage == "B" and not self.sampler.text_mode and any(t in self.sampler.task_ratios for t in SPEECH_TASKS):
@@ -336,10 +314,8 @@ class Trainer:
         backward, then one AdamW step per trainable component. The log holds
         one record per batch, under its step's index. Returns (train log,
         eval records, snapshots) where snapshots maps each trainable
-        component name -> parameter arrays for the selected checkpoint.
+        component name -> its parameter arrays after the last step.
         """
-        if plan.selection == "best-st-bleu" and eval_fn is None:
-            raise ConfigError("checkpoint selection needs dev evaluations")
         if eval_fn is not None and not (0 < plan.eval_every <= plan.max_steps):
             raise ConfigError("dev evaluation cadence does not fit the step budget")
         params = {c: self.component_params(c) for c in plan.trainable}
@@ -351,7 +327,6 @@ class Trainer:
         pools = self.corpus.sampler_pools("train")
         log: list[TrainLogRecord] = []
         evals: list[EvalRecord] = []
-        best: tuple[float, dict] | None = None
         train_rng = rng.split("train")
         primary_done = 0
         epoch = 0
@@ -379,24 +354,14 @@ class Trainer:
                 if eval_fn is not None and primary_done % plan.eval_every == 0:
                     metric, details = eval_fn()
                     evals.append(EvalRecord(step=primary_done, metric=metric, details=details))
-                    if plan.selection == "best-st-bleu" and (best is None or metric > best[0]):
-                        best = (metric, self._snapshots(plan.trainable))
                 if primary_done >= plan.max_steps:
                     break
             epoch += 1
-        # An eval ran: `eval_every <= max_steps` whenever there is an `eval_fn`.
-        snapshots = best[1] if plan.selection == "best-st-bleu" else self._snapshots(plan.trainable)
-        return log, evals, snapshots
-
-    def _snapshots(self, components) -> dict[str, dict[str, np.ndarray]]:
-        out = {}
-        for c in components:
-            out[c] = {k: v.data.copy() for k, v in self.component_params(c).items()}
-        return out
+        return log, evals, {c: {k: t.data.copy() for k, t in ps.items()} for c, ps in params.items()}
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers used for selection and dev tracking
+# dev evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -424,7 +389,7 @@ def _dev_outputs(
 
 def st_dev_bleu(backbone, corpus, frame_avg_k, projector, adapters=None, max_examples=12, max_new_tokens=16) -> tuple[float, dict]:
     """Mean sentence BLEU over the speech-translation dev split, averaged
-    across target languages (the stage-A selection metric)."""
+    across target languages (stage A's dev metric)."""
     splits = [(lang, "valid") for lang in TARGET_LANGUAGES]
     pairs = _dev_outputs(backbone, corpus, "ST", "speech", splits, frame_avg_k, projector, adapters, max_examples, max_new_tokens)
     per_lang = {}
@@ -469,8 +434,8 @@ def _st_bleu(trainer: Trainer, plan: StagePlan) -> tuple[float, dict]:
 
 
 # The dev metric of each stage that has one: mean MT exact match across target
-# languages while pretraining, mean ST BLEU in stage A (the metric that
-# `best-st-bleu` selects on). Stages B and C evaluate nothing during training.
+# languages while pretraining, mean ST BLEU in stage A. Stages B and C
+# evaluate nothing during training.
 DEV_METRICS = {"pretrain": _mt_accuracy, "A": _st_bleu}
 
 

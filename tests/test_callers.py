@@ -15,6 +15,13 @@ in tests/references.py.
 
 `KEEP` holds the names that stay without a caller, each mapped to the
 ROADMAP item that will call it.
+
+Every field of a `*Config` or `StagePlan` class must be set somewhere in
+the library, the benchmark or the tests: by a keyword of that name in any
+call (which covers helpers that forward keywords and `replace`), by
+position in a call of the class, or by a string constant equal to the name
+(a dict of keyword arguments). A field nothing sets is a constant dressed
+as a setting. Tests count here, because only they shrink the models today.
 """
 
 import ast
@@ -107,6 +114,34 @@ def unreferenced(library: dict[str, str], callers=()) -> list[str]:
     return sorted(functions + methods)
 
 
+def unset_fields(library: dict[str, str], callers=()) -> list[str]:
+    """`module.Class.field` of each field of a config class defined in
+    `library` that no source in `library` or `callers` sets."""
+    configs = {
+        stmt.name: (module, [item.target.id for item in stmt.body if isinstance(item, ast.AnnAssign)])
+        for module, source in library.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.ClassDef) and (stmt.name.endswith("Config") or stmt.name == "StagePlan")
+    }
+    set_names = set()
+    for tree in map(ast.parse, [*library.values(), *callers]):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                set_names.add(n.value)
+            elif isinstance(n, ast.Call):
+                set_names |= {k.arg for k in n.keywords if k.arg is not None}
+                cls = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                if cls in configs:
+                    known = next((i for i, a in enumerate(n.args) if isinstance(a, ast.Starred)), len(n.args))
+                    set_names |= {f"{cls}.{f}" for f in configs[cls][1][:known]}
+    return sorted(
+        f"{module}.{cls}.{f}"
+        for cls, (module, fields) in configs.items()
+        for f in fields
+        if f not in set_names and f"{cls}.{f}" not in set_names
+    )
+
+
 def test_every_library_function_and_class_has_a_caller():
     library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     callers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
@@ -143,3 +178,44 @@ def test_guard_flags_a_name_used_only_by_itself_and_honours_every_reference_kind
         "rng.split('x')\n",  # another class's `split`: the collision hides `Box.split`
     ]
     assert unreferenced(library, callers) == ["ops.Box.walk", "ops.Lonely", "ops.Lonely.make", "ops.recursive"]
+
+
+def test_every_config_field_is_set_by_some_caller():
+    library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    callers = [path.read_text() for d in ("perfbench", "tests") for path in sorted((ROOT / d).glob("*.py"))]
+    assert unset_fields(library, callers) == []
+
+
+def test_field_guard_flags_a_field_only_read_and_honours_every_way_to_set_one():
+    library = {
+        "cfg": (
+            "@dataclass(frozen=True)\n"
+            "class RunConfig:\n"
+            "    size: int = 16\n"
+            "    width: int = 2\n"
+            "    depth: int = 3\n"
+            "    rate: float = 0.1\n"
+            "    mode: str = 'fast'\n"
+            "    def __post_init__(self):\n"
+            "        if self.rate <= 0: raise ValueError('rate must be positive')\n"
+            "@dataclass\n"
+            "class StagePlan:\n"
+            "    stage: str\n"
+            "    steps: int = 1\n"
+            "@dataclass\n"
+            "class Record:\n"
+            "    unread: int = 0\n"  # not a config: never checked
+        ),
+    }
+    assert unset_fields(library) == [
+        "cfg.RunConfig.depth", "cfg.RunConfig.mode", "cfg.RunConfig.rate", "cfg.RunConfig.size",
+        "cfg.RunConfig.width", "cfg.StagePlan.stage", "cfg.StagePlan.steps",
+    ]
+    callers = [
+        "from mmadapt.cfg import RunConfig\nRunConfig(32, *rest)\n",  # `size` by position; the rest unknown
+        "from mmadapt import cfg\ncfg.StagePlan('A')\n",  # by position through the module
+        "build(width=4)\n",  # a keyword of any call: a helper may forward it
+        "DEFAULTS = {'depth': 5}\n",  # a string constant: a dict of keyword arguments
+        "print(config.rate, RunConfig.mode)\nRecord(1, 2)\n",  # reads, and another class's positions
+    ]
+    assert unset_fields(library, callers) == ["cfg.RunConfig.mode", "cfg.RunConfig.rate", "cfg.StagePlan.steps"]

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,9 +94,6 @@ def test_cross_component_load_rejected(tmp_path, proj_params):
 
 
 def test_version_mismatch_rejected(tmp_path, proj_params):
-    import hashlib
-    import struct
-
     path = tmp_path / "proj.ckpt"
     save_checkpoint("projector", proj_params, {}, path)
     raw = bytearray(path.read_bytes())[:-32]
@@ -100,4 +101,28 @@ def test_version_mismatch_rejected(tmp_path, proj_params):
     raw += hashlib.sha256(bytes(raw)).digest()
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointVersionError):
+        load_checkpoint(path)
+
+
+def _with_header(path, edit) -> None:
+    """Rewrite the bundle at `path` with its JSON header replaced by
+    `edit(header)` (bytes), then re-sign it so the digest verifies."""
+    raw = path.read_bytes()[:-32]
+    off = 4 + 4 + 2 + struct.unpack_from("<H", raw, 8)[0]
+    (hlen,) = struct.unpack_from("<I", raw, off)
+    header = edit(json.loads(raw[off + 4 : off + 4 + hlen]))
+    body = raw[:off] + struct.pack("<I", len(header)) + header + raw[off + 4 + hlen :]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: json.dumps({**h, "shapes": {"w": [100, 3]}}).encode(),  # a shape past the payload's end
+    lambda h: b"{not json",
+    lambda h: json.dumps({**h, "names": ["w", "b"]}).encode(),  # a name missing from shapes
+], ids=["shape-past-payload", "not-json", "name-without-shape"])
+def test_header_that_disagrees_with_its_payload_is_corrupt(tmp_path, edit):
+    path = tmp_path / "w.ckpt"
+    save_checkpoint("projector", {"w": np.ones((2, 3), np.float32)}, {}, path)
+    _with_header(path, edit)
+    with pytest.raises(CorruptCheckpointError, match="header does not match"):
         load_checkpoint(path)

@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mmadapt.corpus import (
+    D_SPEECH,
+    N_SYMBOLS,
+    N_THEMES,
     CorpusConfig,
     build_corpus,
     carve_validation,
@@ -28,7 +33,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def vocab(cfg):
-    return build_vocab(cfg.n_symbols, cfg.seed)
+    return build_vocab(N_SYMBOLS, cfg.seed)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +50,7 @@ def test_frames_noiseless_single_frame_per_token(vocab):
 
 def test_frames_count_is_tokens_times_kup(cfg, acoustic):
     frames = synthesize_frames(list(range(8)), acoustic, cfg, Rng(2))
-    assert frames.shape == (8 * cfg.k_up, cfg.d_speech)
+    assert frames.shape == (8 * cfg.k_up, D_SPEECH)
 
 
 def test_frames_nearest_row_decoding(cfg, vocab, acoustic):
@@ -53,7 +58,7 @@ def test_frames_nearest_row_decoding(cfg, vocab, acoustic):
     rng = Rng(7)
     tokens = rng.split("tokens").integers(0, vocab.size, size=10_000)
     frames = synthesize_frames(tokens, acoustic, cfg, rng.split("noise"))
-    means = frames.reshape(len(tokens), cfg.k_up, cfg.d_speech).mean(axis=1)
+    means = frames.reshape(len(tokens), cfg.k_up, D_SPEECH).mean(axis=1)
     d2 = ((means[:, None, :] - acoustic.code[None, :, :]) ** 2).sum(axis=2)
     decoded = d2.argmin(axis=1)
     assert (decoded == tokens).mean() >= 0.999
@@ -150,7 +155,7 @@ def test_carve_validation_partitions_by_theme(cfg, vocab, acoustic):
     assert not ({e.id for e in train} & {e.id for e in val})
     assert len(train) + len(val) == len(exs)
     with pytest.raises(ConfigError):
-        carve_validation(exs, cfg.n_themes)
+        carve_validation(exs, N_THEMES)
 
 
 def test_invalid_split_mismatches_themes(cfg, vocab, acoustic):
@@ -254,3 +259,27 @@ def test_build_corpus_deterministic_and_well_formed():
             inv = corpus_split(c1, "SQA", lang, "invalid", part)
             assert inv
             assert all(effective_question_theme(e) != e.theme_id for e in inv)
+
+
+
+def _corpus_digest(corpus) -> str:
+    """SHA-256 over every split's examples, frames included, and the acoustic code."""
+    h = hashlib.sha256()
+    for key in sorted(corpus.splits):
+        h.update(repr(key).encode())
+        for e in corpus.splits[key]:
+            spans = [None if t is None else [int(x) for x in t]
+                     for t in (e.source_tokens, e.answer_tokens, e.question_tokens, e.span)]
+            h.update(repr((e.id, e.theme_id, e.task, e.language, e.validity, e.question_theme_id, spans)).encode())
+            if e.frames is not None:
+                h.update(np.ascontiguousarray(e.frames, dtype="<f4").tobytes())
+    for a in (corpus.acoustic.code, corpus.acoustic.offsets):
+        h.update(np.ascontiguousarray(a, dtype="<f4").tobytes())
+    return h.hexdigest()
+
+
+def test_small_corpus_is_pinned_to_its_recorded_digest():
+    # Recorded while the corpus shape was still a set of CorpusConfig fields,
+    # so a generation constant that drifts from its old default fails here.
+    corpus = build_corpus(CorpusConfig(seed=3, n_sentences=48, n_contexts=24))
+    assert _corpus_digest(corpus) == "57cd7cff257b22f5f1071a048bc9e504fc59c459243244a79d8fe3350d72b0ff"

@@ -4,6 +4,7 @@ import pytest
 from mmadapt.errors import ConfigError, ContractViolation, LengthError, ShapeError
 from mmadapt.model import (
     LORA_SITES,
+    MAX_FRAMES,
     Backbone,
     BackboneConfig,
     KVCache,
@@ -94,6 +95,14 @@ def test_projector_rejects_wrong_width():
     proj = SpeechProjector(SMALL_PROJ, Rng(3))
     with pytest.raises(ShapeError):
         proj.forward(Tensor(np.zeros((2, SMALL_PROJ.d_in + 1), dtype=np.float32)), train=False)
+
+
+def test_projector_rejects_more_frames_than_its_position_table():
+    proj = SpeechProjector(SMALL_PROJ, Rng(3))
+    assert proj.params["wpe"].shape == (MAX_FRAMES, SMALL_PROJ.d_in)
+    assert proj.forward(Tensor(np.zeros((MAX_FRAMES, SMALL_PROJ.d_in), dtype=np.float32))).shape[0] == MAX_FRAMES
+    with pytest.raises(LengthError):
+        proj.forward(Tensor(np.zeros((MAX_FRAMES + 1, SMALL_PROJ.d_in), dtype=np.float32)))
 
 
 def _scale_up_weights(params: dict, rng: Rng, std: float = 0.4) -> None:

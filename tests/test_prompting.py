@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmadapt.corpus import CorpusConfig, build_corpus
+from mmadapt.corpus import D_SPEECH, CorpusConfig, build_corpus
 from mmadapt.errors import ContractViolation
 from mmadapt.model import splice_prompt
 from mmadapt.prompting import question_line, render_prompt
@@ -29,7 +29,7 @@ def test_speech_placeholder_length_is_ceil_t_over_k(corpus):
     ex = corpus_split(corpus, "ASR", "src")[0]
     k = corpus.cfg.k_up  # frames per token == averaging factor
     p = render_prompt(ex, "speech", corpus.vocab, frame_avg_k=k)
-    assert p.frames.shape == (int(np.ceil(ex.frames.shape[0] / k)), corpus.cfg.d_speech)
+    assert p.frames.shape == (int(np.ceil(ex.frames.shape[0] / k)), D_SPEECH)
     assert p.content_len == len(ex.source_tokens)
     ex9 = next(e for e in corpus_split(corpus, "ASR", "src") if len(e.source_tokens) == 5)
     p9 = render_prompt(ex9, "speech", corpus.vocab, frame_avg_k=3)

@@ -30,7 +30,6 @@ def _config(**kw):
         task_ratios={"ASR": 0.2, "ST": 0.4, "SQA": 0.4},
         split_ratios={"ASR": {("src", "valid"): 1.0}, "ST": st_splits, "SQA": sqa_splits},
         batch_size=4,
-        batch_sizes={"SQA": 2},
     )
     defaults.update(kw)
     return SamplerConfig(**defaults)
@@ -59,7 +58,7 @@ def test_exact_epoch_length_1600_over_16():
 
 
 def test_long_run_task_frequencies_match_ratios():
-    cfg = _config(epoch_steps=10_000, batch_size=1, batch_sizes={})
+    cfg = _config(epoch_steps=10_000, batch_size=1)
     schedule = plan_epoch(cfg, _pools(50), Rng(3))
     freqs = empirical_ratios(schedule)
     assert abs(freqs["ASR"] - 0.2) < 0.02
@@ -68,7 +67,7 @@ def test_long_run_task_frequencies_match_ratios():
 
 
 def test_split_ratios_renormalized_within_task():
-    cfg = _config(epoch_steps=8_000, batch_size=1, batch_sizes={})
+    cfg = _config(epoch_steps=8_000, batch_size=1)
     schedule = plan_epoch(cfg, _pools(50), Rng(4))
     sqa = [step[0] for step in schedule.steps if step[0].task == "SQA"]
     frac_invalid = sum(1 for e in sqa if e.validity == "invalid") / len(sqa)
@@ -107,13 +106,6 @@ def test_asr_has_no_text_follow_up():
     schedule = plan_epoch(cfg, _pools(20), Rng(6))
     assert all(not e.interleaved for e in schedule.entries)
     assert len(schedule.entries) == 50
-
-
-def test_per_task_batch_sizes_apply():
-    schedule = plan_epoch(_config(epoch_steps=200), _pools(), Rng(7))
-    for e in (step[0] for step in schedule.steps):
-        expected = 2 if e.task == "SQA" else 4
-        assert len(e.example_ids) == expected
 
 
 def test_same_seed_reproducible_different_seed_differs():
