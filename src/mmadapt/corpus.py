@@ -7,6 +7,11 @@ question's theme makes an example deterministically unanswerable.
 
 Generation is deliberately messy in controlled ways (duplicate questions,
 spans crossing sentence boundaries); the preprocessing passes clean it up.
+
+One `build_corpus` call draws each shared source once (`draw_pools`): the
+ASR sentence pool, one sentence pool per target language that its ST and
+MT splits both read, and one context list that all eight SQA/QA splits
+read. Nothing is cached across calls: a second build draws them again.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def theme_anchors(theme: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CorpusConfig:
-    n_sentences: int = 1200  # per ST/MT language pair; ASR uses the same pool
+    n_sentences: int = 1200  # per sentence pool: ASR's, and each target language's (ST and MT)
     n_contexts: int = 240  # QA contexts, shared across languages
     duplicate_fraction: float = 0.05  # duplicated QA pairs (cleaned by dedup)
     crossing_fraction: float = 0.15  # QA spans split across a boundary (cleaned)
@@ -111,7 +116,8 @@ def synthesize_frames(tokens, acoustic: AcousticCode, cfg: CorpusConfig, rng: Rn
         if not 0 <= t < acoustic.code.shape[0]:
             raise VocabularyError(f"token {t} outside the acoustic code table")
     base = acoustic.code[np.asarray(tokens)]  # (n, d)
-    frames = np.repeat(base, cfg.k_up, axis=0) + np.tile(acoustic.offsets, (len(tokens), 1))
+    # (n, 1, d) + (k_up, d) -> (n, k_up, d), flattened token by token
+    frames = (base[:, None, :] + acoustic.offsets).reshape(-1, base.shape[1])
     if cfg.noise_sigma > 0:
         frames = frames + cfg.noise_sigma * rng.normal(size=frames.shape)
     return frames.astype(np.float32)
@@ -171,6 +177,22 @@ def _gen_contexts(cfg: CorpusConfig, vocab: Vocab, rng: Rng):
         yield theme, tuple(tokens), questions
 
 
+@dataclass(frozen=True)
+class Pools:
+    """The sources that several splits share, drawn once per build."""
+
+    sentences: dict[str, list[tuple[int, ...]]]  # "src": ASR; a target language: its ST and MT
+    contexts: list[tuple[int, tuple[int, ...], list]]  # every SQA/QA split, in every language
+
+
+def draw_pools(cfg: CorpusConfig, vocab: Vocab) -> Pools:
+    """Draw every shared source of the corpus `cfg` describes, once."""
+    root = Rng(cfg.seed)
+    keys = {lang: "sentences-asr" if lang == "src" else f"sentences-{lang}" for lang in LANGUAGES}
+    sentences = {lang: _gen_sentences(vocab, root.split(key), cfg.n_sentences) for lang, key in keys.items()}
+    return Pools(sentences=sentences, contexts=list(_gen_contexts(cfg, vocab, root.split("contexts"))))
+
+
 def gen_task_dataset(
     task: str,
     language: str,
@@ -178,13 +200,16 @@ def gen_task_dataset(
     rng: Rng,
     vocab: Vocab,
     acoustic: AcousticCode,
+    pools: Pools,
 ) -> list[Example]:
-    """Generate one task/language split, deterministic in (cfg.seed, rng path).
+    """Assemble one task/language split, deterministic in (cfg.seed, rng path).
 
-    `vocab` and `acoustic` are the corpus's own (`build_corpus` derives them
-    once from `cfg`). ST and MT for the same language share source
-    sentences; SQA and QA share contexts across all languages (translated
-    questions/answers).
+    `vocab`, `acoustic` and `pools` are the corpus's own (`build_corpus`
+    derives them once from `cfg`). ASR reads `pools.sentences["src"]`; ST
+    and MT for a target language both read that language's sentence pool;
+    SQA and QA in every language read `pools.contexts`, with questions and
+    answers translated. `rng` draws only what is the split's own: speech
+    noise and duplicated questions.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
@@ -199,10 +224,7 @@ def gen_task_dataset(
 
     examples: list[Example] = []
     if task in ("ASR", "ST", "MT"):
-        # ST/MT share sentences per language; ASR has its own pool.
-        pool_key = "sentences-asr" if task == "ASR" else f"sentences-{language}"
-        sentences = _gen_sentences(vocab, Rng(cfg.seed).split(pool_key), cfg.n_sentences)
-        for i, source in enumerate(sentences):
+        for i, source in enumerate(pools.sentences[language]):
             answer = source if task == "ASR" else vocab.translate(source, "src", language)
             ex_id = f"{task.lower()}-{language}-{i:05d}"
             frames = None
@@ -221,10 +243,9 @@ def gen_task_dataset(
             )
         return examples
 
-    # SQA / QA: contexts shared across languages, questions/answers translated.
     dup_rng = rng.split("dups")
     i = 0
-    for theme, context, questions in _gen_contexts(cfg, vocab, Rng(cfg.seed).split("contexts")):
+    for theme, context, questions in pools.contexts:
         frames = None
         if speech:
             frames = synthesize_frames(context, acoustic, cfg, rng.split("frames", f"ctx-{language}-{i}"))
@@ -309,9 +330,10 @@ def make_invalid_split(examples: list[Example], fraction: float, rng: Rng, vocab
     chosen = set(int(i) for i in order[:n])
     out = list(examples)
     donor_rng = rng.split("donor")
+    donors_of = {t: [d for d in examples if d.theme_id != t and d.question_tokens is not None] for t in themes}
     for idx in sorted(chosen):
         ex = out[idx]
-        donors = [d for d in examples if d.theme_id != ex.theme_id and d.question_tokens is not None]
+        donors = donors_of[ex.theme_id]
         donor = donors[int(donor_rng.split(str(idx)).integers(0, len(donors)))]
         out[idx] = replace(
             ex,
@@ -381,10 +403,15 @@ class Corpus:
 
 
 def build_corpus(cfg: CorpusConfig) -> Corpus:
-    """Generate, clean, carve, corrupt and rewrite every task/language split."""
+    """Generate, clean, carve, corrupt and rewrite every task/language split.
+
+    The shared sources are drawn once per call (`draw_pools`) and read by
+    every split built from them; a second call draws them again.
+    """
     vocab = build_vocab(N_SYMBOLS, cfg.seed)
     root = Rng(cfg.seed)
     acoustic = make_acoustic_code(vocab.size, cfg, root.split("acoustic"))
+    pools = draw_pools(cfg, vocab)
     splits: dict[tuple[str, str, str, str], list[Example]] = {}
 
     def put(task, lang, validity, part, exs):
@@ -393,7 +420,7 @@ def build_corpus(cfg: CorpusConfig) -> Corpus:
     # ASR / ST / MT: generate, carve validation by theme.
     for task, langs in (("ASR", ("src",)), ("ST", TARGET_LANGUAGES), ("MT", TARGET_LANGUAGES)):
         for lang in langs:
-            exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic)
+            exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic, pools)
             train, val = carve_validation(exs, CARVE_THEMES)
             put(task, lang, "valid", "train", train)
             put(task, lang, "valid", "dev", val)
@@ -417,7 +444,7 @@ def build_corpus(cfg: CorpusConfig) -> Corpus:
     # SQA / QA: dedup, carve, invalid split, quality filter, fluent rewrite.
     for task in ("SQA", "QA"):
         for lang in LANGUAGES:
-            exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic)
+            exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic, pools)
             exs = dedup_answers(exs)
             train, val = carve_validation(exs, CARVE_THEMES)
             scorer = default_quality_scorer(vocab, lang)

@@ -69,6 +69,8 @@ class Vocab:
     size: int
     n_symbols: int
     languages: dict[str, ToyLanguage] = field(repr=False)
+    # (src, dst) -> {lexical token of src: the same symbol's token in dst}
+    tables: dict[tuple[str, str], dict[int, int]] = field(repr=False)
 
     def lang(self, lang_id: str) -> ToyLanguage:
         try:
@@ -78,14 +80,11 @@ class Vocab:
 
     def translate(self, tokens, src: str, dst: str) -> tuple[int, ...]:
         """Tokenwise bijection between languages; structural tokens pass through."""
-        a, b = self.lang(src), self.lang(dst)
-        out = []
-        for t in tokens:
-            if t in a.lexical_range:
-                out.append(b.token_for_symbol(a.symbol_for_token(t)))
-            else:
-                out.append(int(t))
-        return tuple(out)
+        try:
+            get = self.tables[src, dst].get
+        except KeyError:
+            raise ConfigError(f"unknown language pair {src!r} -> {dst!r}") from None
+        return tuple([int(get(t, t)) for t in tokens])
 
     def classify_language(self, tokens) -> str | None:
         """Majority lexical-range vote; None when empty or tied."""
@@ -141,4 +140,9 @@ def build_vocab(n_symbols: int = 16, seed: int = 0, size: int = 96) -> Vocab:
             ans_close=_ANS_CLOSE_BASE + g,
             q_st=Q_ST_SRC if lang_id == "src" else _Q_ST_BASE + (g - 1),
         )
-    return Vocab(size=size, n_symbols=n_symbols, languages=languages)
+    tables = {
+        (a.id, b.id): {t: b.token_for_symbol(a.symbol_for_token(t)) for t in a.lexical_range}
+        for a in languages.values()
+        for b in languages.values()
+    }
+    return Vocab(size=size, n_symbols=n_symbols, languages=languages, tables=tables)

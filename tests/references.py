@@ -7,14 +7,18 @@ and `check_interleaving` read a sampler schedule back. `embed`,
 `corpus_split` and `effective_question_theme` are shorthands for reading a
 backbone, a corpus and an example. `per_example_batch_loss` is the batch
 loss assembled example by example, the definition the one-grid splice in
-`mmadapt.trainer.batch_loss` must match.
+`mmadapt.trainer.batch_loss` must match. `translate_by_symbol` and
+`frames_by_repeat_tile` are the token-by-token translation and the
+repeat-and-tile frame synthesis that `Vocab.translate`'s tables and
+`synthesize_frames`' broadcast must match bit for bit.
 """
 
 import numpy as np
 
-from mmadapt.corpus import Corpus, Example
+from mmadapt.corpus import AcousticCode, Corpus, CorpusConfig, Example
 from mmadapt.errors import ContractViolation
 from mmadapt.model import Backbone
+from mmadapt.rng import Rng
 from mmadapt.sampler import TEXT_EQUIVALENT, BatchSchedule
 from mmadapt.tensor import (
     Tensor,
@@ -29,6 +33,7 @@ from mmadapt.tensor import (
     stack,
     tslice,
 )
+from mmadapt.vocab import Vocab
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -137,6 +142,30 @@ def corpus_split(corpus: Corpus, task: str, language: str, validity: str = "vali
 def effective_question_theme(example: Example) -> int:
     """The theme of the example's question: its own unless the invalid split swapped it."""
     return example.theme_id if example.question_theme_id is None else example.question_theme_id
+
+
+def translate_by_symbol(vocab: Vocab, tokens, src: str, dst: str) -> tuple[int, ...]:
+    """Map each lexical token of `src` to its symbol, then to `dst`'s token
+    for that symbol; every other token passes through."""
+    a, b = vocab.lang(src), vocab.lang(dst)
+    out = []
+    for t in tokens:
+        if t in a.lexical_range:
+            out.append(b.token_for_symbol(a.symbol_for_token(t)))
+        else:
+            out.append(int(t))
+    return tuple(out)
+
+
+def frames_by_repeat_tile(tokens, acoustic: AcousticCode, cfg: CorpusConfig, rng: Rng) -> np.ndarray:
+    """k_up frames per token: each code row repeated k_up times, plus the
+    offsets tiled once per token, plus gaussian noise."""
+    tokens = list(tokens)
+    base = acoustic.code[np.asarray(tokens)]
+    frames = np.repeat(base, cfg.k_up, axis=0) + np.tile(acoustic.offsets, (len(tokens), 1))
+    if cfg.noise_sigma > 0:
+        frames = frames + cfg.noise_sigma * rng.normal(size=frames.shape)
+    return frames.astype(np.float32)
 
 
 def _splice_pieces(wte: Tensor, prefix, block: Tensor | None, tail) -> Tensor:

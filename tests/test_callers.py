@@ -17,11 +17,14 @@ in tests/references.py.
 ROADMAP item that will call it.
 
 Every field of a `*Config` or `StagePlan` class must be set somewhere in
-the library, the benchmark or the tests: by a keyword of that name in any
-call (which covers helpers that forward keywords and `replace`), by
-position in a call of the class, or by a string constant equal to the name
-(a dict of keyword arguments). A field nothing sets is a constant dressed
-as a setting. Tests count here, because only they shrink the models today.
+the library, the benchmark or the tests: by a keyword of that name in a
+call of the class or of `replace`, by position in a call of the class, or
+by a string key of a dict `**`-splatted into such a call (written there or
+assigned to the name splatted there, `**` inside it followed too). A
+keyword of any other call does not count, even one a helper forwards: a
+field that shares a parameter's name would pass unseen. A field nothing
+sets is a constant dressed as a setting. Tests count here, because only
+they shrink the models today.
 """
 
 import ast
@@ -114,6 +117,19 @@ def unreferenced(library: dict[str, str], callers=()) -> list[str]:
     return sorted(functions + methods)
 
 
+def _splatted_keys(node: ast.AST, dicts: dict[str, list[ast.Dict]], seen=()) -> set[str]:
+    """String keys of the dict `node` spells or names, following `**` inside it."""
+    if isinstance(node, ast.Name) and node.id not in seen:
+        return set().union(*(_splatted_keys(d, dicts, (*seen, node.id)) for d in dicts.get(node.id, [])))
+    if not isinstance(node, ast.Dict):
+        return set()
+    keys = {k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    for k, v in zip(node.keys, node.values):
+        if k is None:
+            keys |= _splatted_keys(v, dicts, seen)
+    return keys
+
+
 def unset_fields(library: dict[str, str], callers=()) -> list[str]:
     """`module.Class.field` of each field of a config class defined in
     `library` that no source in `library` or `callers` sets."""
@@ -125,15 +141,23 @@ def unset_fields(library: dict[str, str], callers=()) -> list[str]:
     }
     set_names = set()
     for tree in map(ast.parse, [*library.values(), *callers]):
+        dicts: dict[str, list[ast.Dict]] = {}
         for n in ast.walk(tree):
-            if isinstance(n, ast.Constant) and isinstance(n.value, str):
-                set_names.add(n.value)
-            elif isinstance(n, ast.Call):
-                set_names |= {k.arg for k in n.keywords if k.arg is not None}
-                cls = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
-                if cls in configs:
-                    known = next((i for i, a in enumerate(n.args) if isinstance(a, ast.Starred)), len(n.args))
-                    set_names |= {f"{cls}.{f}" for f in configs[cls][1][:known]}
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Dict):
+                for target in n.targets:
+                    if isinstance(target, ast.Name):
+                        dicts.setdefault(target.id, []).append(n.value)
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            cls = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            if cls not in configs and cls != "replace":
+                continue
+            for k in n.keywords:
+                set_names |= {k.arg} if k.arg is not None else _splatted_keys(k.value, dicts)
+            if cls in configs:
+                known = next((i for i, a in enumerate(n.args) if isinstance(a, ast.Starred)), len(n.args))
+                set_names |= {f"{cls}.{f}" for f in configs[cls][1][:known]}
     return sorted(
         f"{module}.{cls}.{f}"
         for cls, (module, fields) in configs.items()
@@ -196,6 +220,7 @@ def test_field_guard_flags_a_field_only_read_and_honours_every_way_to_set_one():
             "    depth: int = 3\n"
             "    rate: float = 0.1\n"
             "    mode: str = 'fast'\n"
+            "    n_symbols: int = 16\n"
             "    def __post_init__(self):\n"
             "        if self.rate <= 0: raise ValueError('rate must be positive')\n"
             "@dataclass\n"
@@ -208,14 +233,19 @@ def test_field_guard_flags_a_field_only_read_and_honours_every_way_to_set_one():
         ),
     }
     assert unset_fields(library) == [
-        "cfg.RunConfig.depth", "cfg.RunConfig.mode", "cfg.RunConfig.rate", "cfg.RunConfig.size",
-        "cfg.RunConfig.width", "cfg.StagePlan.stage", "cfg.StagePlan.steps",
+        "cfg.RunConfig.depth", "cfg.RunConfig.mode", "cfg.RunConfig.n_symbols", "cfg.RunConfig.rate",
+        "cfg.RunConfig.size", "cfg.RunConfig.width", "cfg.StagePlan.stage", "cfg.StagePlan.steps",
     ]
     callers = [
         "from mmadapt.cfg import RunConfig\nRunConfig(32, *rest)\n",  # `size` by position; the rest unknown
         "from mmadapt import cfg\ncfg.StagePlan('A')\n",  # by position through the module
-        "build(width=4)\n",  # a keyword of any call: a helper may forward it
-        "DEFAULTS = {'depth': 5}\n",  # a string constant: a dict of keyword arguments
+        "config = dataclasses.replace(config, width=4)\n",  # a keyword of `replace`
+        "COMMON = {'depth': 5}\nRunConfig(**{**COMMON, **kw})\n",  # a key splatted into the class, by name
         "print(config.rate, RunConfig.mode)\nRecord(1, 2)\n",  # reads, and another class's positions
+        # Neither a keyword of another call (a helper forwarding it, or a
+        # function's own parameter), nor a key splatted elsewhere, nor a loose string.
+        "build(mode='slow')\nbuild_vocab(n_symbols=16)\nDEFAULTS = {'steps': 2}\nrun(**DEFAULTS)\nprint('rate')\n",
     ]
-    assert unset_fields(library, callers) == ["cfg.RunConfig.mode", "cfg.RunConfig.rate", "cfg.StagePlan.steps"]
+    assert unset_fields(library, callers) == [
+        "cfg.RunConfig.mode", "cfg.RunConfig.n_symbols", "cfg.RunConfig.rate", "cfg.StagePlan.steps",
+    ]

@@ -1,8 +1,10 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mmadapt import corpus as corpus_module
 from mmadapt.corpus import (
     D_SPEECH,
     N_SYMBOLS,
@@ -12,6 +14,7 @@ from mmadapt.corpus import (
     carve_validation,
     dedup_answers,
     default_quality_scorer,
+    draw_pools,
     fluent_rewrite,
     gen_task_dataset,
     make_acoustic_code,
@@ -21,9 +24,9 @@ from mmadapt.corpus import (
 )
 from mmadapt.errors import ConfigError, ContractViolation, VocabularyError
 from mmadapt.rng import Rng
-from mmadapt.vocab import BOUND, TARGET_LANGUAGES, build_vocab
+from mmadapt.vocab import BOUND, LANGUAGES, TARGET_LANGUAGES, build_vocab
 
-from references import corpus_split, effective_question_theme
+from references import corpus_split, effective_question_theme, frames_by_repeat_tile
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +42,14 @@ def vocab(cfg):
 @pytest.fixture(scope="module")
 def acoustic(cfg, vocab):
     return make_acoustic_code(vocab.size, cfg, Rng(cfg.seed).split("acoustic"))
+
+
+@pytest.fixture(scope="module")
+def pools(cfg, vocab):
+    return draw_pools(cfg, vocab)
+
+
+SMALL = CorpusConfig(n_sentences=60, n_contexts=36, seed=21)
 
 
 def test_frames_noiseless_single_frame_per_token(vocab):
@@ -64,6 +75,16 @@ def test_frames_nearest_row_decoding(cfg, vocab, acoustic):
     assert (decoded == tokens).mean() >= 0.999
 
 
+def test_frames_match_repeat_and_tile_bit_for_bit(cfg, vocab, acoustic):
+    rng = Rng(4)
+    for n in (1, 2, 5, 17):
+        tokens = [int(t) for t in rng.split("tokens", str(n)).integers(0, vocab.size, size=n)]
+        got = synthesize_frames(tokens, acoustic, cfg, rng.split("noise", str(n)))
+        want = frames_by_repeat_tile(tokens, acoustic, cfg, rng.split("noise", str(n)))
+        assert cfg.noise_sigma > 0 and got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
 def test_frames_unknown_token_rejected(cfg, acoustic):
     with pytest.raises(VocabularyError):
         synthesize_frames([9999], acoustic, cfg, Rng(0))
@@ -74,31 +95,34 @@ def test_frames_empty_rejected(cfg, acoustic):
         synthesize_frames([], acoustic, cfg, Rng(0))
 
 
-def test_st_targets_are_tokenwise_bijections(cfg, vocab, acoustic):
-    for ex in gen_task_dataset("ST", "tgt1", cfg, Rng(1).split("g"), vocab, acoustic)[:50]:
+def test_st_targets_are_tokenwise_bijections(cfg, vocab, acoustic, pools):
+    for ex in gen_task_dataset("ST", "tgt1", cfg, Rng(1).split("g"), vocab, acoustic, pools)[:50]:
         assert ex.answer_tokens == vocab.translate(ex.source_tokens, "src", "tgt1")
         assert vocab.translate(ex.answer_tokens, "tgt1", "src") == ex.source_tokens
 
 
-def test_generation_deterministic(cfg, vocab, acoustic):
-    a = gen_task_dataset("ST", "tgt2", cfg, Rng(1).split("g"), vocab, acoustic)
-    b = gen_task_dataset("ST", "tgt2", cfg, Rng(1).split("g"), vocab, acoustic)
+def test_generation_deterministic(cfg, vocab, acoustic, pools):
+    a = gen_task_dataset("ST", "tgt2", cfg, Rng(1).split("g"), vocab, acoustic, pools)
+    b = gen_task_dataset("ST", "tgt2", cfg, Rng(1).split("g"), vocab, acoustic, pools)
     assert [e.id for e in a] == [e.id for e in b]
     assert all(x.source_tokens == y.source_tokens and x.answer_tokens == y.answer_tokens for x, y in zip(a, b))
     np.testing.assert_array_equal(a[0].frames, b[0].frames)
 
 
-def test_st_and_mt_share_source_sentences(cfg, vocab, acoustic):
-    st = gen_task_dataset("ST", "tgt1", cfg, Rng(1).split("st"), vocab, acoustic)
-    mt = gen_task_dataset("MT", "tgt1", cfg, Rng(1).split("mt"), vocab, acoustic)
-    assert [e.source_tokens for e in st] == [e.source_tokens for e in mt]
-    assert all(e.frames is None for e in mt)
+def test_st_and_mt_share_source_sentences():
+    corpus = build_corpus(SMALL)
+    for lang in TARGET_LANGUAGES:
+        for part in ("train", "dev"):
+            st = corpus_split(corpus, "ST", lang, part=part)
+            mt = corpus_split(corpus, "MT", lang, part=part)
+            assert st and [e.source_tokens for e in st] == [e.source_tokens for e in mt]
+            assert all(e.frames is None for e in mt)
 
 
-def test_sqa_answers_match_spans(cfg, vocab, acoustic):
+def test_sqa_answers_match_spans(cfg, vocab, acoustic, pools):
     # Span-extraction oracle: the recorded span indexes the context exactly.
     for lang in ("src", "tgt3"):
-        for ex in gen_task_dataset("SQA", lang, cfg, Rng(2).split(lang), vocab, acoustic):
+        for ex in gen_task_dataset("SQA", lang, cfg, Rng(2).split(lang), vocab, acoustic, pools):
             i, j = ex.span
             span = ex.source_tokens[i:j]
             if lang == "src":
@@ -106,13 +130,13 @@ def test_sqa_answers_match_spans(cfg, vocab, acoustic):
             assert ex.answer_tokens == vocab.translate(span, "src", lang)
 
 
-def test_asr_requires_source_language(cfg, vocab, acoustic):
+def test_asr_requires_source_language(cfg, vocab, acoustic, pools):
     with pytest.raises(ConfigError):
-        gen_task_dataset("ASR", "tgt1", cfg, Rng(0), vocab, acoustic)
+        gen_task_dataset("ASR", "tgt1", cfg, Rng(0), vocab, acoustic, pools)
 
 
-def test_dedup_removes_duplicate_pairs_and_crossing_spans(cfg, vocab, acoustic):
-    exs = gen_task_dataset("QA", "src", cfg, Rng(5).split("qa"), vocab, acoustic)
+def test_dedup_removes_duplicate_pairs_and_crossing_spans(cfg, vocab, acoustic, pools):
+    exs = gen_task_dataset("QA", "src", cfg, Rng(5).split("qa"), vocab, acoustic, pools)
     deduped = dedup_answers(exs)
     # pairwise-scan oracle: no (context, question, answer) key twice
     keys = [(e.source_tokens, e.question_tokens, e.answer_tokens) for e in deduped]
@@ -127,8 +151,8 @@ def test_dedup_removes_duplicate_pairs_and_crossing_spans(cfg, vocab, acoustic):
     assert len(raw_keys) != len(set(raw_keys))
 
 
-def test_dedup_keeps_one_of_identical_pairs(cfg, vocab, acoustic):
-    exs = gen_task_dataset("QA", "src", cfg, Rng(5).split("qa"), vocab, acoustic)
+def test_dedup_keeps_one_of_identical_pairs(cfg, vocab, acoustic, pools):
+    exs = gen_task_dataset("QA", "src", cfg, Rng(5).split("qa"), vocab, acoustic, pools)
     dup = [
         e
         for e in exs
@@ -148,8 +172,8 @@ def test_dedup_keeps_one_of_identical_pairs(cfg, vocab, acoustic):
     assert len(survivors) == 1
 
 
-def test_carve_validation_partitions_by_theme(cfg, vocab, acoustic):
-    exs = gen_task_dataset("MT", "tgt1", cfg, Rng(6).split("mt"), vocab, acoustic)
+def test_carve_validation_partitions_by_theme(cfg, vocab, acoustic, pools):
+    exs = gen_task_dataset("MT", "tgt1", cfg, Rng(6).split("mt"), vocab, acoustic, pools)
     train, val = carve_validation(exs, 2)
     assert {e.theme_id for e in val} == {0, 1}
     assert not ({e.id for e in train} & {e.id for e in val})
@@ -158,8 +182,8 @@ def test_carve_validation_partitions_by_theme(cfg, vocab, acoustic):
         carve_validation(exs, N_THEMES)
 
 
-def test_invalid_split_mismatches_themes(cfg, vocab, acoustic):
-    exs = dedup_answers(gen_task_dataset("QA", "tgt2", cfg, Rng(7).split("qa"), vocab, acoustic))
+def test_invalid_split_mismatches_themes(cfg, vocab, acoustic, pools):
+    exs = dedup_answers(gen_task_dataset("QA", "tgt2", cfg, Rng(7).split("qa"), vocab, acoustic, pools))
     out = make_invalid_split(exs, 0.25, Rng(8), vocab)
     invalid = [e for e in out if e.validity == "invalid"]
     assert invalid
@@ -168,31 +192,32 @@ def test_invalid_split_mismatches_themes(cfg, vocab, acoustic):
         assert e.answer_tokens == vocab.lang("tgt2").not_answerable
 
 
-def test_invalid_split_fraction_zero_is_identity(cfg, vocab, acoustic):
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic))
+def test_invalid_split_fraction_zero_is_identity(cfg, vocab, acoustic, pools):
+    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
     assert make_invalid_split(exs, 0.0, Rng(1), vocab) == exs
 
 
 def test_invalid_split_deterministic_count(vocab, acoustic):
     cfg = CorpusConfig(n_contexts=700, duplicate_fraction=0.0, crossing_fraction=0.0, seed=11)
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(11).split("qa"), vocab, acoustic))
+    pools = draw_pools(cfg, vocab)
+    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(11).split("qa"), vocab, acoustic, pools))
     assert len(exs) >= 1000
     exs = exs[:1000]
     out = make_invalid_split(exs, 0.2, Rng(12), vocab)
     assert sum(1 for e in out if e.validity == "invalid") == 200
 
 
-def test_invalid_split_single_theme_rejected(cfg, vocab, acoustic):
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic))
+def test_invalid_split_single_theme_rejected(cfg, vocab, acoustic, pools):
+    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
     one_theme = [e for e in exs if e.theme_id == 2]
     with pytest.raises(ConfigError):
         make_invalid_split(one_theme, 0.5, Rng(0), vocab)
 
 
-def test_invalid_split_rejects_mixed_languages_before_any_change(cfg, vocab, acoustic):
+def test_invalid_split_rejects_mixed_languages_before_any_change(cfg, vocab, acoustic, pools):
     # A donor question must come from the example's own language.
-    src = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic))
-    tgt = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(9).split("qa"), vocab, acoustic))
+    src = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
+    tgt = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
     mixed = src[:6] + tgt[:6]
     kept = list(mixed)
     for fraction in (0.0, 0.5):
@@ -216,15 +241,15 @@ def test_quality_filter_requires_both_scores():
         quality_filter(pairs, lambda t: 1.0, 1.5)
 
 
-def test_quality_filter_monotone(cfg, vocab, acoustic):
-    exs = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(13).split("qa"), vocab, acoustic))
+def test_quality_filter_monotone(cfg, vocab, acoustic, pools):
+    exs = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(13).split("qa"), vocab, acoustic, pools))
     scorer = default_quality_scorer(vocab, "tgt1")
     sizes = [len(quality_filter(exs, scorer, t)) for t in (0.0, 0.5, 0.85, 1.0)]
     assert sizes == sorted(sizes, reverse=True)
 
 
-def test_fluent_rewrite_wraps_and_is_idempotent(cfg, vocab, acoustic):
-    exs = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(14).split("qa"), vocab, acoustic))
+def test_fluent_rewrite_wraps_and_is_idempotent(cfg, vocab, acoustic, pools):
+    exs = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(14).split("qa"), vocab, acoustic, pools))
     lang = vocab.lang("tgt1")
     ex = exs[0]
     once = fluent_rewrite(ex, vocab)
@@ -234,32 +259,12 @@ def test_fluent_rewrite_wraps_and_is_idempotent(cfg, vocab, acoustic):
     assert scorer(once.answer_tokens) >= 0.85
 
 
-def test_fluent_rewrite_rejects_invalid_examples(cfg, vocab, acoustic):
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(15).split("qa"), vocab, acoustic))
+def test_fluent_rewrite_rejects_invalid_examples(cfg, vocab, acoustic, pools):
+    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(15).split("qa"), vocab, acoustic, pools))
     bad = make_invalid_split(exs, 0.5, Rng(16), vocab)
     inv = next(e for e in bad if e.validity == "invalid")
     with pytest.raises(ContractViolation):
         fluent_rewrite(inv, vocab)
-
-
-def test_build_corpus_deterministic_and_well_formed():
-    cfg = CorpusConfig(n_sentences=60, n_contexts=36, seed=21)
-    c1 = build_corpus(cfg)
-    c2 = build_corpus(cfg)
-    assert set(c1.splits) == set(c2.splits)
-    for key in c1.splits:
-        assert [e.id for e in c1.splits[key]] == [e.id for e in c2.splits[key]]
-    # speech presence follows the task
-    for (task, _, _, _), exs in c1.splits.items():
-        for e in exs[:5]:
-            assert (e.frames is not None) == (task in ("ASR", "ST", "SQA"))
-    # invalid dev/train splits exist for QA tasks and are theme-mismatched
-    for lang in ("src", *TARGET_LANGUAGES):
-        for part in ("train", "dev"):
-            inv = corpus_split(c1, "SQA", lang, "invalid", part)
-            assert inv
-            assert all(effective_question_theme(e) != e.theme_id for e in inv)
-
 
 
 def _corpus_digest(corpus) -> str:
@@ -276,6 +281,35 @@ def _corpus_digest(corpus) -> str:
     for a in (corpus.acoustic.code, corpus.acoustic.offsets):
         h.update(np.ascontiguousarray(a, dtype="<f4").tobytes())
     return h.hexdigest()
+
+
+def test_build_corpus_deterministic_and_well_formed(monkeypatch):
+    # One build draws each shared pool once: the ASR pool, one sentence pool
+    # per target language (ST and MT) and one context list (all SQA/QA
+    # splits). A second build draws them all again, so nothing outlives a
+    # build, and gives the same corpus bit for bit.
+    calls = Counter()
+    for name in ("_gen_sentences", "_gen_contexts"):
+        def counted(*args, _draw=getattr(corpus_module, name), _name=name):
+            calls[_name] += 1
+            return _draw(*args)
+
+        monkeypatch.setattr(corpus_module, name, counted)
+    c1 = build_corpus(SMALL)
+    assert calls == {"_gen_sentences": 1 + len(TARGET_LANGUAGES), "_gen_contexts": 1}
+    c2 = build_corpus(SMALL)
+    assert calls == {"_gen_sentences": 2 * (1 + len(TARGET_LANGUAGES)), "_gen_contexts": 2}
+    assert _corpus_digest(c1) == _corpus_digest(c2)
+    # speech presence follows the task
+    for (task, _, _, _), exs in c1.splits.items():
+        for e in exs[:5]:
+            assert (e.frames is not None) == (task in ("ASR", "ST", "SQA"))
+    # invalid dev/train splits exist for QA tasks and are theme-mismatched
+    for lang in LANGUAGES:
+        for part in ("train", "dev"):
+            inv = corpus_split(c1, "SQA", lang, "invalid", part)
+            assert inv
+            assert all(effective_question_theme(e) != e.theme_id for e in inv)
 
 
 def test_small_corpus_is_pinned_to_its_recorded_digest():

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from mmadapt.errors import ConfigError
 from mmadapt.vocab import LANGUAGES, LEX_BASE, TARGET_LANGUAGES, build_vocab
+
+from references import translate_by_symbol
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +46,18 @@ def test_translate_round_trip(vocab):
         out = vocab.translate(tokens, "src", tgt)
         assert all(t in vocab.lang(tgt).lexical_range for t in out)
         assert vocab.translate(out, tgt, "src") == tokens
+
+
+def test_translate_tables_match_the_symbol_mapping_for_every_token(vocab):
+    ids = list(range(vocab.size))
+    for src in LANGUAGES:
+        for dst in LANGUAGES:
+            want = translate_by_symbol(vocab, ids, src, dst)
+            for tokens in (ids, [np.int64(t) for t in ids]):
+                got = vocab.translate(tokens, src, dst)
+                assert got == want and all(type(t) is int for t in got)
+    with pytest.raises(ConfigError):
+        vocab.translate(ids, "src", "tgt9")
 
 
 def test_classify_language(vocab):
