@@ -33,7 +33,6 @@ COMPONENT_KINDS = ("backbone", "projector", "lora")
 
 @dataclass
 class CheckpointBundle:
-    format_version: int
     component: str
     arrays: dict[str, np.ndarray]
     config: dict
@@ -112,7 +111,6 @@ def load_checkpoint(path, expect_component: str | None = None) -> CheckpointBund
     if off != len(body):
         raise CorruptCheckpointError(f"{path}: payload size does not match header")
     return CheckpointBundle(
-        format_version=version,
         component=component,
         arrays=arrays,
         config=config,

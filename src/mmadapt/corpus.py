@@ -5,8 +5,13 @@ sequence derived from per-token acoustic codes plus noise. QA contexts are
 short fact lists whose anchors are theme-partitioned, so mismatching the
 question's theme makes an example deterministically unanswerable.
 
-Generation is deliberately messy in controlled ways (duplicate questions,
-spans crossing sentence boundaries); the preprocessing passes clean it up.
+Generation writes every example in its final form, a valid SQA/QA answer
+already wrapped in its language's answer-sentence tokens, except for two
+controlled kinds of mess: duplicate questions and answer spans that cross
+a sentence boundary. `build_corpus` generates each split, removes that
+mess (`dedup_answers`), carves the validation themes (`carve_validation`)
+and makes a fixed fraction of each SQA/QA split unanswerable
+(`make_invalid_split`).
 
 One `build_corpus` call draws each shared source once (`draw_pools`): the
 ASR sentence pool, one sentence pool per target language that its ST and
@@ -41,7 +46,6 @@ FILLER_PER_SLOT = (0, 2)  # distractor tokens before each fact
 D_SPEECH = 32  # frame width
 OFFSET_SCALE = 0.1  # scale of the within-token frame offsets
 INVALID_FRACTION = 0.2  # QA/SQA examples made unanswerable per split
-QUALITY_THRESHOLD = 0.85
 
 
 def theme_anchors(theme: int) -> list[int]:
@@ -208,8 +212,9 @@ def gen_task_dataset(
     derives them once from `cfg`). ASR reads `pools.sentences["src"]`; ST
     and MT for a target language both read that language's sentence pool;
     SQA and QA in every language read `pools.contexts`, with questions and
-    answers translated. `rng` draws only what is the split's own: speech
-    noise and duplicated questions.
+    answers translated. Their answers come out in fluent form: the span
+    between the language's `ans_open` and `ans_close`. `rng` draws only
+    what is the split's own: speech noise and duplicated questions.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
@@ -251,7 +256,7 @@ def gen_task_dataset(
             frames = synthesize_frames(context, acoustic, cfg, rng.split("frames", f"ctx-{language}-{i}"))
         for anchor, (start, end) in questions:
             q = (lang.q_sqa, lang.token_for_symbol(anchor))
-            answer = vocab.translate(context[start:end], "src", language)
+            answer = (lang.ans_open, *vocab.translate(context[start:end], "src", language), lang.ans_close)
             copies = 2 if dup_rng.split(f"{i}").uniform() < cfg.duplicate_fraction else 1
             for _ in range(copies):
                 examples.append(
@@ -278,17 +283,14 @@ def gen_task_dataset(
 
 def dedup_answers(examples: list[Example]) -> list[Example]:
     """Drop exact-duplicate (question, answer) pairs per context, and drop
-    questions whose answer span crosses a sentence-boundary marker."""
+    questions whose answer span crosses a sentence-boundary marker. Every
+    example is a freshly generated SQA/QA one, with a question and a span."""
     seen: set[tuple] = set()
     out = []
     for ex in examples:
-        if ex.question_tokens is None:
-            out.append(ex)
+        i, j = ex.span
+        if BOUND in ex.source_tokens[i:j]:
             continue
-        if ex.span is not None:
-            i, j = ex.span
-            if any(t == BOUND for t in ex.source_tokens[i:j]):
-                continue
         key = (ex.source_tokens, ex.question_tokens, ex.answer_tokens)
         if key in seen:
             continue
@@ -297,12 +299,12 @@ def dedup_answers(examples: list[Example]) -> list[Example]:
     return out
 
 
-def carve_validation(examples: list[Example], n_themes: int) -> tuple[list[Example], list[Example]]:
-    """Split off the first `n_themes` themes as the validation set."""
+def carve_validation(examples: list[Example]) -> tuple[list[Example], list[Example]]:
+    """Split off the first `CARVE_THEMES` themes as the validation set."""
     themes = sorted({ex.theme_id for ex in examples})
-    if n_themes >= len(themes):
-        raise ConfigError(f"cannot carve {n_themes} of {len(themes)} themes")
-    held = set(themes[:n_themes])
+    if CARVE_THEMES >= len(themes):
+        raise ConfigError(f"cannot carve {CARVE_THEMES} of {len(themes)} themes")
+    held = set(themes[:CARVE_THEMES])
     train = [ex for ex in examples if ex.theme_id not in held]
     val = [ex for ex in examples if ex.theme_id in held]
     return train, val
@@ -313,24 +315,22 @@ def _round_half_down(x: float) -> int:
     return base + (1 if (x - base) > 0.5 else 0)
 
 
-def make_invalid_split(examples: list[Example], fraction: float, rng: Rng, vocab: Vocab) -> list[Example]:
-    """Mismatch question and context themes for a deterministic fraction of
+def make_invalid_split(examples: list[Example], rng: Rng, vocab: Vocab) -> list[Example]:
+    """Mismatch question and context themes for `INVALID_FRACTION` of the
     examples; their answers become the language's not-answerable sequence.
     Every example must be in one language, so a donor question is too."""
     languages = {ex.language for ex in examples}
     if len(languages) > 1:
         raise ContractViolation(f"an invalid split draws on one language, got {sorted(languages)}")
-    if fraction == 0:
-        return list(examples)
     themes = {ex.theme_id for ex in examples}
     if len(themes) < 2:
         raise ConfigError("invalid split needs at least two themes")
-    n = _round_half_down(len(examples) * fraction)
+    n = _round_half_down(len(examples) * INVALID_FRACTION)
     order = rng.split("pick").permutation(len(examples))
     chosen = set(int(i) for i in order[:n])
     out = list(examples)
     donor_rng = rng.split("donor")
-    donors_of = {t: [d for d in examples if d.theme_id != t and d.question_tokens is not None] for t in themes}
+    donors_of = {t: [d for d in examples if d.theme_id != t] for t in themes}
     for idx in sorted(chosen):
         ex = out[idx]
         donors = donors_of[ex.theme_id]
@@ -346,42 +346,6 @@ def make_invalid_split(examples: list[Example], fraction: float, rng: Rng, vocab
     return out
 
 
-def default_quality_scorer(vocab: Vocab, language: str):
-    """Well-formedness score: fraction of tokens inside the language's image."""
-    image = vocab.vocabulary_image(language)
-
-    def score(tokens) -> float:
-        tokens = list(tokens)
-        if not tokens:
-            return 0.0
-        return sum(1 for t in tokens if t in image) / len(tokens)
-
-    return score
-
-
-def quality_filter(examples: list[Example], scorer, threshold: float) -> list[Example]:
-    """Keep an example only when question AND answer both clear the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
-    out = []
-    for ex in examples:
-        q = ex.question_tokens if ex.question_tokens is not None else ex.answer_tokens
-        if scorer(q) >= threshold and scorer(ex.answer_tokens) >= threshold:
-            out.append(ex)
-    return out
-
-
-def fluent_rewrite(example: Example, vocab: Vocab) -> Example:
-    """Wrap a valid QA answer in the language's answer-sentence tokens."""
-    if example.task not in ("SQA", "QA") or example.validity != "valid":
-        raise ContractViolation("fluent rewriting applies to valid SQA/QA examples only")
-    lang = vocab.lang(example.language)
-    ans = example.answer_tokens
-    if len(ans) >= 2 and ans[0] == lang.ans_open and ans[-1] == lang.ans_close:
-        return example
-    return replace(example, answer_tokens=(lang.ans_open,) + tuple(ans) + (lang.ans_close,))
-
-
 # ---------------------------------------------------------------------------
 # corpus assembly
 # ---------------------------------------------------------------------------
@@ -394,16 +358,17 @@ class Corpus:
     acoustic: AcousticCode
     splits: dict[tuple[str, str, str, str], list[Example]]  # (task, lang, validity, part)
 
-    def sampler_pools(self, part: str = "train") -> dict[tuple[str, str, str], list[Example]]:
+    def sampler_pools(self) -> dict[tuple[str, str, str], list[Example]]:
+        """The non-empty train splits, keyed by (task, lang, validity)."""
         return {
             (task, lang, validity): exs
-            for (task, lang, validity, p), exs in self.splits.items()
-            if p == part and exs
+            for (task, lang, validity, part), exs in self.splits.items()
+            if part == "train" and exs
         }
 
 
 def build_corpus(cfg: CorpusConfig) -> Corpus:
-    """Generate, clean, carve, corrupt and rewrite every task/language split.
+    """Generate, dedup, carve and corrupt every task/language split.
 
     The shared sources are drawn once per call (`draw_pools`) and read by
     every split built from them; a second call draws them again.
@@ -421,7 +386,7 @@ def build_corpus(cfg: CorpusConfig) -> Corpus:
     for task, langs in (("ASR", ("src",)), ("ST", TARGET_LANGUAGES), ("MT", TARGET_LANGUAGES)):
         for lang in langs:
             exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic, pools)
-            train, val = carve_validation(exs, CARVE_THEMES)
+            train, val = carve_validation(exs)
             put(task, lang, "valid", "train", train)
             put(task, lang, "valid", "dev", val)
 
@@ -441,20 +406,13 @@ def build_corpus(cfg: CorpusConfig) -> Corpus:
         ]
         put("MT", "src", "valid", part, reverse)
 
-    # SQA / QA: dedup, carve, invalid split, quality filter, fluent rewrite.
+    # SQA / QA: dedup, carve, then make a fixed fraction unanswerable.
     for task in ("SQA", "QA"):
         for lang in LANGUAGES:
             exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic, pools)
-            exs = dedup_answers(exs)
-            train, val = carve_validation(exs, CARVE_THEMES)
-            scorer = default_quality_scorer(vocab, lang)
-            for part, pool in (("train", train), ("dev", val)):
-                pool = make_invalid_split(pool, INVALID_FRACTION, root.split("invalid", task, lang, part), vocab)
-                pool = quality_filter(pool, scorer, QUALITY_THRESHOLD)
-                valid = [ex for ex in pool if ex.validity == "valid"]
-                invalid = [ex for ex in pool if ex.validity == "invalid"]
-                valid = [fluent_rewrite(ex, vocab) for ex in valid]
-                put(task, lang, "valid", part, valid)
-                put(task, lang, "invalid", part, invalid)
+            for part, pool in zip(("train", "dev"), carve_validation(dedup_answers(exs))):
+                pool = make_invalid_split(pool, root.split("invalid", task, lang, part), vocab)
+                for validity in ("valid", "invalid"):
+                    put(task, lang, validity, part, [ex for ex in pool if ex.validity == validity])
 
     return Corpus(cfg=cfg, vocab=vocab, acoustic=acoustic, splits=splits)

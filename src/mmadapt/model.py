@@ -139,12 +139,6 @@ class _Params:
             t.data = arrays[name].astype(t.data.dtype)
 
 
-@dataclass
-class LoraPair:
-    A: Tensor  # (r, d_in)
-    B: Tensor  # (d_out, r), zero at init
-
-
 def _site_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
     d, f = cfg.d_model, cfg.d_ffn
     return {
@@ -158,24 +152,20 @@ def _site_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
 
 
 class LoraAdapters(_Params):
-    """One low-rank pair per (layer, site) across all backbone layers."""
+    """One low-rank pair per (layer, site) across all backbone layers, held in
+    `params` as `layers.{layer}.{site}.A` (r, d_in) and `.B` (d_out, r), B
+    zero at init."""
 
     def __init__(self, backbone_cfg: BackboneConfig, cfg: LoraConfig, rng: Rng, dtype=np.float32):
         self.cfg = cfg
-        self.pairs: dict[tuple[int, str], LoraPair] = {}
+        self.params = {}
         shapes = _site_shapes(backbone_cfg)
         for layer in range(backbone_cfg.n_layers):
-            for site in cfg.targets:
+            for site in sorted(cfg.targets):
                 d_out, d_in = shapes[site]
                 a = rng.split(f"{layer}", site).normal(size=(cfg.rank, d_in), scale=1.0 / np.sqrt(d_in))
-                self.pairs[(layer, site)] = LoraPair(
-                    A=parameter(a.astype(dtype)),
-                    B=parameter(np.zeros((d_out, cfg.rank), dtype=dtype)),
-                )
-        self.params = {}
-        for (layer, site), pair in sorted(self.pairs.items()):
-            self.params[f"layers.{layer}.{site}.A"] = pair.A
-            self.params[f"layers.{layer}.{site}.B"] = pair.B
+                self.params[f"layers.{layer}.{site}.A"] = parameter(a.astype(dtype))
+                self.params[f"layers.{layer}.{site}.B"] = parameter(np.zeros((d_out, cfg.rank), dtype=dtype))
 
 
 def fold_adapters(params: dict[str, Tensor], lora: LoraAdapters | None) -> dict[str, Tensor]:
@@ -189,9 +179,12 @@ def fold_adapters(params: dict[str, Tensor], lora: LoraAdapters | None) -> dict[
     if lora is None:
         return params
     folded = dict(params)
-    for (layer, site), pair in lora.pairs.items():
-        name = f"layers.{layer}.{_SITE_WEIGHT[site]}"
-        folded[name] = add(params[name], scale(matmul(pair.B, pair.A), lora.cfg.scaling))
+    for key, a in lora.params.items():
+        _, layer, site, part = key.split(".")
+        if part == "A":
+            name = f"layers.{layer}.{_SITE_WEIGHT[site]}"
+            b = lora.params[f"layers.{layer}.{site}.B"]
+            folded[name] = add(params[name], scale(matmul(b, a), lora.cfg.scaling))
     return folded
 
 

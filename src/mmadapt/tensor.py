@@ -176,23 +176,13 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _make_node("concat", y, tuple(tensors), backward)
 
 
-def _is_basic_key(key) -> bool:
-    """Ints, slices, Ellipsis and None only: such a key selects each element
-    at most once, so scattering into it needs no accumulation."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice)) for k in parts)
-
-
 def tslice(a: Tensor, key) -> Tensor:
     a = _as_tensor(a)
     y = a.data[key]
 
     def backward(g):
         buf = np.zeros_like(a.data)
-        if _is_basic_key(key):
-            buf[key] = g
-        else:
-            np.add.at(buf, key, g)
+        np.add.at(buf, key, g)
         return (buf,)
 
     return _make_node("slice", y, (a,), backward)

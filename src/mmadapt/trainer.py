@@ -324,7 +324,7 @@ class Trainer:
         optimizers = {c: AdamW(params[c], plan.optimizers[c]) for c in plan.trainable}
         param_list = [t for ps in params.values() for t in ps.values()]
 
-        pools = self.corpus.sampler_pools("train")
+        pools = self.corpus.sampler_pools()
         log: list[TrainLogRecord] = []
         evals: list[EvalRecord] = []
         train_rng = rng.split("train")

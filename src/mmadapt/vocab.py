@@ -40,7 +40,6 @@ class ToyLanguage:
     """One toy language: a lexical range plus its reserved tokens."""
 
     id: str
-    index: int
     perm: tuple[int, ...]  # base symbol -> offset within the lexical range
     lex_base: int
     n_symbols: int
@@ -67,7 +66,6 @@ class ToyLanguage:
 @dataclass(frozen=True)
 class Vocab:
     size: int
-    n_symbols: int
     languages: dict[str, ToyLanguage] = field(repr=False)
     # (src, dst) -> {lexical token of src: the same symbol's token in dst}
     tables: dict[tuple[str, str], dict[int, int]] = field(repr=False)
@@ -100,16 +98,6 @@ class Vocab:
         winners = [lid for lid, c in counts.items() if c == best]
         return winners[0] if len(winners) == 1 else None
 
-    def vocabulary_image(self, lang_id: str) -> frozenset[int]:
-        """Tokens counted as well-formed for the language (quality scoring)."""
-        lang = self.lang(lang_id)
-        toks = set(lang.lexical_range)
-        toks.update(lang.not_answerable)
-        toks.update((lang.q_sqa, lang.ans_open, lang.ans_close))
-        if lang.q_st is not None:
-            toks.add(lang.q_st)
-        return frozenset(toks)
-
     @property
     def normalization_drop_ids(self) -> frozenset[int]:
         """Punctuation-like tokens removed by text normalization."""
@@ -130,7 +118,6 @@ def build_vocab(n_symbols: int = 16, seed: int = 0, size: int = 96) -> Vocab:
         perm = tuple(int(x) for x in rng.split(lang_id).permutation(n_symbols))
         languages[lang_id] = ToyLanguage(
             id=lang_id,
-            index=g,
             perm=perm,
             lex_base=LEX_BASE + g * n_symbols,
             n_symbols=n_symbols,
@@ -145,4 +132,4 @@ def build_vocab(n_symbols: int = 16, seed: int = 0, size: int = 96) -> Vocab:
         for a in languages.values()
         for b in languages.values()
     }
-    return Vocab(size=size, n_symbols=n_symbols, languages=languages, tables=tables)
+    return Vocab(size=size, languages=languages, tables=tables)

@@ -8,18 +8,14 @@ from mmadapt import corpus as corpus_module
 from mmadapt.corpus import (
     D_SPEECH,
     N_SYMBOLS,
-    N_THEMES,
     CorpusConfig,
     build_corpus,
     carve_validation,
     dedup_answers,
-    default_quality_scorer,
     draw_pools,
-    fluent_rewrite,
     gen_task_dataset,
     make_acoustic_code,
     make_invalid_split,
-    quality_filter,
     synthesize_frames,
 )
 from mmadapt.errors import ConfigError, ContractViolation, VocabularyError
@@ -120,14 +116,16 @@ def test_st_and_mt_share_source_sentences():
 
 
 def test_sqa_answers_match_spans(cfg, vocab, acoustic, pools):
-    # Span-extraction oracle: the recorded span indexes the context exactly.
+    # Span-extraction oracle: the recorded span indexes the context exactly,
+    # and the answer is that span, translated, in its fluent wrapping.
     for lang in ("src", "tgt3"):
+        wrap = vocab.lang(lang)
         for ex in gen_task_dataset("SQA", lang, cfg, Rng(2).split(lang), vocab, acoustic, pools):
             i, j = ex.span
             span = ex.source_tokens[i:j]
             if lang == "src":
-                assert ex.answer_tokens == span
-            assert ex.answer_tokens == vocab.translate(span, "src", lang)
+                assert ex.answer_tokens == (wrap.ans_open, *span, wrap.ans_close)
+            assert ex.answer_tokens == (wrap.ans_open, *vocab.translate(span, "src", lang), wrap.ans_close)
 
 
 def test_asr_requires_source_language(cfg, vocab, acoustic, pools):
@@ -174,27 +172,22 @@ def test_dedup_keeps_one_of_identical_pairs(cfg, vocab, acoustic, pools):
 
 def test_carve_validation_partitions_by_theme(cfg, vocab, acoustic, pools):
     exs = gen_task_dataset("MT", "tgt1", cfg, Rng(6).split("mt"), vocab, acoustic, pools)
-    train, val = carve_validation(exs, 2)
+    train, val = carve_validation(exs)
     assert {e.theme_id for e in val} == {0, 1}
     assert not ({e.id for e in train} & {e.id for e in val})
     assert len(train) + len(val) == len(exs)
-    with pytest.raises(ConfigError):
-        carve_validation(exs, N_THEMES)
+    with pytest.raises(ConfigError):  # carving every theme would leave no train split
+        carve_validation(val)
 
 
 def test_invalid_split_mismatches_themes(cfg, vocab, acoustic, pools):
     exs = dedup_answers(gen_task_dataset("QA", "tgt2", cfg, Rng(7).split("qa"), vocab, acoustic, pools))
-    out = make_invalid_split(exs, 0.25, Rng(8), vocab)
+    out = make_invalid_split(exs, Rng(8), vocab)
     invalid = [e for e in out if e.validity == "invalid"]
     assert invalid
     for e in invalid:
         assert effective_question_theme(e) != e.theme_id
         assert e.answer_tokens == vocab.lang("tgt2").not_answerable
-
-
-def test_invalid_split_fraction_zero_is_identity(cfg, vocab, acoustic, pools):
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
-    assert make_invalid_split(exs, 0.0, Rng(1), vocab) == exs
 
 
 def test_invalid_split_deterministic_count(vocab, acoustic):
@@ -203,7 +196,7 @@ def test_invalid_split_deterministic_count(vocab, acoustic):
     exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(11).split("qa"), vocab, acoustic, pools))
     assert len(exs) >= 1000
     exs = exs[:1000]
-    out = make_invalid_split(exs, 0.2, Rng(12), vocab)
+    out = make_invalid_split(exs, Rng(12), vocab)
     assert sum(1 for e in out if e.validity == "invalid") == 200
 
 
@@ -211,7 +204,7 @@ def test_invalid_split_single_theme_rejected(cfg, vocab, acoustic, pools):
     exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
     one_theme = [e for e in exs if e.theme_id == 2]
     with pytest.raises(ConfigError):
-        make_invalid_split(one_theme, 0.5, Rng(0), vocab)
+        make_invalid_split(one_theme, Rng(0), vocab)
 
 
 def test_invalid_split_rejects_mixed_languages_before_any_change(cfg, vocab, acoustic, pools):
@@ -220,51 +213,9 @@ def test_invalid_split_rejects_mixed_languages_before_any_change(cfg, vocab, aco
     tgt = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
     mixed = src[:6] + tgt[:6]
     kept = list(mixed)
-    for fraction in (0.0, 0.5):
-        with pytest.raises(ContractViolation, match="one language"):
-            make_invalid_split(mixed, fraction, Rng(3), vocab)
+    with pytest.raises(ContractViolation, match="one language"):
+        make_invalid_split(mixed, Rng(3), vocab)
     assert mixed == kept and all(e.validity == "valid" for e in mixed)
-
-
-def test_quality_filter_requires_both_scores():
-    scores = {("q1",): 0.9, ("a1",): 0.9, ("q2",): 0.9, ("a2",): 0.8}
-
-    class P:
-        def __init__(self, q, a):
-            self.question_tokens, self.answer_tokens = q, a
-
-    pairs = [P(("q1",), ("a1",)), P(("q2",), ("a2",))]
-    kept = quality_filter(pairs, lambda t: scores[tuple(t)], 0.85)
-    assert kept == [pairs[0]]
-    assert quality_filter([], lambda t: 1.0, 0.85) == []
-    with pytest.raises(ConfigError):
-        quality_filter(pairs, lambda t: 1.0, 1.5)
-
-
-def test_quality_filter_monotone(cfg, vocab, acoustic, pools):
-    exs = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(13).split("qa"), vocab, acoustic, pools))
-    scorer = default_quality_scorer(vocab, "tgt1")
-    sizes = [len(quality_filter(exs, scorer, t)) for t in (0.0, 0.5, 0.85, 1.0)]
-    assert sizes == sorted(sizes, reverse=True)
-
-
-def test_fluent_rewrite_wraps_and_is_idempotent(cfg, vocab, acoustic, pools):
-    exs = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(14).split("qa"), vocab, acoustic, pools))
-    lang = vocab.lang("tgt1")
-    ex = exs[0]
-    once = fluent_rewrite(ex, vocab)
-    assert once.answer_tokens == (lang.ans_open,) + ex.answer_tokens + (lang.ans_close,)
-    assert fluent_rewrite(once, vocab).answer_tokens == once.answer_tokens
-    scorer = default_quality_scorer(vocab, "tgt1")
-    assert scorer(once.answer_tokens) >= 0.85
-
-
-def test_fluent_rewrite_rejects_invalid_examples(cfg, vocab, acoustic, pools):
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(15).split("qa"), vocab, acoustic, pools))
-    bad = make_invalid_split(exs, 0.5, Rng(16), vocab)
-    inv = next(e for e in bad if e.validity == "invalid")
-    with pytest.raises(ContractViolation):
-        fluent_rewrite(inv, vocab)
 
 
 def _corpus_digest(corpus) -> str:
@@ -317,3 +268,48 @@ def test_small_corpus_is_pinned_to_its_recorded_digest():
     # so a generation constant that drifts from its old default fails here.
     corpus = build_corpus(CorpusConfig(seed=3, n_sentences=48, n_contexts=24))
     assert _corpus_digest(corpus) == "57cd7cff257b22f5f1071a048bc9e504fc59c459243244a79d8fe3350d72b0ff"
+
+
+# The corpus every benchmark workload builds, at two seeds. Recorded while a
+# well-formedness filter and a separate answer-rewrite pass still ran, so a
+# generation change that alters the benchmark's data fails here.
+FULL_DIGESTS = {
+    1: "150cfdc3ec04d122c5dc641ce07ec70d2bdbed6256ac0564814f680860eca47a",
+    7: "38d6060eeee22af5f34d4f593f52a4d0e68699c04f9464b1229dbd39f7c3f267",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FULL_DIGESTS))
+def full_corpus(request):
+    return build_corpus(CorpusConfig(seed=request.param))
+
+
+def test_benchmark_size_corpus_is_pinned_to_its_recorded_digest(full_corpus):
+    assert _corpus_digest(full_corpus) == FULL_DIGESTS[full_corpus.cfg.seed]
+
+
+def _qa_splits(corpus):
+    for (task, lang, validity, part), exs in corpus.splits.items():
+        if task in ("SQA", "QA"):
+            assert exs, (task, lang, validity, part)
+            yield corpus.vocab.lang(lang), validity, exs
+
+
+def test_qa_questions_and_answers_use_only_their_languages_tokens(full_corpus):
+    # Generation writes only the language's lexical tokens and its question
+    # and answer markers, so a well-formedness filter would drop nothing.
+    for lang, _, exs in _qa_splits(full_corpus):
+        allowed = {*lang.lexical_range, *lang.not_answerable, lang.q_sqa, lang.ans_open, lang.ans_close}
+        for e in exs:
+            assert set(e.question_tokens) <= allowed and set(e.answer_tokens) <= allowed, e.id
+
+
+def test_valid_answers_are_wrapped_and_invalid_answers_are_not_answerable(full_corpus):
+    for lang, validity, exs in _qa_splits(full_corpus):
+        for e in exs:
+            assert e.validity == validity
+            if validity == "valid":
+                assert len(e.answer_tokens) > 2 and e.answer_tokens[0] == lang.ans_open
+                assert e.answer_tokens[-1] == lang.ans_close and lang.ans_close not in e.answer_tokens[1:-1]
+            else:
+                assert e.answer_tokens == lang.not_answerable

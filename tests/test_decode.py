@@ -114,8 +114,10 @@ def _adapted_models(seed: int):
         if not name.endswith((".g", ".b")):
             t.data = rng.split("w", name).normal(size=t.shape) * 0.5
     adapters = LoraAdapters(DEEP, LoraConfig(rank=2, alpha=4.0, targets=LORA_SITES), rng.split("lora"), dtype=np.float64)
-    for (layer, site), pair in adapters.pairs.items():
-        pair.B.data = rng.split("B", str(layer), site).normal(size=pair.B.shape) * 0.3
+    for name, t in adapters.params.items():
+        _, layer, site, part = name.split(".")
+        if part == "B":
+            t.data = rng.split("B", layer, site).normal(size=t.shape) * 0.3
     projector = SpeechProjector(SPEECH, rng.split("projector"), dtype=np.float64)
     return bb, adapters, projector
 

@@ -137,11 +137,11 @@ def _one_pair(cfg: LoraConfig, A, B) -> LoraAdapters:
     return adapters
 
 
-def _unfolded_linear(x: Tensor, W: Tensor, lora: LoraAdapters, key: tuple[int, str]) -> Tensor:
+def _unfolded_linear(x: Tensor, W: Tensor, lora: LoraAdapters, prefix: str) -> Tensor:
     """The reference adapted projection, x @ W^T + (alpha/r) * (x @ A^T) @ B^T,
-    computed per row without touching W."""
-    pair = lora.pairs[key]
-    delta = matmul(matmul(x, pair.A, transpose_b=True), pair.B, transpose_b=True)
+    computed per row without touching W, for the adapter `{prefix}.A/B`."""
+    A, B = lora.params[f"{prefix}.A"], lora.params[f"{prefix}.B"]
+    delta = matmul(matmul(x, A, transpose_b=True), B, transpose_b=True)
     return add(matmul(x, W, transpose_b=True), scale(delta, lora.cfg.scaling))
 
 
@@ -163,8 +163,10 @@ def test_lora_hand_case():
 
 
 def _with_random_b(adapters: LoraAdapters, rng: Rng, std: float = 0.3) -> LoraAdapters:
-    for (layer, site), pair in adapters.pairs.items():
-        pair.B.data = rng.split(str(layer), site).normal(size=pair.B.shape) * std
+    for name, t in adapters.params.items():
+        _, layer, site, part = name.split(".")
+        if part == "B":
+            t.data = rng.split(layer, site).normal(size=t.shape) * std
     return adapters
 
 
@@ -177,8 +179,11 @@ def test_lora_matches_dense_delta_oracle():
     adapters = _with_random_b(LoraAdapters(SMALL_BB, cfg, Rng(91), dtype=np.float64), Rng(92))
     merged = Backbone(SMALL_BB, Rng(9), dtype=np.float64)
     arrays = {k: a.copy() for k, a in bb.param_arrays().items()}
-    for (layer, site), pair in adapters.pairs.items():
-        arrays[f"layers.{layer}.{SITE_WEIGHTS[site]}"] += cfg.scaling * pair.B.data @ pair.A.data
+    p = adapters.params
+    for layer in range(SMALL_BB.n_layers):
+        for site in LORA_SITES:
+            delta = p[f"layers.{layer}.{site}.B"].data @ p[f"layers.{layer}.{site}.A"].data
+            arrays[f"layers.{layer}.{SITE_WEIGHTS[site]}"] += cfg.scaling * delta
     merged.load_arrays(arrays)
     rng = Rng(93)
     for _ in range(10):
@@ -199,12 +204,13 @@ def test_lora_shape_mismatch_rejected():
 def test_lora_frozen_base_gets_no_gradient():
     rng = Rng(10)
     adapters = LoraAdapters(ONE_SITE, LoraConfig(rank=2, alpha=4.0, targets=("attn_q",)), rng, dtype=np.float64)
-    pair = _with_random_b(adapters, rng.split("B")).pairs[(0, "attn_q")]
+    params = _with_random_b(adapters, rng.split("B")).params
+    A, B = params["layers.0.attn_q.A"], params["layers.0.attn_q.B"]
     W = Tensor(rng.normal(size=(2, 2)))  # frozen: requires_grad False
     folded = fold_adapters({"layers.0.wq": W}, adapters)["layers.0.wq"]
     y = matmul(Tensor(rng.normal(size=(3, 2))), folded, transpose_b=True)
-    g = grad(mean(mul(y, y)), [pair.A, pair.B, W])
-    assert np.any(g[pair.A].data != 0) and np.any(g[pair.B].data != 0)
+    g = grad(mean(mul(y, y)), [A, B, W])
+    assert np.any(g[A].data != 0) and np.any(g[B].data != 0)
     np.testing.assert_array_equal(g[W].data, 0)
 
 
@@ -217,19 +223,22 @@ def test_folded_projection_matches_unfolded_reference_on_every_site():
     )
     folded = fold_adapters(bb.params, adapters)
     rng = Rng(44)
-    for (layer, site), pair in sorted(adapters.pairs.items()):
-        name = f"layers.{layer}.{SITE_WEIGHTS[site]}"
-        W = bb.params[name]
-        x = Tensor(rng.split(name).normal(size=(2, 5, W.shape[1])))
-        weights = Tensor(rng.split(name, "w").normal(size=(2, 5, W.shape[0])))
-        want = _unfolded_linear(x, W, adapters, (layer, site))
-        got = matmul(x, folded[name], transpose_b=True)
-        np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=1e-12)
-        g_want = grad(mean(mul(want, weights)), [pair.A, pair.B])
-        g_got = grad(mean(mul(got, weights)), [pair.A, pair.B])
-        for t in (pair.A, pair.B):
-            assert np.any(g_want[t].data != 0)
-            np.testing.assert_allclose(g_got[t].data, g_want[t].data, rtol=1e-10, atol=1e-12)
+    for layer in range(SMALL_BB.n_layers):
+        for site in LORA_SITES:
+            name = f"layers.{layer}.{SITE_WEIGHTS[site]}"
+            prefix = f"layers.{layer}.{site}"
+            A, B = adapters.params[f"{prefix}.A"], adapters.params[f"{prefix}.B"]
+            W = bb.params[name]
+            x = Tensor(rng.split(name).normal(size=(2, 5, W.shape[1])))
+            weights = Tensor(rng.split(name, "w").normal(size=(2, 5, W.shape[0])))
+            want = _unfolded_linear(x, W, adapters, prefix)
+            got = matmul(x, folded[name], transpose_b=True)
+            np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=1e-12)
+            g_want = grad(mean(mul(want, weights)), [A, B])
+            g_got = grad(mean(mul(got, weights)), [A, B])
+            for t in (A, B):
+                assert np.any(g_want[t].data != 0)
+                np.testing.assert_allclose(g_got[t].data, g_want[t].data, rtol=1e-10, atol=1e-12)
 
 
 def test_lora_config_guards():
@@ -239,7 +248,9 @@ def test_lora_config_guards():
         LoraConfig(targets=("attn_q", "banana"))
     assert "attn_v" not in LoraConfig().targets
     adapters = LoraAdapters(SMALL_BB, LoraConfig(targets=("attn_q", "attn_v")), Rng(11))
-    assert sorted(adapters.pairs) == [(i, s) for i in range(SMALL_BB.n_layers) for s in ("attn_q", "attn_v")]
+    assert list(adapters.params) == [
+        f"layers.{i}.{s}.{part}" for i in range(SMALL_BB.n_layers) for s in ("attn_q", "attn_v") for part in "AB"
+    ]
 
 
 def _components() -> dict:
@@ -362,10 +373,11 @@ def test_end_to_end_gradient_projector_lora_backbone_loss():
     proj = SpeechProjector(SMALL_PROJ, Rng(22), dtype=np.float64)
     _scale_up_weights(proj.params, Rng(220))
     adapters = LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0), Rng(23), dtype=np.float64)
-    for pair in adapters.pairs.values():  # non-zero B so its gradient path is exercised
-        pair.B.data = Rng(24).normal(size=pair.B.shape) * 0.1
+    for name, t in adapters.params.items():  # non-zero B so its gradient path is exercised
+        if name.endswith(".B"):
+            t.data = Rng(24).normal(size=t.shape) * 0.1
     frames = Rng(25).normal(size=(2, SMALL_PROJ.d_in))
-    params = list(proj.params.values()) + [t for p in adapters.pairs.values() for t in (p.A, p.B)]
+    params = list(proj.params.values()) + list(adapters.params.values())
 
     def f(_):
         speech = proj.forward(Tensor(frames), train=False)
