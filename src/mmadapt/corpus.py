@@ -17,6 +17,13 @@ One `build_corpus` call draws each shared source once (`draw_pools`): the
 ASR sentence pool, one sentence pool per target language that its ST and
 MT splits both read, and one context list that all eight SQA/QA splits
 read. Nothing is cached across calls: a second build draws them again.
+
+Speech frames are synthesized on first read. A speech example holds an
+`Utterance`, which synthesizes its frames the first time they are read and
+keeps them; every example of one utterance shares one holder. Each
+utterance draws its noise from its own label-addressed stream, so the
+order of reads changes no value. The frames live as long as the corpus
+that holds them: a second build synthesizes them again.
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ class CorpusConfig:
 
 @dataclass(frozen=True)
 class Example:
+    """One task example. A speech task's example holds its `Utterance`,
+    whose frames are synthesized when `frames` is first read."""
+
     id: str
     theme_id: int
     task: str
@@ -83,13 +93,19 @@ class Example:
     validity: str = "valid"
     span: tuple[int, int] | None = None  # QA answer span [i, j) into source_tokens
     question_theme_id: int | None = None
-    frames: np.ndarray | None = field(default=None, repr=False, compare=False)
+    speech: Utterance | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.frames is not None) and self.task not in SPEECH_TASKS:
+        if (self.speech is not None) and self.task not in SPEECH_TASKS:
             raise ContractViolation(f"{self.task} examples carry no speech")
         if self.validity == "invalid" and self.task not in ("SQA", "QA"):
             raise ContractViolation("only SQA/QA examples can be invalid")
+
+    @property
+    def frames(self) -> np.ndarray | None:
+        """The (T, D_SPEECH) speech frames, synthesized on first read; None
+        for an example without speech."""
+        return None if self.speech is None else self.speech.frames
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +141,31 @@ def synthesize_frames(tokens, acoustic: AcousticCode, cfg: CorpusConfig, rng: Rn
     if cfg.noise_sigma > 0:
         frames = frames + cfg.noise_sigma * rng.normal(size=frames.shape)
     return frames.astype(np.float32)
+
+
+@dataclass(eq=False, slots=True)
+class Utterance:
+    """One utterance's frames, synthesized on first read and then kept,
+    read-only, for every example that holds it.
+
+    The noise stream is `rng.split(*labels)`, derived only when the frames
+    are first read.
+    """
+
+    tokens: tuple[int, ...]
+    acoustic: AcousticCode
+    cfg: CorpusConfig
+    rng: Rng
+    labels: tuple[str, ...]
+    _frames: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def frames(self) -> np.ndarray:
+        if self._frames is None:
+            frames = synthesize_frames(self.tokens, self.acoustic, self.cfg, self.rng.split(*self.labels))
+            frames.flags.writeable = False
+            self._frames = frames
+        return self._frames
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +256,9 @@ def gen_task_dataset(
     answers translated. Their answers come out in fluent form: the span
     between the language's `ans_open` and `ans_close`. `rng` draws only
     what is the split's own: speech noise and duplicated questions.
+
+    A speech example holds an `Utterance`, not frames: they are synthesized
+    when first read. All questions of one SQA context share its holder.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
@@ -232,9 +276,7 @@ def gen_task_dataset(
         for i, source in enumerate(pools.sentences[language]):
             answer = source if task == "ASR" else vocab.translate(source, "src", language)
             ex_id = f"{task.lower()}-{language}-{i:05d}"
-            frames = None
-            if speech:
-                frames = synthesize_frames(source, acoustic, cfg, rng.split("frames", ex_id))
+            utterance = Utterance(source, acoustic, cfg, rng, ("frames", ex_id)) if speech else None
             examples.append(
                 Example(
                     id=ex_id,
@@ -243,7 +285,7 @@ def gen_task_dataset(
                     language=language,
                     source_tokens=source,
                     answer_tokens=answer,
-                    frames=frames,
+                    speech=utterance,
                 )
             )
         return examples
@@ -251,9 +293,7 @@ def gen_task_dataset(
     dup_rng = rng.split("dups")
     i = 0
     for theme, context, questions in pools.contexts:
-        frames = None
-        if speech:
-            frames = synthesize_frames(context, acoustic, cfg, rng.split("frames", f"ctx-{language}-{i}"))
+        utterance = Utterance(context, acoustic, cfg, rng, ("frames", f"ctx-{language}-{i}")) if speech else None
         for anchor, (start, end) in questions:
             q = (lang.q_sqa, lang.token_for_symbol(anchor))
             answer = (lang.ans_open, *vocab.translate(context[start:end], "src", language), lang.ans_close)
@@ -269,7 +309,7 @@ def gen_task_dataset(
                         question_tokens=q,
                         answer_tokens=answer,
                         span=(start, end),
-                        frames=frames,
+                        speech=utterance,
                     )
                 )
                 i += 1

@@ -380,11 +380,11 @@ def average_frames(frames: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return frames
     T = frames.shape[0]
-    n_groups = int(np.ceil(T / k))
-    out = np.empty((n_groups, frames.shape[1]), dtype=frames.dtype)
-    for g in range(n_groups):
-        out[g] = frames[g * k : min((g + 1) * k, T)].mean(axis=0)
-    return out
+    full = T // k * k
+    groups = frames[:full].reshape(-1, k, frames.shape[1]).mean(axis=1)
+    if full == T:
+        return groups
+    return np.concatenate([groups, frames[full:].mean(axis=0, keepdims=True)])
 
 
 def splice_grid(rows, vocab_size: int, max_seq_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

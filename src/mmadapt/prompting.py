@@ -49,10 +49,7 @@ def question_line(task: str, language: str, vocab: Vocab, example: Example | Non
     if task == "ASR":
         return (Q_ASR,)
     if task in ("ST", "MT"):
-        q = vocab.lang(language).q_st
-        if q is None:
-            raise ContractViolation("translation tasks have no source-language instruction")
-        return (q,)
+        return (vocab.lang(language).q_st,)
     if task in ("SQA", "QA"):
         if example is None or example.question_tokens is None:
             raise ContractViolation(f"{task} rendering needs the example's question")

@@ -12,13 +12,16 @@ import hashlib
 import numpy as np
 
 
-def _derive_key(seed: int, path: tuple[str, ...]) -> int:
+def _derive_key(seed: int, path: tuple[str, ...]) -> np.ndarray:
+    """The first 16 bytes of the path's SHA-256 as four little-endian uint32
+    words: the words `SeedSequence` splits the equal 128-bit int into, read
+    without building the int."""
     h = hashlib.sha256()
     h.update(str(int(seed)).encode())
     for label in path:
         h.update(b"/")
         h.update(label.encode())
-    return int.from_bytes(h.digest()[:16], "little")
+    return np.frombuffer(h.digest()[:16], dtype="<u4")
 
 
 class Rng:

@@ -47,7 +47,7 @@ class ToyLanguage:
     not_answerable: tuple[int, ...]
     ans_open: int
     ans_close: int
-    q_st: int | None  # None for the source language
+    q_st: int  # translate-into-this-language instruction; Q_ST_SRC for the source language
 
     def token_for_symbol(self, symbol: int) -> int:
         return self.lex_base + self.perm[symbol]

@@ -11,7 +11,12 @@ loss assembled example by example, the definition the one-grid splice in
 `frames_by_repeat_tile` are the token-by-token translation and the
 repeat-and-tile frame synthesis that `Vocab.translate`'s tables and
 `synthesize_frames`' broadcast must match bit for bit.
+`average_frames_by_group` is the group-by-group mean pooling that
+`average_frames`' reshape must match bit for bit, and `int_key` is the
+128-bit int seed that an `Rng`'s uint32 key words must equal.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -166,6 +171,27 @@ def frames_by_repeat_tile(tokens, acoustic: AcousticCode, cfg: CorpusConfig, rng
     if cfg.noise_sigma > 0:
         frames = frames + cfg.noise_sigma * rng.normal(size=frames.shape)
     return frames.astype(np.float32)
+
+
+def average_frames_by_group(frames: np.ndarray, k: int) -> np.ndarray:
+    """Mean of every k consecutive rows, one group at a time; the final
+    partial group is averaged over its actual size."""
+    T = frames.shape[0]
+    n_groups = int(np.ceil(T / k))
+    out = np.empty((n_groups, frames.shape[1]), dtype=frames.dtype)
+    for g in range(n_groups):
+        out[g] = frames[g * k : min((g + 1) * k, T)].mean(axis=0)
+    return out
+
+
+def int_key(seed: int, path: tuple[str, ...]) -> int:
+    """The first 16 bytes of the path's SHA-256, read as a little-endian int."""
+    h = hashlib.sha256()
+    h.update(str(int(seed)).encode())
+    for label in path:
+        h.update(b"/")
+        h.update(label.encode())
+    return int.from_bytes(h.digest()[:16], "little")
 
 
 def _splice_pieces(wte: Tensor, prefix, block: Tensor | None, tail) -> Tensor:

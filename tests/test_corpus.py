@@ -1,5 +1,5 @@
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from mmadapt.corpus import (
     D_SPEECH,
     N_SYMBOLS,
     CorpusConfig,
+    Example,
+    Utterance,
     build_corpus,
     carve_validation,
     dedup_answers,
@@ -19,6 +21,7 @@ from mmadapt.corpus import (
     synthesize_frames,
 )
 from mmadapt.errors import ConfigError, ContractViolation, VocabularyError
+from mmadapt.prompting import render_prompt
 from mmadapt.rng import Rng
 from mmadapt.vocab import BOUND, LANGUAGES, TARGET_LANGUAGES, build_vocab
 
@@ -313,3 +316,81 @@ def test_valid_answers_are_wrapped_and_invalid_answers_are_not_answerable(full_c
                 assert e.answer_tokens[-1] == lang.ans_close and lang.ans_close not in e.answer_tokens[1:-1]
             else:
                 assert e.answer_tokens == lang.not_answerable
+
+
+# ---------------------------------------------------------------------------
+# frames are synthesized on first read
+# ---------------------------------------------------------------------------
+
+
+def _count_synthesis(monkeypatch) -> list:
+    """Record the noise stream's label path of every `synthesize_frames` call."""
+    calls = []
+
+    def counted(tokens, acoustic, cfg, rng, _synthesize=corpus_module.synthesize_frames):
+        calls.append(rng.path)
+        return _synthesize(tokens, acoustic, cfg, rng)
+
+    monkeypatch.setattr(corpus_module, "synthesize_frames", counted)
+    return calls
+
+
+def test_build_and_text_rendering_synthesize_no_frames(monkeypatch):
+    calls = _count_synthesis(monkeypatch)
+    corpus = build_corpus(CorpusConfig(seed=7))
+    for exs in corpus.sampler_pools().values():
+        for ex in exs:
+            render_prompt(ex, "text", corpus.vocab, frame_avg_k=3)
+    assert not calls
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_frames_do_not_depend_on_the_order_they_are_read_in(order):
+    # Each utterance draws its noise from its own label-addressed stream.
+    corpus = build_corpus(CorpusConfig(seed=7))
+    keys = sorted(corpus.splits)
+    for key in keys if order == "forward" else keys[::-1]:
+        exs = corpus.splits[key]
+        for e in exs if order == "forward" else exs[::-1]:
+            e.frames
+    assert _corpus_digest(corpus) == FULL_DIGESTS[7]
+
+
+def test_duplicate_questions_share_their_contexts_utterance(cfg, vocab, acoustic, pools):
+    exs = gen_task_dataset("SQA", "tgt1", cfg, Rng(9).split("sqa"), vocab, acoustic, pools)
+    assert max(Counter((e.source_tokens, e.question_tokens) for e in exs).values()) > 1
+    contexts = Counter(ctx for _, ctx, _ in pools.contexts)
+    holders = defaultdict(set)
+    for e in exs:
+        holders[e.source_tokens].add(id(e.speech))
+    assert {t: len(h) for t, h in holders.items()} == {t: contexts[t] for t in holders}
+
+
+def test_sqa_examples_of_one_context_share_one_utterance_read_once(monkeypatch):
+    # Valid and invalid, train and dev: every SQA example of one context in
+    # one language holds one utterance, synthesized on the first read only.
+    calls = _count_synthesis(monkeypatch)
+    corpus = build_corpus(SMALL)
+    contexts = Counter(ctx for _, ctx, _ in draw_pools(SMALL, corpus.vocab).contexts)
+    for lang in LANGUAGES:
+        groups = defaultdict(list)
+        for (task, split_lang, _, _), exs in corpus.splits.items():
+            if task == "SQA" and split_lang == lang:
+                for e in exs:
+                    groups[e.source_tokens].append(e)
+        unique = [g for t, g in groups.items() if contexts[t] == 1]
+        assert all(len({id(e.speech) for e in g}) == 1 for g in unique)
+        mixed = [g for g in unique if {e.validity for e in g} == {"valid", "invalid"}]
+        group = max(mixed, key=len)
+        first = [e.frames for e in group]
+        assert len(calls) == 1
+        assert all(f is first[0] for f in first) and all(e.frames is first[0] for e in group)
+        assert not first[0].flags.writeable
+        calls.clear()
+
+
+def test_text_task_example_with_speech_rejected(cfg, acoustic):
+    utterance = Utterance((40, 41), acoustic, cfg, Rng(0), ("frames", "mt"))
+    with pytest.raises(ContractViolation, match="carry no speech"):
+        Example(id="mt-tgt1-0", theme_id=0, task="MT", language="tgt1", source_tokens=(40, 41),
+                answer_tokens=(56, 57), speech=utterance)

@@ -33,7 +33,7 @@ from mmadapt.tensor import (
     tslice,
 )
 
-from references import embed, finite_diff_check, mean, mul
+from references import average_frames_by_group, embed, finite_diff_check, mean, mul
 
 SMALL_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=32)
 SMALL_PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
@@ -65,6 +65,16 @@ def test_average_frames_k1_identity_and_length():
         frames = rng.normal(size=(T, 5))
         np.testing.assert_array_equal(average_frames(frames, 1), frames)
         assert average_frames(frames, 4).shape[0] == int(np.ceil(T / 4))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_average_frames_equals_group_by_group_mean_bit_for_bit(dtype):
+    rng = Rng(3)
+    for T in range(1, 80):
+        frames = rng.split(str(T)).normal(size=(T, 32)).astype(dtype)
+        for k in (1, 2, 3, 4, 6):
+            got, want = average_frames(frames, k), average_frames_by_group(frames, k)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (T, k)
 
 
 def test_average_frames_empty_rejected():

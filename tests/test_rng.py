@@ -2,6 +2,8 @@ import numpy as np
 
 from mmadapt.rng import Rng
 
+from references import int_key
+
 
 def test_same_seed_same_draws():
     a = Rng(7).uniform(size=3)
@@ -34,3 +36,21 @@ def test_nested_split_path_addressing():
     a = Rng(5).split("x", "y").normal(size=2)
     b = Rng(5).split("x").split("y").normal(size=2)
     np.testing.assert_array_equal(a, b)
+
+
+def test_uint32_key_words_seed_the_stream_an_int_key_seeds():
+    # An Rng seeds PCG64 with its key's four little-endian uint32 words. A
+    # SeedSequence reads a 128-bit int as exactly those words, so every
+    # stream is the one the int seeded.
+    labels = ("gen", "SQA", "tgt", "frames", "ctx-")
+    for seed in (0, 7):
+        for i in range(1000):
+            path = tuple(f"{label}{i}" for label in labels[: 1 + i % 5])
+            got = Rng(seed).split(*path)._gen.bit_generator.state
+            assert got == np.random.PCG64(int_key(seed, path)).state, (seed, path)
+
+
+def test_missing_high_words_seed_as_zero():
+    for key in (0, 1, 2**32 - 1, 2**64 + 5, 2**96 - 1):
+        words = np.frombuffer(key.to_bytes(16, "little"), dtype="<u4")
+        assert np.random.PCG64(words).state == np.random.PCG64(key).state, key

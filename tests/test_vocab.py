@@ -24,9 +24,7 @@ def test_reserved_tokens_disjoint_across_languages(vocab):
     seen = set()
     for lid in LANGUAGES:
         lang = vocab.lang(lid)
-        toks = {lang.q_sqa, lang.ans_open, lang.ans_close, *lang.not_answerable}
-        if lang.q_st is not None:
-            toks.add(lang.q_st)
+        toks = {lang.q_sqa, lang.q_st, lang.ans_open, lang.ans_close, *lang.not_answerable}
         assert not (toks & seen)
         seen |= toks
 
