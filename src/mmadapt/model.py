@@ -247,23 +247,24 @@ class _Stack(_Params):
         self.params[name] = init(name, shape)
 
     def _layers(self, x: Tensor, mask: Tensor | None, p: dict[str, Tensor], drop: float = 0.0,
-                rng: Rng | None = None, train: bool = False, cache: KVCache | None = None) -> Tensor:
+                rng: Rng | None = None, cache: KVCache | None = None) -> Tensor:
         """The pre-LN layers and final layer norm over (..., L, d) inputs.
 
         Every projection is x @ W^T over the weights `p`, into which any
         adapters are already folded. Each layer splits its queries, keys and
         values into `n_heads` heads, (..., H, L, d/H), and attends with all
         heads in one stacked product; `mask` is an additive mask that
-        broadcasts against the (..., H, L, S) scores. `drop` > 0 in training
-        applies dropout to attention probabilities (one draw over every
-        head) and to both residual branches, drawn from `rng`. With a
-        `cache`, the layers attend over the cached keys and values followed
-        by the new rows' own, which they append to the cache.
+        broadcasts against the (..., H, L, S) scores. Callers decide when
+        dropout applies: given an `rng`, dropout at rate `drop` drawn from it
+        hits attention probabilities (one draw over every head) and both
+        residual branches. With a `cache`, the layers attend over the cached
+        keys and values followed by the new rows' own, which they append to
+        the cache.
         """
         inv = 1.0 / float(np.sqrt(x.shape[-1] // self.n_heads))
         for i in range(self.n_layers):
             pre = f"layers.{i}."
-            r = rng.split(f"layer{i}") if (train and drop > 0) else None
+            r = rng.split(f"layer{i}") if rng is not None else None
             h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
             q, k, v = (split_heads(matmul(h, p[pre + w], transpose_b=True), self.n_heads) for w in ("wq", "wk", "wv"))
             if cache is not None:
@@ -273,16 +274,16 @@ class _Stack(_Params):
                 scores = add(scores, mask)
             probs = softmax(scores)
             if r is not None:
-                probs = dropout(probs, drop, r.split("attn"), train)
+                probs = dropout(probs, drop, r.split("attn"))
             a = matmul(merge_heads(matmul(probs, v)), p[pre + "wo"], transpose_b=True)
             if r is not None:
-                a = dropout(a, drop, r.split("post-attn"), train)
+                a = dropout(a, drop, r.split("post-attn"))
             x = add(x, a)
             h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
             u = gelu(matmul(h, p[pre + "ffn_up"], transpose_b=True))
             u = matmul(u, p[pre + "ffn_down"], transpose_b=True)
             if r is not None:
-                u = dropout(u, drop, r.split("post-ffn"), train)
+                u = dropout(u, drop, r.split("post-ffn"))
             x = add(x, u)
         return layer_norm(x, p["ln_f.g"], p["ln_f.b"])
 
@@ -365,7 +366,7 @@ class SpeechProjector(_Stack):
                 raise ShapeError(f"pad_mask must be {frames.shape[:-2] + (1, M)} for frames {frames.shape}, got {pad_mask.shape}")
             mask = Tensor(pad_mask[..., None, :, :])
         x = add(frames, embedding_lookup(self.params["wpe"], np.arange(M, dtype=np.int64)))
-        x = self._layers(x, mask, self.params, drop=self.cfg.dropout, rng=rng, train=train)
+        x = self._layers(x, mask, self.params, drop=self.cfg.dropout, rng=rng if train and self.cfg.dropout > 0 else None)
         return matmul(x, self.params["out_proj"], transpose_b=True)
 
 
@@ -377,8 +378,6 @@ def average_frames(frames: np.ndarray, k: int) -> np.ndarray:
         raise ContractViolation(f"expected a non-empty (T, d) frame matrix, got {frames.shape}")
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    if k == 1:
-        return frames
     T = frames.shape[0]
     full = T // k * k
     groups = frames[:full].reshape(-1, k, frames.shape[1]).mean(axis=1)

@@ -142,10 +142,8 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
         for (lang, validity), p in group:
             if p > 0 and not pools.get((task, lang, validity)):
                 raise ConfigError(f"split ({task}, {lang}, {validity}) has ratio {p} but no data")
-        positive = [(k, v) for k, v in group if v > 0]
-        if not positive:
-            raise ConfigError(f"task {task!r} has no positive split ratios")
-        active[task] = positive
+        # `_check_ratio_group` makes the group sum to 1 with no negative entry.
+        active[task] = [(k, v) for k, v in group if v > 0]
 
     n_primary = sum(
         len(pools.get((task, lang, validity), []))

@@ -31,6 +31,7 @@ from .rng import Rng
 
 _SEQ = itertools.count()
 _GRAD_ENABLED = True
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -67,8 +68,8 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "requires_grad", "op", "parents", "_backward", "_seq")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         if self.data.dtype.kind != "f":
             self.data = self.data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
@@ -93,8 +94,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad}, op={self.op})"
 
 
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 def _as_tensor(x) -> Tensor:
@@ -131,14 +132,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product of operands of rank >= 2, with optional
-    transposes on the last two axes."""
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Batched matrix product of operands of rank >= 2, with an optional
+    transpose of `b`'s last two axes."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} x {b.shape}")
-    A = a.data.swapaxes(-1, -2) if transpose_a else a.data
-    B = b.data.swapaxes(-1, -2) if transpose_b else b.data
+    A, B = a.data, (b.data.swapaxes(-1, -2) if transpose_b else b.data)
     try:
         y = A @ B
     except ValueError as e:
@@ -147,9 +147,8 @@ def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = 
     def backward(g):
         dA = g @ B.swapaxes(-1, -2)
         dB = A.swapaxes(-1, -2) @ g
-        da = dA.swapaxes(-1, -2) if transpose_a else dA
         db = dB.swapaxes(-1, -2) if transpose_b else dB
-        return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
+        return _unbroadcast(dA, a.shape), _unbroadcast(db, b.shape)
 
     return _make_node("matmul", y, (a, b), backward)
 
@@ -259,7 +258,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make_node("embedding-lookup", y, (table,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     # add.reduce / n equals .mean bit for bit without its Python-level wrapper.
@@ -267,7 +266,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     y = xhat * gain.data + bias.data
 
@@ -315,11 +314,10 @@ def gelu(x: Tensor) -> Tensor:
     return _make_node("gelu", y, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: Rng, train: bool) -> Tensor:
-    """Inverted-scaling dropout; identity when not training or p == 0."""
+def dropout(x: Tensor, p: float, rng: Rng) -> Tensor:
+    """Inverted-scaling dropout with a keep mask drawn from `rng`. Callers
+    decide when dropout applies: they call it only in training."""
     x = _as_tensor(x)
-    if not train or p <= 0.0:
-        return x
     if not 0.0 <= p < 1.0:
         raise ContractViolation(f"dropout rate must be in [0, 1), got {p}")
     keep = (rng.uniform(size=x.shape) >= p).astype(x.data.dtype)

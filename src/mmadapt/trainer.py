@@ -293,18 +293,6 @@ class Trainer:
             prompts.append(p)
         return prompts
 
-    def _components(self) -> dict:
-        attached = zip(COMPONENT_KINDS, (self.backbone, self.projector, self.adapters))
-        return {c: obj for c, obj in attached if obj is not None}
-
-    def component_params(self, component: str) -> dict[str, Tensor]:
-        if component not in COMPONENT_KINDS:
-            raise ConfigError(f"unknown component {component!r}")
-        obj = self._components().get(component)
-        if obj is None:
-            raise ConfigError(f"no {component} attached")
-        return obj.param_dict()
-
     def run(self, plan: StagePlan, rng: Rng, eval_fn=None) -> tuple[list[TrainLogRecord], list[EvalRecord], dict]:
         """Train for `plan.max_steps` schedule steps.
 
@@ -318,8 +306,13 @@ class Trainer:
         """
         if eval_fn is not None and not (0 < plan.eval_every <= plan.max_steps):
             raise ConfigError("dev evaluation cadence does not fit the step budget")
-        params = {c: self.component_params(c) for c in plan.trainable}
-        for c, obj in self._components().items():
+        attached = zip(COMPONENT_KINDS, (self.backbone, self.projector, self.adapters))
+        components = {c: obj for c, obj in attached if obj is not None}
+        for c in plan.trainable:
+            if c not in components:
+                raise ConfigError(f"no {c} attached")
+        params = {c: components[c].param_dict() for c in plan.trainable}
+        for c, obj in components.items():
             obj.set_trainable(c in plan.trainable)
         optimizers = {c: AdamW(params[c], plan.optimizers[c]) for c in plan.trainable}
         param_list = [t for ps in params.values() for t in ps.values()]

@@ -25,6 +25,15 @@ keyword of any other call does not count, even one a helper forwards: a
 field that shares a parameter's name would pass unseen. A field nothing
 sets is a constant dressed as a setting. Tests count here, because only
 they shrink the models today.
+
+Every defaulted parameter of a module-level function or of a method of a
+module-level class in src/mmadapt must be passed by some call in the
+library, the benchmark or the tests: by keyword, by position, or through a
+`*` or `**` argument that could reach it. Calls are matched by bare name,
+as methods are above, and `__init__` by its class's name too. A parameter
+no call passes is a constant dressed as a setting. `KEEP_PARAMETERS` holds
+the ones that stay unpassed, each mapped to the ROADMAP item that will pass
+it.
 """
 
 import ast
@@ -42,6 +51,11 @@ KEEP = {
     "trainer.AdamW.state_dict": "item 5",
     "trainer.AdamW.load_state_dict": "item 5",
     "sampler.BatchSchedule.to_manifest_lines": "item 5",
+}
+
+KEEP_PARAMETERS = {
+    "decode.flag_degeneration.max_n": "item 1",
+    "decode.flag_degeneration.min_repeats": "item 1",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -166,6 +180,54 @@ def unset_fields(library: dict[str, str], callers=()) -> list[str]:
     )
 
 
+def _defaulted(fn: ast.AST, method: bool):
+    """(position, name) of each parameter of `fn` that has a default; the
+    position a call fills it at (after `self` in a method), or None for a
+    keyword-only one."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    first = len(positional) - len(a.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i - method, arg.arg
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def unpassed_parameters(library: dict[str, str], callers=()) -> list[str]:
+    """`module.function.param` or `module.Class.method.param` of each
+    defaulted parameter defined in `library` that no call in `library` or
+    `callers` passes."""
+    defined = []  # (label, call names, position, parameter)
+    for module, source in library.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, _FUNCTIONS):
+                defined += [(f"{module}.{stmt.name}.{n}", {stmt.name}, i, n) for i, n in _defaulted(stmt, False)]
+            elif isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, _FUNCTIONS):
+                        names = {item.name, stmt.name} if item.name == "__init__" else {item.name}
+                        label = f"{module}.{stmt.name}.{item.name}"
+                        defined += [(f"{label}.{n}", names, i, n) for i, n in _defaulted(item, True)]
+    calls: dict[str, list[tuple[float, set]]] = {}  # name -> (positions reached, keywords) per call
+    for tree in map(ast.parse, [*library.values(), *callers]):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                reach = float("inf") if any(isinstance(a, ast.Starred) for a in n.args) else len(n.args)
+                calls.setdefault(name, []).append((reach, {k.arg for k in n.keywords}))  # `**` has arg None
+
+    def passes(call, position, param):
+        reach, keywords = call
+        return (position is not None and position < reach) or param in keywords or None in keywords
+
+    return sorted(
+        label
+        for label, names, position, param in defined
+        if not any(passes(c, position, param) for name in names for c in calls.get(name, []))
+    )
+
+
 def test_every_library_function_and_class_has_a_caller():
     library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     callers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
@@ -248,4 +310,46 @@ def test_field_guard_flags_a_field_only_read_and_honours_every_way_to_set_one():
     ]
     assert unset_fields(library, callers) == [
         "cfg.RunConfig.mode", "cfg.RunConfig.n_symbols", "cfg.RunConfig.rate", "cfg.StagePlan.steps",
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    callers = [path.read_text() for d in ("perfbench", "tests") for path in sorted((ROOT / d).glob("*.py"))]
+    assert unpassed_parameters(library, callers) == sorted(KEEP_PARAMETERS)
+
+
+def test_parameter_guard_flags_a_parameter_only_defaulted_and_honours_every_way_to_pass_one():
+    library = {
+        "ops": (
+            "def scaled(x, factor=2.0, offset=0.0, *, clip=None, tag='s'): return helper(x, offset=1)\n"
+            "def helper(x, offset=0.0, mode='fast'): return x\n"
+            "def spread(x, a=1, b=2, c=3): return x\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, label='box'): self.size = size\n"
+            "    def grow(self, by=1, times=1): return self.size + by\n"
+            "class Bag:\n"
+            "    def __init__(self, n=0): self.n = n\n"
+        ),
+    }
+    assert unpassed_parameters(library) == [
+        "ops.Bag.__init__.n", "ops.Box.__init__.label", "ops.Box.__init__.size", "ops.Box.grow.by",
+        "ops.Box.grow.times", "ops.helper.mode", "ops.scaled.clip", "ops.scaled.factor", "ops.scaled.offset",
+        "ops.scaled.tag", "ops.spread.a", "ops.spread.b", "ops.spread.c",
+    ]
+    callers = [
+        "from mmadapt.ops import scaled\nscaled(x, 3.0, clip=1.0)\n",  # `factor` by position, `clip` by keyword
+        "Box(4)\nbox.grow(2)\n",  # `__init__` through its class; a method by bare name, after `self`
+        "spread(x, 1, *rest)\n",  # `a` by position; `b` and `c` may come through `*`
+        "class Sack(Bag):\n    def __init__(self): super().__init__(n=1)\n",  # `__init__` by its own name
+        # Neither a keyword of another call, nor a position past the arguments, nor a loose string.
+        "other(mode='slow', times=2)\nhelper(x)\nprint('label')\n",
+    ]
+    assert unpassed_parameters(library, callers) == [
+        "ops.Box.__init__.label", "ops.Box.grow.times", "ops.helper.mode", "ops.scaled.offset", "ops.scaled.tag",
+    ]
+    # `*` reaches every position from its own on, but no keyword-only
+    # parameter; `**` reaches every parameter.
+    assert unpassed_parameters(library, [*callers, "scaled(*args)\nbox.grow(**extra)\n"]) == [
+        "ops.Box.__init__.label", "ops.helper.mode", "ops.scaled.tag",
     ]

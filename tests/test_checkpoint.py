@@ -126,3 +126,22 @@ def test_header_that_disagrees_with_its_payload_is_corrupt(tmp_path, edit):
     _with_header(path, edit)
     with pytest.raises(CorruptCheckpointError, match="header does not match"):
         load_checkpoint(path)
+
+
+def _resigned(raw: bytes) -> bytes:
+    body = raw[:-32] + b"\0\0\0\0"  # four payload bytes the header does not name
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("rewrite,match", [
+    pytest.param(lambda raw: raw[:20], "not a parameter bundle", id="short-file"),
+    pytest.param(lambda raw: b"X" + raw[1:], "not a parameter bundle", id="wrong-magic"),
+    pytest.param(_resigned, "payload size does not match header", id="payload-longer-than-header"),
+])
+def test_checkpoint_checks_raise_their_typed_errors(tmp_path, rewrite, match):
+    path = tmp_path / "w.ckpt"
+    save_checkpoint("projector", {"w": np.ones((2, 3), np.float32)}, {}, path)
+    path.write_bytes(rewrite(path.read_bytes()))
+    with pytest.raises(CorruptCheckpointError, match=match) as raised:
+        load_checkpoint(path)
+    assert type(raised.value) is CorruptCheckpointError

@@ -394,3 +394,23 @@ def test_text_task_example_with_speech_rejected(cfg, acoustic):
     with pytest.raises(ContractViolation, match="carry no speech"):
         Example(id="mt-tgt1-0", theme_id=0, task="MT", language="tgt1", source_tokens=(40, 41),
                 answer_tokens=(56, 57), speech=utterance)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda gen: CorpusConfig(k_up=0), ConfigError, "k_up", id="k_up"),
+    pytest.param(lambda gen: CorpusConfig(noise_sigma=-0.01), ConfigError, "noise_sigma", id="noise_sigma"),
+    pytest.param(lambda gen: Example(id="mt-tgt1-0", theme_id=0, task="MT", language="tgt1", source_tokens=(40,),
+                                     answer_tokens=(56,), validity="invalid"),
+                 ContractViolation, "only SQA/QA", id="invalid-mt-example"),
+    pytest.param(lambda gen: gen("TTS", "src"), ConfigError, "unknown task", id="unknown-task"),
+    pytest.param(lambda gen: gen("ST", "src"), ConfigError, "requires a target language", id="st-in-src"),
+    pytest.param(lambda gen: gen("MT", "src"), ConfigError, "requires a target language", id="mt-in-src"),
+    pytest.param(lambda gen: gen("QA", "tgt9"), ConfigError, "unknown language", id="unknown-language"),
+])
+def test_corpus_checks_raise_their_typed_errors(cfg, vocab, acoustic, pools, call, error, match):
+    def gen(task, language):
+        return gen_task_dataset(task, language, cfg, Rng(0), vocab, acoustic, pools)
+
+    with pytest.raises(error, match=match) as raised:
+        call(gen)
+    assert type(raised.value) is error

@@ -17,6 +17,7 @@ from mmadapt.metrics import (
     wer,
 )
 from mmadapt.rng import Rng
+from mmadapt.vocab import build_vocab
 
 from references import corpus_split
 
@@ -210,3 +211,12 @@ def test_sequence_accuracy():
     assert sequence_accuracy([(1, 2), (3,)], [(1, 2), (4,)]) == 0.5
     with pytest.raises(ContractViolation):
         sequence_accuracy([(1,)], [])
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: language_confusion([], "src", build_vocab(16, 0)), "no outputs", id="language-confusion-empty"),
+])
+def test_metrics_checks_raise_their_typed_errors(call, match):
+    with pytest.raises(ContractViolation, match=match) as raised:
+        call()
+    assert type(raised.value) is ContractViolation

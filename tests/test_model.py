@@ -543,3 +543,25 @@ def test_projector_rejects_a_pad_mask_of_the_wrong_shape():
     for bad in (pad[:, 0], pad[:1], pad[:, :, :3], pad[:, :, None]):
         with pytest.raises(ShapeError, match="pad_mask"):
             proj.forward(Tensor(padded), train=False, pad_mask=bad)
+
+
+BACKBONE_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ffn", "max_seq_len")
+
+
+@pytest.mark.parametrize("call,error,match", [
+    *(pytest.param(lambda f=f: BackboneConfig(**{f: 0}), ConfigError, f"{f} must be positive", id=f"backbone-{f}")
+      for f in BACKBONE_FIELDS),
+    pytest.param(lambda: BackboneConfig(d_model=30, n_heads=4), ConfigError, "d_model must be divisible",
+                 id="backbone-heads"),
+    pytest.param(lambda: ProjectorConfig(dropout=1.0), ConfigError, "dropout", id="projector-dropout-1"),
+    pytest.param(lambda: ProjectorConfig(dropout=-0.1), ConfigError, "dropout", id="projector-dropout-negative"),
+    pytest.param(lambda: ProjectorConfig(frame_avg_k=0), ConfigError, "frame_avg_k", id="projector-frame_avg_k"),
+    pytest.param(lambda: ProjectorConfig(d_in=30, n_heads=4), ConfigError, "d_in must be divisible",
+                 id="projector-heads"),
+    pytest.param(lambda: LoraConfig(alpha=0.0), ConfigError, "alpha", id="lora-alpha"),
+    pytest.param(lambda: average_frames(np.ones((4, 2)), 0), ContractViolation, "k must be", id="average-frames-k"),
+])
+def test_model_checks_raise_their_typed_errors(call, error, match):
+    with pytest.raises(error, match=match) as raised:
+        call()
+    assert type(raised.value) is error

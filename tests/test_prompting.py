@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,19 @@ def test_sqa_question_is_example_specific(corpus):
     assert tuple(a.question_tokens) == pa.suffix_tokens[1:-1]
     if a.question_tokens != b.question_tokens:
         assert pa.suffix_tokens != pb.suffix_tokens
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda c: question_line("SQA", "src", c.vocab), "SQA rendering needs the example's question",
+                 id="sqa-without-example"),
+    pytest.param(lambda c: render_prompt(replace(corpus_split(c, "QA", "src")[0], question_tokens=None), "text",
+                                         c.vocab, 3),
+                 "QA rendering needs the example's question", id="qa-without-question"),
+    pytest.param(lambda c: question_line("TTS", "src", c.vocab), "unknown task", id="unknown-task"),
+    pytest.param(lambda c: render_prompt(corpus_split(c, "MT", "tgt1")[0], "video", c.vocab, 3), "unknown modality",
+                 id="unknown-modality"),
+])
+def test_prompting_checks_raise_their_typed_errors(corpus, call, match):
+    with pytest.raises(ContractViolation, match=match) as raised:
+        call(corpus)
+    assert type(raised.value) is ContractViolation

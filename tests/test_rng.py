@@ -46,7 +46,7 @@ def test_uint32_key_words_seed_the_stream_an_int_key_seeds():
     for seed in (0, 7):
         for i in range(1000):
             path = tuple(f"{label}{i}" for label in labels[: 1 + i % 5])
-            got = Rng(seed).split(*path)._gen.bit_generator.state
+            got = Rng(seed).split(*path).bit_generator.state
             assert got == np.random.PCG64(int_key(seed, path)).state, (seed, path)
 
 
@@ -54,3 +54,25 @@ def test_missing_high_words_seed_as_zero():
     for key in (0, 1, 2**32 - 1, 2**64 + 5, 2**96 - 1):
         words = np.frombuffer(key.to_bytes(16, "little"), dtype="<u4")
         assert np.random.PCG64(words).state == np.random.PCG64(key).state, key
+
+
+def test_draws_equal_a_plain_generator_over_the_same_key():
+    # Every kind of draw the package makes, spelt as the package spells it,
+    # against numpy's Generator spelt in numpy's positional order. The draws
+    # run in sequence on one stream each, so the streams must also stay in step.
+    seq = tuple(range(4, 16))
+    for seed, path in ((0, ()), (7, ("gen", "SQA", "tgt1")), (7, ("train", "s3", "MT", "text")), (123, ("cursor",))):
+        rng = Rng(seed).split(*path)
+        ref = np.random.Generator(np.random.PCG64(int_key(seed, path)))
+        assert rng.uniform() == ref.uniform(0.0, 1.0, size=None)
+        np.testing.assert_array_equal(rng.uniform(size=(2, 3)), ref.uniform(0.0, 1.0, size=(2, 3)))
+        np.testing.assert_array_equal(rng.normal(size=(3, 2)), ref.normal(0.0, 1.0, size=(3, 2)))
+        np.testing.assert_array_equal(rng.normal(size=5, scale=0.05), ref.normal(0.0, 0.05, size=5))
+        assert rng.integers(3, 9) == ref.integers(3, 9, size=None)
+        np.testing.assert_array_equal(rng.integers(0, 5, size=6), ref.integers(0, 5, size=6))
+        np.testing.assert_array_equal(rng.choice(seq, size=5, replace=True), ref.choice(seq, size=5, replace=True))
+        mine, theirs = list(range(10)), list(range(10))
+        rng.shuffle(mine)
+        ref.shuffle(theirs)
+        assert mine == theirs
+        np.testing.assert_array_equal(rng.permutation(12), ref.permutation(12))

@@ -197,3 +197,23 @@ def test_manifest_lines_round_trip():
     assert len(lines) == len(schedule.entries)
     rec = json.loads(lines[0])
     assert set(rec) == {"task", "language", "validity", "modality", "interleaved", "ids"}
+
+
+def _no_qa_pools():
+    return {key: ids for key, ids in _pools().items() if key[0] != "QA"}
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: _config(batch_size=0), "batch_size", id="batch-size"),
+    pytest.param(lambda: SamplerConfig(task_ratios={}, split_ratios={}), "task_ratios is empty", id="empty-tasks"),
+    pytest.param(lambda: _config(split_ratios={"ASR": {}}), r"split_ratios\[ASR\] is empty", id="empty-splits"),
+    pytest.param(lambda: _config(task_ratios={"ASR": -0.2, "ST": 0.8, "SQA": 0.4}), "negative", id="negative"),
+    pytest.param(lambda: _config(task_ratios={"ASR": 0.5, "MT": 0.5}), "no split ratios", id="no-split-ratios"),
+    pytest.param(lambda: plan_epoch(_config(batch_size=16), _pools(1), Rng(0)), "epoch has no steps", id="no-steps"),
+    pytest.param(lambda: plan_epoch(_config(task_ratios={"SQA": 1.0}), _no_qa_pools(), Rng(0)),
+                 r"split \('QA', .*\) has no data", id="interleaved-split-without-data"),
+])
+def test_sampler_checks_raise_their_typed_errors(call, match):
+    with pytest.raises(ConfigError, match=match) as raised:
+        call()
+    assert type(raised.value) is ConfigError

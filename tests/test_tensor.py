@@ -97,7 +97,7 @@ def test_finite_diff_rejects_nondeterministic_f():
     x = parameter(np.ones(8))
 
     def f(_):
-        return mean(dropout(x, 0.5, stream, train=True))
+        return mean(dropout(x, 0.5, stream))
 
     with pytest.raises(ContractViolation):
         finite_diff_check(f, [x])
@@ -193,7 +193,7 @@ def test_every_op_gradient_matches_finite_differences(name):
         params = [x]
     elif name == "dropout_fixed_mask":
         x = parameter(rng.normal(size=(6, 6)))
-        f = lambda _: mean(mul(dropout(x, 0.4, Rng(123), train=True), x))
+        f = lambda _: mean(mul(dropout(x, 0.4, Rng(123)), x))
         params = [x]
     elif name == "mean_axis":
         x = parameter(rng.normal(size=(3, 4)))
@@ -489,3 +489,18 @@ def test_training_steps_reuse_freed_memory_instead_of_faulting_it_in():
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env, capture_output=True, text=True, check=True)
     assert float(out.stdout) < 100
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: dropout(Tensor(np.ones(3)), 1.0, Rng(0)), ContractViolation, "dropout rate", id="dropout-1"),
+    pytest.param(lambda: dropout(Tensor(np.ones(3)), -0.1, Rng(0)), ContractViolation, "dropout rate",
+                 id="dropout-negative"),
+    pytest.param(lambda: masked_cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 4)), np.ones((2, 4), bool)),
+                 ShapeError, "masked_cross_entropy", id="cross-entropy-targets"),
+    pytest.param(lambda: masked_cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 3)), np.ones((3, 2), bool)),
+                 ShapeError, "masked_cross_entropy", id="cross-entropy-mask"),
+])
+def test_tensor_checks_raise_their_typed_errors(call, error, match):
+    with pytest.raises(error, match=match) as raised:
+        call()
+    assert type(raised.value) is error

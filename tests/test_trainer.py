@@ -6,7 +6,7 @@ import pytest
 from mmadapt import trainer as trainer_module
 
 from mmadapt.corpus import CorpusConfig, build_corpus
-from mmadapt.errors import ConfigError, ShapeError, TrainingDivergenceError
+from mmadapt.errors import ConfigError, ContractViolation, ShapeError, TrainingDivergenceError
 from mmadapt.model import Backbone, BackboneConfig, LoraAdapters, LoraConfig, ProjectorConfig, SpeechProjector
 from mmadapt.prompting import render_prompt
 from mmadapt.rng import Rng
@@ -489,3 +489,43 @@ def test_sqa_dev_accuracy_decodes_valid_then_invalid_per_language(corpus, monkey
     _decoder(monkeypatch, _empty)
     assert trainer_module.sqa_dev_accuracy(m["backbone"], corpus, ("src", "tgt1"), 3, m["projector"],
                                            modality=modality, task=task, max_examples=2) == 0.0
+
+
+def _prompt(corpus, task, modality):
+    return render_prompt(corpus_split(corpus, task, "tgt1")[0], modality, corpus.vocab, PROJ.frame_avg_k)
+
+
+def _diverging_run(corpus):
+    models = _models()
+    lm_head = models["backbone"].params["lm_head"]
+    lm_head.data = np.full_like(lm_head.data, np.nan)
+    return _trainer(corpus, models).run(_plan("pretrain"), Rng(0))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda corpus: OptimizerConfig(lr=0.0), ConfigError, "lr must be positive", id="lr"),
+    pytest.param(lambda corpus: AdamW({"a": parameter(np.zeros(2, np.float32)), "b": parameter(np.zeros(2))},
+                                      OptimizerConfig()),
+                 ContractViolation, "one dtype", id="adamw-mixed-dtypes"),
+    pytest.param(lambda corpus: batch_loss(_models()["backbone"], [_prompt(corpus, "ST", "speech")]),
+                 ConfigError, "needs a projector", id="speech-without-projector"),
+    pytest.param(lambda corpus: batch_loss(_models()["backbone"], [_prompt(corpus, "MT", "text")], train=True,
+                                           content_noise=0.1),
+                 ConfigError, "content noise needs an rng", id="noise-without-rng"),
+    pytest.param(lambda corpus: StagePlan("A", ("projector",), _sampler(("ASR", "ST"), interleave_text=False), {},
+                                          max_steps=1),
+                 ConfigError, "no optimizer config", id="no-optimizer"),
+    pytest.param(lambda corpus: StagePlan("C", ("projector", "lora"), _sampler(("ASR", "ST", "SQA")),
+                                          {"projector": OptimizerConfig(lr=1e-3), "lora": OptimizerConfig(lr=1e-3)},
+                                          max_steps=1),
+                 ConfigError, "distinct per-component learning rates", id="merge-equal-lrs"),
+    pytest.param(lambda corpus: _plan("B", max_steps=0), ConfigError, "max_steps", id="max-steps"),
+    pytest.param(lambda corpus: _trainer(corpus, _models()).run(_plan("B", eval_every=3), Rng(0),
+                                                                eval_fn=lambda: (0.0, {})),
+                 ConfigError, "cadence", id="eval-cadence"),
+    pytest.param(_diverging_run, TrainingDivergenceError, "loss diverged at step 0", id="non-finite-loss"),
+])
+def test_trainer_checks_raise_their_typed_errors(corpus, call, error, match):
+    with pytest.raises(error, match=match) as raised:
+        call(corpus)
+    assert type(raised.value) is error

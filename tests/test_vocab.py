@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmadapt.errors import ConfigError
+from mmadapt.errors import ConfigError, VocabularyError
 from mmadapt.vocab import LANGUAGES, LEX_BASE, TARGET_LANGUAGES, build_vocab
 
 from references import translate_by_symbol
@@ -70,3 +70,16 @@ def test_classify_language(vocab):
 def test_vocab_size_guard():
     with pytest.raises(ConfigError):
         build_vocab(n_symbols=20, seed=0, size=96)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda v: v.lang("src").symbol_for_token(v.lang("src").lex_base - 1), VocabularyError,
+                 "not in lexical range", id="token-below-range"),
+    pytest.param(lambda v: v.lang("tgt2").symbol_for_token(v.lang("tgt2").lex_base + 16), VocabularyError,
+                 "not in lexical range", id="token-above-range"),
+    pytest.param(lambda v: v.lang("tgt9"), ConfigError, "unknown language", id="unknown-language"),
+])
+def test_vocab_checks_raise_their_typed_errors(vocab, call, error, match):
+    with pytest.raises(error, match=match) as raised:
+        call(vocab)
+    assert type(raised.value) is error
