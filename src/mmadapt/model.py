@@ -16,7 +16,9 @@ which holds every layer's keys and values for the rows fed so far, in that
 head layout, together with the weights that produced them, e.g. site
 weights with the adapters folded in by `fold_adapters`.
 
-Weights are stored (d_out, d_in); forward passes compute x @ W^T. Low-rank
+Weights are stored (d_out, d_in); every weight product is `linear(x, W)`,
+x @ W^T as one 2-D product over the rows of x, whose backward computes no
+gradient for a frozen weight (the backbone in stages A/B/C). Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
 adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685). In training
 and inference alike, adapters enter only as W + delta_W (`fold_adapters`).
@@ -42,6 +44,7 @@ from .tensor import (
     embedding_lookup,
     gelu,
     layer_norm,
+    linear,
     masked_cross_entropy,  # noqa: F401  (perfbench wraps model.masked_cross_entropy)
     matmul,
     merge_heads,
@@ -250,23 +253,23 @@ class _Stack(_Params):
                 rng: Rng | None = None, cache: KVCache | None = None) -> Tensor:
         """The pre-LN layers and final layer norm over (..., L, d) inputs.
 
-        Every projection is x @ W^T over the weights `p`, into which any
-        adapters are already folded. Each layer splits its queries, keys and
-        values into `n_heads` heads, (..., H, L, d/H), and attends with all
-        heads in one stacked product; `mask` is an additive mask that
-        broadcasts against the (..., H, L, S) scores. Callers decide when
-        dropout applies: given an `rng`, dropout at rate `drop` drawn from it
-        hits attention probabilities (one draw over every head) and both
-        residual branches. With a `cache`, the layers attend over the cached
-        keys and values followed by the new rows' own, which they append to
-        the cache.
+        Every projection is `linear(x, W)`, x @ W^T over the weights `p`,
+        into which any adapters are already folded. Each layer splits its
+        queries, keys and values into `n_heads` heads, (..., H, L, d/H), and
+        attends with all heads in one stacked product; `mask` is an additive
+        mask that broadcasts against the (..., H, L, S) scores. Callers
+        decide when dropout applies: given an `rng`, dropout at rate `drop`
+        drawn from it hits attention probabilities (one draw over every head)
+        and both residual branches. With a `cache`, the layers attend over the
+        cached keys and values followed by the new rows' own, which they
+        append to the cache.
         """
         inv = 1.0 / float(np.sqrt(x.shape[-1] // self.n_heads))
         for i in range(self.n_layers):
             pre = f"layers.{i}."
             r = rng.split(f"layer{i}") if rng is not None else None
             h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q, k, v = (split_heads(matmul(h, p[pre + w], transpose_b=True), self.n_heads) for w in ("wq", "wk", "wv"))
+            q, k, v = (split_heads(linear(h, p[pre + w]), self.n_heads) for w in ("wq", "wk", "wv"))
             if cache is not None:
                 k, v = cache.extend(i, k, v)
             scores = scale(matmul(q, k, transpose_b=True), inv)
@@ -275,13 +278,12 @@ class _Stack(_Params):
             probs = softmax(scores)
             if r is not None:
                 probs = dropout(probs, drop, r.split("attn"))
-            a = matmul(merge_heads(matmul(probs, v)), p[pre + "wo"], transpose_b=True)
+            a = linear(merge_heads(matmul(probs, v)), p[pre + "wo"])
             if r is not None:
                 a = dropout(a, drop, r.split("post-attn"))
             x = add(x, a)
             h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            u = gelu(matmul(h, p[pre + "ffn_up"], transpose_b=True))
-            u = matmul(u, p[pre + "ffn_down"], transpose_b=True)
+            u = linear(gelu(linear(h, p[pre + "ffn_up"])), p[pre + "ffn_down"])
             if r is not None:
                 u = dropout(u, drop, r.split("post-ffn"))
             x = add(x, u)
@@ -326,7 +328,7 @@ class Backbone(_Stack):
         p = cache.params if cache is not None else fold_adapters(self.params, lora)
         x = add(emb, embedding_lookup(p["wpe"], np.asarray(positions, dtype=np.int64)))
         x = self._layers(x, None if L == 1 else self._causal_mask(L, past), p, cache=cache)
-        return matmul(x, p["lm_head"], transpose_b=True)
+        return linear(x, p["lm_head"])
 
 
 class SpeechProjector(_Stack):
@@ -367,7 +369,7 @@ class SpeechProjector(_Stack):
             mask = Tensor(pad_mask[..., None, :, :])
         x = add(frames, embedding_lookup(self.params["wpe"], np.arange(M, dtype=np.int64)))
         x = self._layers(x, mask, self.params, drop=self.cfg.dropout, rng=rng if train and self.cfg.dropout > 0 else None)
-        return matmul(x, self.params["out_proj"], transpose_b=True)
+        return linear(x, self.params["out_proj"])
 
 
 def average_frames(frames: np.ndarray, k: int) -> np.ndarray:

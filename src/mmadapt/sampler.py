@@ -130,23 +130,27 @@ def _example_ids(pool) -> list[str]:
     return [getattr(e, "id", e) for e in pool]
 
 
-def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], rng: Rng) -> BatchSchedule:
-    """Plan one epoch over `datasets` keyed by (task, language, validity)."""
-    pools = {key: _example_ids(pool) for key, pool in datasets.items()}
+def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], rng: Rng, max_steps: int) -> BatchSchedule:
+    """Plan the first `max_steps` steps of one epoch over `datasets` keyed by
+    (task, language, validity), or the whole epoch if it is shorter.
 
+    Step i draws from `rng.split("draw").split(str(i))` and cursors advance
+    in step order, so a shorter plan is the prefix of a longer one. Only the
+    splits the plan draws from are read for their ids.
+    """
     active: dict[str, list[tuple[SplitKey, float]]] = {}
     for task, p_task in sorted(cfg.task_ratios.items()):
         if p_task <= 0:
             continue
         group = sorted(cfg.split_ratios[task].items())
         for (lang, validity), p in group:
-            if p > 0 and not pools.get((task, lang, validity)):
+            if p > 0 and not datasets.get((task, lang, validity)):
                 raise ConfigError(f"split ({task}, {lang}, {validity}) has ratio {p} but no data")
         # `_check_ratio_group` makes the group sum to 1 with no negative entry.
         active[task] = [(k, v) for k, v in group if v > 0]
 
     n_primary = sum(
-        len(pools.get((task, lang, validity), []))
+        len(datasets.get((task, lang, validity), ()))
         for task in active
         for (lang, validity), _ in active[task]
     )
@@ -159,9 +163,9 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
     def cursor(task: str, lang: str, validity: str) -> _Cursor:
         key = (task, lang, validity)
         if key not in cursors:
-            if not pools.get(key):
+            if not datasets.get(key):
                 raise ConfigError(f"split {key} has no data")
-            cursors[key] = _Cursor(pools[key], rng.split("cursor", *key))
+            cursors[key] = _Cursor(_example_ids(datasets[key]), rng.split("cursor", *key))
         return cursors[key]
 
     total = sum(cfg.task_ratios[t] for t in active)
@@ -169,7 +173,7 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
 
     draw_rng = rng.split("draw")
     steps: list[tuple[BatchEntry, ...]] = []
-    for i in range(n_steps):
+    for i in range(min(n_steps, max_steps)):
         r = draw_rng.split(str(i))
         task = _draw(float(r.uniform()), task_group)
         splits = active[task]

@@ -153,6 +153,36 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     return _make_node("matmul", y, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w^T for x (..., d_in) and a 2-D weight w (d_out, d_in): one 2-D
+    product over x's rows, not one small product per leading index.
+
+    The backward computes only the gradients of operands that require one,
+    so a frozen weight costs no weight gradient. dx = g @ w keeps g's
+    layout (numpy runs a contiguous g as one product); dw = g2^T @ x2 is one
+    2-D product over the rows. Both operands must be Tensors.
+    """
+    X, W = x.data, w.data
+    if W.ndim != 2 or X.ndim == 0:
+        raise ShapeError(f"linear needs x (..., d_in) and a 2-D weight, got {x.shape} x {w.shape}")
+    X2 = X if X.ndim == 2 else X.reshape(-1, X.shape[-1])
+    try:
+        y = X2 @ W.T
+    except ValueError as e:
+        raise ShapeError(f"linear: {x.shape} x {w.shape}^T ({e})") from None
+    if X.ndim != 2:
+        y = y.reshape(X.shape[:-1] + W.shape[:1])
+
+    def backward(g):
+        dx = g @ W if x.requires_grad else None
+        if not w.requires_grad:
+            return dx, None
+        g2 = g if g.ndim == 2 else g.reshape(-1, g.shape[-1])
+        return dx, g2.T @ X2
+
+    return _make_node("linear", y, (x, w), backward)
+
+
 def add(a: Tensor, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -275,8 +305,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx = (inv / n) * (
             n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
         )
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
+        # A frozen gain or bias (the backbone after pretraining) gets none.
+        dgain = _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None
+        dbias = _unbroadcast(g, bias.shape) if bias.requires_grad else None
         return dx, dgain, dbias
 
     return _make_node("layer-norm", y, (x, gain, bias), backward)

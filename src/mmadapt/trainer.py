@@ -100,14 +100,23 @@ class AdamW:
         step, lr = self.t, self.cfg.lr
         b1, b2 = BETAS
         w = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        # w - lr * (m_hat / (sqrt(v_hat) + EPS)) with bias-corrected moments,
+        # computed in place in the fresh `g`, `w` and one temporary.
         m, v = self._m, self._v
+        m_hat = (1 - b1) * g
         m *= b1
-        m += (1 - b1) * g
+        m += m_hat
+        g *= g
+        g *= 1 - b2
         v *= b2
-        v += (1 - b2) * (g * g)
-        m_hat = m / (1 - b1**step)
-        v_hat = v / (1 - b2**step)
-        w = w - lr * (m_hat / (np.sqrt(v_hat) + EPS))
+        v += g
+        np.divide(m, 1 - b1**step, out=m_hat)
+        np.divide(v, 1 - b2**step, out=g)
+        np.sqrt(g, out=g)
+        g += EPS
+        np.divide(m_hat, g, out=g)
+        g *= lr
+        w -= g
         for p, view in zip(self.params.values(), self._views(w).values()):
             p.data = view
         return lr
@@ -324,7 +333,7 @@ class Trainer:
         primary_done = 0
         epoch = 0
         while primary_done < plan.max_steps:
-            for step in plan_epoch(plan.sampler, pools, rng.split(f"epoch{epoch}")).steps:
+            for step in plan_epoch(plan.sampler, pools, rng.split(f"epoch{epoch}"), plan.max_steps - primary_done).steps:
                 for entry in step:
                     loss = batch_loss(
                         self.backbone,
@@ -347,8 +356,6 @@ class Trainer:
                 if eval_fn is not None and primary_done % plan.eval_every == 0:
                     metric, details = eval_fn()
                     evals.append(EvalRecord(step=primary_done, metric=metric, details=details))
-                if primary_done >= plan.max_steps:
-                    break
             epoch += 1
         return log, evals, {c: {k: t.data.copy() for k, t in ps.items()} for c, ps in params.items()}
 

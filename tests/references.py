@@ -14,6 +14,10 @@ repeat-and-tile frame synthesis that `Vocab.translate`'s tables and
 `average_frames_by_group` is the group-by-group mean pooling that
 `average_frames`' reshape must match bit for bit, and `int_key` is the
 128-bit int seed that an `Rng`'s uint32 key words must equal.
+`linear_by_matmul` is the batched weight product `linear` replaced, the
+reference it must match within float32 rounding; `PerTensorAdamW` is the
+out-of-place, per-tensor AdamW update the in-place flat step must match
+bit for bit.
 """
 
 import hashlib
@@ -25,6 +29,7 @@ from mmadapt.errors import ContractViolation
 from mmadapt.model import Backbone
 from mmadapt.rng import Rng
 from mmadapt.sampler import TEXT_EQUIVALENT, BatchSchedule
+from mmadapt.trainer import BETAS, EPS
 from mmadapt.tensor import (
     Tensor,
     _as_tensor,
@@ -35,6 +40,7 @@ from mmadapt.tensor import (
     embedding_lookup,
     grad,
     masked_cross_entropy,
+    matmul,
     stack,
     tslice,
 )
@@ -249,3 +255,36 @@ def per_example_batch_loss(backbone, prompts, projector=None, adapters=None, tra
     label_mask = np.zeros_like(mask)
     label_mask[:, :-1] = mask[:, 1:]
     return masked_cross_entropy(logits, np.where(label_mask, labels, 0), label_mask)
+
+
+def linear_by_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w^T as a batched product against the transposed weight, one small
+    product per leading index, whose backward computes both gradients."""
+    return matmul(x, w, transpose_b=True)
+
+
+class PerTensorAdamW:
+    """AdamW with zero weight decay, one tensor at a time, each update
+    written out of place: w - lr * (m_hat / (sqrt(v_hat) + EPS))."""
+
+    def __init__(self, arrays: dict, lr: float):
+        self.arrays = {k: a.copy() for k, a in arrays.items()}
+        self.lr = lr
+        self.t = 0
+        self.m = {k: np.zeros_like(a) for k, a in arrays.items()}
+        self.v = {k: np.zeros_like(a) for k, a in arrays.items()}
+
+    def step(self, grads: dict) -> float:
+        self.t += 1
+        step, lr = self.t, self.lr
+        b1, b2 = BETAS
+        for name, p in self.arrays.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            m_hat = m / (1 - b1**step)
+            v_hat = v / (1 - b2**step)
+            self.arrays[name] = p - lr * (m_hat / (np.sqrt(v_hat) + EPS))
+        return lr

@@ -26,6 +26,7 @@ from mmadapt.tensor import (
     gelu,
     grad,
     layer_norm,
+    linear,
     masked_cross_entropy,
     matmul,
     scale,
@@ -443,14 +444,14 @@ def _per_head_layers(stack, x, mask, kv=None):
     for i in range(stack.n_layers):
         pre = f"layers.{i}."
         h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q, k, v = (matmul(h, p[pre + w], transpose_b=True) for w in ("wq", "wk", "wv"))
+        q, k, v = (linear(h, p[pre + w]) for w in ("wq", "wk", "wv"))
         if kv is not None:
             if i in kv:
                 k, v = concat([kv[i][0], k], axis=-2), concat([kv[i][1], v], axis=-2)
             kv[i] = (k, v)
-        x = add(x, matmul(_per_head_attention(q, k, v, stack.n_heads, mask), p[pre + "wo"], transpose_b=True))
+        x = add(x, linear(_per_head_attention(q, k, v, stack.n_heads, mask), p[pre + "wo"]))
         h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        x = add(x, matmul(gelu(matmul(h, p[pre + "ffn_up"], transpose_b=True)), p[pre + "ffn_down"], transpose_b=True))
+        x = add(x, linear(gelu(linear(h, p[pre + "ffn_up"])), p[pre + "ffn_down"]))
     return layer_norm(x, p["ln_f.g"], p["ln_f.b"])
 
 
@@ -458,7 +459,7 @@ def _per_head_backbone(bb, emb, past=0, kv=None):
     L = emb.shape[-2]
     x = add(emb, embedding_lookup(bb.params["wpe"], np.arange(past, past + L)))
     mask = None if L == 1 else Tensor(np.triu(np.full((L, past + L), -1e9, dtype=np.float32), k=past + 1))
-    return matmul(_per_head_layers(bb, x, mask, kv), bb.params["lm_head"], transpose_b=True)
+    return linear(_per_head_layers(bb, x, mask, kv), bb.params["lm_head"])
 
 
 def _assert_same_grads(loss_a, loss_b, params):
@@ -517,7 +518,7 @@ def test_head_batched_projector_equals_the_per_head_loop(dtype):
     _, padded, pad = _padded_frames((3, 7, 5), HEADS_PROJ.d_in, dtype, Rng(60))
     got = proj.forward(Tensor(padded), train=False, pad_mask=pad)
     x = add(Tensor(padded), embedding_lookup(proj.params["wpe"], np.arange(padded.shape[1])))
-    want = matmul(_per_head_layers(proj, x, Tensor(pad)), proj.params["out_proj"], transpose_b=True)
+    want = linear(_per_head_layers(proj, x, Tensor(pad)), proj.params["out_proj"])
     np.testing.assert_array_equal(got.data, want.data)
     weights = Tensor(Rng(61).normal(size=got.shape).astype(dtype))
     _assert_same_grads(mean(mul(got, weights)), mean(mul(want, weights)), list(proj.params.values()))

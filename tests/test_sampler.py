@@ -6,6 +6,8 @@ from mmadapt.sampler import BatchSchedule, SamplerConfig, plan_epoch
 
 from references import check_interleaving, empirical_ratios
 
+WHOLE_EPOCH = 10**9  # a step budget longer than any epoch here: plan all of it
+
 
 def _pools(n_per_split=400):
     pools = {}
@@ -39,7 +41,7 @@ def test_epoch_steps_is_floor_of_pool_over_batch():
     cfg = _config(batch_size=16, epoch_steps=None)
     pools = _pools(100)
     # primary pool: ASR 100 + ST 300 + SQA 800 = 1200 -> X = 75
-    schedule = plan_epoch(cfg, pools, Rng(1))
+    schedule = plan_epoch(cfg, pools, Rng(1), WHOLE_EPOCH)
     assert len(schedule.steps) == 1200 // 16
     assert all(not step[0].interleaved for step in schedule.steps)
 
@@ -52,14 +54,14 @@ def test_exact_epoch_length_1600_over_16():
         interleave_text=False,
     )
     pools = {("ASR", "src", "valid"): [f"x{i}" for i in range(1600)]}
-    schedule = plan_epoch(cfg, pools, Rng(2))
+    schedule = plan_epoch(cfg, pools, Rng(2), WHOLE_EPOCH)
     assert len(schedule.steps) == 100
     assert len(schedule.entries) == 100
 
 
 def test_long_run_task_frequencies_match_ratios():
     cfg = _config(epoch_steps=10_000, batch_size=1)
-    schedule = plan_epoch(cfg, _pools(50), Rng(3))
+    schedule = plan_epoch(cfg, _pools(50), Rng(3), WHOLE_EPOCH)
     freqs = empirical_ratios(schedule)
     assert abs(freqs["ASR"] - 0.2) < 0.02
     assert abs(freqs["ST"] - 0.4) < 0.02
@@ -68,7 +70,7 @@ def test_long_run_task_frequencies_match_ratios():
 
 def test_split_ratios_renormalized_within_task():
     cfg = _config(epoch_steps=8_000, batch_size=1)
-    schedule = plan_epoch(cfg, _pools(50), Rng(4))
+    schedule = plan_epoch(cfg, _pools(50), Rng(4), WHOLE_EPOCH)
     sqa = [step[0] for step in schedule.steps if step[0].task == "SQA"]
     frac_invalid = sum(1 for e in sqa if e.validity == "invalid") / len(sqa)
     assert abs(frac_invalid - 0.2) < 0.03  # 0.05 / (0.2 + 0.05) per language
@@ -77,7 +79,7 @@ def test_split_ratios_renormalized_within_task():
 
 
 def test_interleaving_rule_holds_and_st_pairs_with_mt():
-    schedule = plan_epoch(_config(epoch_steps=300), _pools(), Rng(5))
+    schedule = plan_epoch(_config(epoch_steps=300), _pools(), Rng(5), WHOLE_EPOCH)
     assert check_interleaving(schedule)
     # Each step is its primary entry, then its interleaved text entry if any.
     assert len(schedule.steps) == 300
@@ -103,15 +105,15 @@ def test_asr_has_no_text_follow_up():
         batch_size=2,
         epoch_steps=50,
     )
-    schedule = plan_epoch(cfg, _pools(20), Rng(6))
+    schedule = plan_epoch(cfg, _pools(20), Rng(6), WHOLE_EPOCH)
     assert all(not e.interleaved for e in schedule.entries)
     assert len(schedule.entries) == 50
 
 
 def test_same_seed_reproducible_different_seed_differs():
-    a = plan_epoch(_config(epoch_steps=200), _pools(), Rng(8))
-    b = plan_epoch(_config(epoch_steps=200), _pools(), Rng(8))
-    c = plan_epoch(_config(epoch_steps=200), _pools(), Rng(9))
+    a = plan_epoch(_config(epoch_steps=200), _pools(), Rng(8), WHOLE_EPOCH)
+    b = plan_epoch(_config(epoch_steps=200), _pools(), Rng(8), WHOLE_EPOCH)
+    c = plan_epoch(_config(epoch_steps=200), _pools(), Rng(9), WHOLE_EPOCH)
     assert a.entries == b.entries
     assert a.entries != c.entries
 
@@ -125,7 +127,7 @@ def test_without_replacement_until_cursor_cycles():
         interleave_text=False,
     )
     pools = {("ST", "tgt1", "valid"): [f"id{i}" for i in range(50)]}
-    schedule = plan_epoch(cfg, pools, Rng(10))
+    schedule = plan_epoch(cfg, pools, Rng(10), WHOLE_EPOCH)
     drawn = [i for e in schedule.entries for i in e.example_ids]
     assert len(drawn) == 150
     for cycle in range(3):
@@ -138,7 +140,7 @@ def test_positive_ratio_empty_split_rejected():
     pools = _pools()
     del pools[("ST", "tgt2", "valid")]
     with pytest.raises(ConfigError):
-        plan_epoch(cfg, pools, Rng(11))
+        plan_epoch(cfg, pools, Rng(11), WHOLE_EPOCH)
 
 
 def test_ratio_groups_must_sum_to_one():
@@ -156,10 +158,10 @@ def test_empirical_ratios_single_task_and_sum():
         batch_size=2,
         epoch_steps=40,
     )
-    schedule = plan_epoch(cfg, _pools(20), Rng(12))
+    schedule = plan_epoch(cfg, _pools(20), Rng(12), WHOLE_EPOCH)
     freqs = empirical_ratios(schedule)
     assert freqs == {"ASR": 1.0}
-    mixed = plan_epoch(_config(epoch_steps=500), _pools(), Rng(13))
+    mixed = plan_epoch(_config(epoch_steps=500), _pools(), Rng(13), WHOLE_EPOCH)
     f = empirical_ratios(mixed)
     assert abs(sum(f.values()) - 1.0) < 1e-12
     # counting oracle
@@ -184,15 +186,39 @@ def test_text_mode_renders_everything_text():
         epoch_steps=100,
         text_mode=True,
     )
-    schedule = plan_epoch(cfg, _pools(), Rng(14))
+    schedule = plan_epoch(cfg, _pools(), Rng(14), WHOLE_EPOCH)
     assert all(e.modality == "text" for e in schedule.entries)
     assert all(not e.interleaved for e in schedule.entries)
+
+
+class _Unread:
+    """A pool entry whose id must not be read."""
+
+    @property
+    def id(self):
+        raise AssertionError("plan_epoch read the ids of a split it never draws from")
+
+
+def test_a_shorter_plan_is_the_prefix_of_the_whole_epoch():
+    # 20 ids per split in batches of 4: cursors cycle within the 60 steps,
+    # and ST/SQA steps interleave MT/QA batches.
+    cfg = _config(epoch_steps=60)
+    whole = plan_epoch(cfg, _pools(20), Rng(16), WHOLE_EPOCH).steps
+    assert len(whole) == 60
+    assert any(len(step) == 2 for step in whole)
+    for n in (1, 7, 59, 60):
+        assert plan_epoch(cfg, _pools(20), Rng(16), n).steps == whole[:n]
+    # A split of an inactive task, or one no step draws from, is never read.
+    pools = {**_pools(20), ("ASR", "src", "invalid"): [_Unread()]}
+    pools[("QA", "src", "valid")] = [_Unread()]
+    asr_only = _config(task_ratios={"ASR": 1.0}, epoch_steps=5)
+    assert len(plan_epoch(asr_only, pools, Rng(17), WHOLE_EPOCH).steps) == 5
 
 
 def test_manifest_lines_round_trip():
     import json
 
-    schedule = plan_epoch(_config(epoch_steps=20), _pools(), Rng(15))
+    schedule = plan_epoch(_config(epoch_steps=20), _pools(), Rng(15), WHOLE_EPOCH)
     lines = schedule.to_manifest_lines()
     assert len(lines) == len(schedule.entries)
     rec = json.loads(lines[0])
@@ -209,8 +235,8 @@ def _no_qa_pools():
     pytest.param(lambda: _config(split_ratios={"ASR": {}}), r"split_ratios\[ASR\] is empty", id="empty-splits"),
     pytest.param(lambda: _config(task_ratios={"ASR": -0.2, "ST": 0.8, "SQA": 0.4}), "negative", id="negative"),
     pytest.param(lambda: _config(task_ratios={"ASR": 0.5, "MT": 0.5}), "no split ratios", id="no-split-ratios"),
-    pytest.param(lambda: plan_epoch(_config(batch_size=16), _pools(1), Rng(0)), "epoch has no steps", id="no-steps"),
-    pytest.param(lambda: plan_epoch(_config(task_ratios={"SQA": 1.0}), _no_qa_pools(), Rng(0)),
+    pytest.param(lambda: plan_epoch(_config(batch_size=16), _pools(1), Rng(0), WHOLE_EPOCH), "epoch has no steps", id="no-steps"),
+    pytest.param(lambda: plan_epoch(_config(task_ratios={"SQA": 1.0}), _no_qa_pools(), Rng(0), WHOLE_EPOCH),
                  r"split \('QA', .*\) has no data", id="interleaved-split-without-data"),
 ])
 def test_sampler_checks_raise_their_typed_errors(call, match):

@@ -19,6 +19,7 @@ from mmadapt.tensor import (
     gelu,
     grad,
     layer_norm,
+    linear,
     masked_cross_entropy,
     matmul,
     merge_heads,
@@ -32,7 +33,7 @@ from mmadapt.tensor import (
     tslice,
 )
 
-from references import finite_diff_check, mean, mul
+from references import finite_diff_check, linear_by_matmul, mean, mul
 
 
 def test_grad_sum_of_squares():
@@ -109,6 +110,7 @@ def test_finite_diff_rejects_nondeterministic_f():
         "matmul",
         "matmul_tb",
         "matmul_batched",
+        "linear",
         "add_broadcast",
         "scale",
         "mul",
@@ -141,6 +143,10 @@ def test_every_op_gradient_matches_finite_differences(name):
         a, b = parameter(rng.normal(size=(2, 3, 4))), parameter(rng.normal(size=(4, 5)))
         f = lambda _: mean(mul(matmul(a, b), matmul(a, b)))
         params = [a, b]
+    elif name == "linear":
+        x, w = parameter(rng.normal(size=(2, 3, 4))), parameter(rng.normal(size=(5, 4)))
+        f = lambda _: mean(mul(linear(x, w), linear(x, w)))
+        params = [x, w]
     elif name == "add_broadcast":
         a, b = parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=(4,)))
         f = lambda _: mean(mul(add(a, b), add(a, b)))
@@ -209,6 +215,68 @@ def test_every_op_gradient_matches_finite_differences(name):
         raise AssertionError(name)
 
     assert finite_diff_check(f, params, epsilon=1e-5) < 1e-4
+
+
+FLOAT32_EPS = float(np.finfo(np.float32).eps)
+
+
+def _within_float32_sum_bound(got, want, abs_sum, n_terms):
+    """Two float32 sums of the same `n_terms` products differ by at most
+    n_terms * eps * (the sum of the products' magnitudes), whatever the
+    order each was summed in."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float32
+    assert np.all(np.abs(got - want) <= n_terms * FLOAT32_EPS * abs_sum)
+
+
+@pytest.mark.parametrize("shape", [(7, 24), (3, 5, 24), (2, 3, 5, 24)])
+def test_linear_matches_the_batched_matmul_within_float32_rounding(shape):
+    # `linear` sums each product as one 2-D GEMM over the rows, the reference
+    # as one GEMM per leading index: equal values up to the order of float32
+    # sums, bounded per element as in `_within_float32_sum_bound`.
+    rng = Rng(80)
+    x = parameter(rng.split("x").normal(size=shape).astype(np.float32))
+    w = parameter(rng.split("w").normal(size=(10, shape[-1])).astype(np.float32))
+    g = rng.split("g").normal(size=shape[:-1] + (10,)).astype(np.float32)
+    got, want = linear(x, w), linear_by_matmul(x, w)
+    X, W, G = np.abs(x.data), np.abs(w.data), np.abs(g)
+    _within_float32_sum_bound(got.data, want.data, X @ W.T, shape[-1])
+    (dx, dw), (ref_dx, ref_dw) = got._backward(g), want._backward(g)
+    _within_float32_sum_bound(dx, ref_dx, G @ W, 10)
+    rows = int(np.prod(shape[:-1]))
+    _within_float32_sum_bound(dw, ref_dw, G.reshape(rows, 10).T @ X.reshape(rows, -1), rows)
+    if len(shape) == 2:  # a 2-D x is the same single product: equal bits
+        assert np.array_equal(got.data, want.data) and np.array_equal(dw, ref_dw)
+
+
+def test_linear_backward_skips_a_frozen_operand_and_keeps_the_others_bits():
+    rng = Rng(81)
+    x_data = rng.split("x").normal(size=(3, 4, 6)).astype(np.float32)
+    w_data = rng.split("w").normal(size=(5, 6)).astype(np.float32)
+    g = rng.split("g").normal(size=(3, 4, 5)).astype(np.float32)
+    dx, dw = linear(parameter(x_data), parameter(w_data))._backward(g)
+    frozen_w = linear(parameter(x_data), Tensor(w_data))._backward(g)
+    frozen_x = linear(Tensor(x_data), parameter(w_data))._backward(g)
+    assert frozen_w[1] is None and frozen_x[0] is None
+    assert np.array_equal(frozen_w[0], dx) and np.array_equal(frozen_x[1], dw)
+    # Through `grad`, a frozen weight reads zero and the input's gradient is unchanged.
+    x, w = parameter(x_data), Tensor(w_data)
+    got = grad(mean(mul(linear(x, w), linear(x, w))), [x, w])
+    want = grad(mean(mul(linear(x, parameter(w_data)), linear(x, parameter(w_data)))), [x])
+    assert np.array_equal(got[x].data, want[x].data) and not np.any(got[w].data)
+
+
+def test_layer_norm_backward_skips_a_frozen_gain_and_bias():
+    rng = Rng(82)
+    x = parameter(rng.split("x").normal(size=(3, 4, 8)).astype(np.float32))
+    gain = rng.split("gain").normal(size=8).astype(np.float32)
+    bias = rng.split("bias").normal(size=8).astype(np.float32)
+    g = rng.split("g").normal(size=(3, 4, 8)).astype(np.float32)
+    dx, dgain, dbias = layer_norm(x, parameter(gain), parameter(bias))._backward(g)
+    assert dgain is not None and dbias is not None
+    frozen = layer_norm(x, Tensor(gain), Tensor(bias))._backward(g)
+    assert frozen[1] is None and frozen[2] is None and np.array_equal(frozen[0], dx)
+    only_gain = layer_norm(x, parameter(gain), Tensor(bias))._backward(g)
+    assert np.array_equal(only_gain[1], dgain) and only_gain[2] is None
 
 
 def test_softmax_rows_are_distributions():
@@ -495,6 +563,12 @@ def test_training_steps_reuse_freed_memory_instead_of_faulting_it_in():
     pytest.param(lambda: dropout(Tensor(np.ones(3)), 1.0, Rng(0)), ContractViolation, "dropout rate", id="dropout-1"),
     pytest.param(lambda: dropout(Tensor(np.ones(3)), -0.1, Rng(0)), ContractViolation, "dropout rate",
                  id="dropout-negative"),
+    pytest.param(lambda: linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2)))), ShapeError, "linear",
+                 id="linear-width"),
+    pytest.param(lambda: linear(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 4, 3)))), ShapeError, "2-D weight",
+                 id="linear-3d-weight"),
+    pytest.param(lambda: linear(Tensor(np.float64(1.0)), Tensor(np.ones((4, 1)))), ShapeError, "2-D weight",
+                 id="linear-scalar-x"),
     pytest.param(lambda: masked_cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 4)), np.ones((2, 4), bool)),
                  ShapeError, "masked_cross_entropy", id="cross-entropy-targets"),
     pytest.param(lambda: masked_cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 3)), np.ones((3, 2), bool)),

@@ -12,10 +12,10 @@ from mmadapt.prompting import render_prompt
 from mmadapt.rng import Rng
 from mmadapt.sampler import SamplerConfig
 from mmadapt.tensor import grad, parameter, tape_of
-from mmadapt.trainer import BETAS, EPS, AdamW, OptimizerConfig, StagePlan, Trainer, batch_loss, run_stage
+from mmadapt.trainer import EPS, AdamW, OptimizerConfig, StagePlan, Trainer, batch_loss, run_stage
 from mmadapt.vocab import LANGUAGES, TARGET_LANGUAGES
 
-from references import corpus_split, per_example_batch_loss
+from references import PerTensorAdamW, corpus_split, per_example_batch_loss
 
 BB = BackboneConfig(vocab_size=96, d_model=16, n_layers=1, n_heads=2, d_ffn=24)
 PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=32, d_ffn=16, d_out=16, frame_avg_k=3)
@@ -235,32 +235,6 @@ def test_adamw_first_step_moves_each_weight_by_lr_against_its_gradient():
     np.testing.assert_allclose(p.data, w - 0.1 * g / (np.abs(g) + EPS), rtol=1e-9)
 
 
-class _PerTensorAdamW:
-    """The per-tensor AdamW loop the flat update replaced: the reference."""
-
-    def __init__(self, arrays: dict, lr: float):
-        self.arrays = {k: a.copy() for k, a in arrays.items()}
-        self.lr = lr
-        self.t = 0
-        self.m = {k: np.zeros_like(a) for k, a in arrays.items()}
-        self.v = {k: np.zeros_like(a) for k, a in arrays.items()}
-
-    def step(self, grads: dict) -> float:
-        self.t += 1
-        step, lr = self.t, self.lr
-        b1, b2 = BETAS
-        for name, p in self.arrays.items():
-            g, m, v = grads[name], self.m[name], self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            m_hat = m / (1 - b1**step)
-            v_hat = v / (1 - b2**step)
-            self.arrays[name] = p - lr * (m_hat / (np.sqrt(v_hat) + EPS))
-        return lr
-
-
 SHAPES = {"w": (4, 3), "b": (3,), "table": (5, 2, 2)}
 
 
@@ -278,7 +252,7 @@ def _grads(step: int, dtype=np.float32) -> dict:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_flat_adamw_is_bit_identical_to_the_per_tensor_loop(dtype):
     params, cfg = _adamw_case(dtype)
-    ref = _PerTensorAdamW({k: t.data for k, t in params.items()}, cfg.lr)
+    ref = PerTensorAdamW({k: t.data for k, t in params.items()}, cfg.lr)
     opt = AdamW(params, cfg)
     for step in range(5):
         grads = _grads(step, dtype)
@@ -299,6 +273,27 @@ def test_flat_adamw_is_bit_identical_to_the_per_tensor_loop(dtype):
     again.step(grads)
     for k, t in params.items():
         np.testing.assert_array_equal(t.data, ref.arrays[k])
+
+
+def test_in_place_adamw_matches_the_out_of_place_formula_over_every_gradient_scale():
+    # float32 gradients from 1e-12 (sqrt(v_hat) far below EPS) to 1e3, and
+    # exact zeros, over twelve steps: every weight and moment equal bit for bit.
+    rng = Rng(72)
+    shapes = {"w": (16, 8), "b": (8,)}
+    params = {k: parameter(rng.split(k).normal(size=s).astype(np.float32)) for k, s in shapes.items()}
+    ref = PerTensorAdamW({k: t.data for k, t in params.items()}, 3e-3)
+    opt = AdamW(params, OptimizerConfig(lr=3e-3))
+    for step in range(12):
+        grads = {}
+        for k, s in shapes.items():
+            r = rng.split("g", str(step), k)
+            g = r.normal(size=s) * 10.0 ** r.integers(-12, 4, size=s)
+            grads[k] = np.where(r.uniform(size=s) < 0.1, 0.0, g).astype(np.float32)
+        assert opt.step(grads) == ref.step(grads)
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, ref.arrays[k])
+            np.testing.assert_array_equal(opt.state["m"][k], ref.m[k])
+            np.testing.assert_array_equal(opt.state["v"][k], ref.v[k])
 
 
 def test_adamw_step_leaves_arrays_handed_out_earlier_unchanged():
@@ -399,6 +394,24 @@ def test_interleaved_merge_stage_steps_every_optimizer_on_every_batch(corpus, mo
     assert [set(g) for g in _RecordingAdamW.steps] == names * len(log)
     # Each record logs every component's own learning rate.
     assert [r.lr for r in log] == [{"lora": 1e-3, "projector": 5e-4}] * len(log)
+
+
+def test_run_plans_only_the_steps_it_trains(corpus, monkeypatch):
+    # Epochs of 2 steps for a 5-step budget: 2 + 2 + 1 steps planned, and
+    # the planned steps are the ones trained, in order.
+    real, planned = trainer_module.plan_epoch, []
+
+    def recording(*args):
+        schedule = real(*args)
+        planned.append(schedule.steps)
+        return schedule
+
+    monkeypatch.setattr(trainer_module, "plan_epoch", recording)
+    plan = StagePlan("A", ("projector",), _sampler(("ASR", "ST"), interleave_text=False, epoch_steps=2),
+                     {"projector": OptimizerConfig(lr=1e-3)}, max_steps=5)
+    log, _, _ = _trainer(corpus, _models()).run(plan, Rng(1))
+    assert [len(steps) for steps in planned] == [2, 2, 1]
+    assert [(r.step, r.task) for r in log] == [(i, step[0].task) for i, step in enumerate(s for ss in planned for s in ss)]
 
 
 def test_each_micro_batch_graph_is_released_before_the_next_forward(corpus, monkeypatch):
