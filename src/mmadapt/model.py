@@ -10,7 +10,9 @@ embedding space. Every component, adapters included, holds its named
 parameter tensors in `params` and shares one freeze/export/load path.
 
 Attention runs every head in one stacked product: queries, keys and
-values are split into the head layout (..., H, L, dh) once per layer.
+values are split into the head layout (..., H, L, dh) once per layer, and
+one `attention` op (scores, mask, softmax, dropout and the context product,
+with a hand-written backward) attends over all of them.
 Inference can run the backbone one new row at a time over a `KVCache`,
 which holds every layer's keys and values for the rows fed so far, in that
 head layout, together with the weights that produced them, e.g. site
@@ -39,6 +41,7 @@ from .rng import Rng
 from .tensor import (
     Tensor,
     add,
+    attention,
     concat,
     dropout,
     embedding_lookup,
@@ -50,9 +53,9 @@ from .tensor import (
     merge_heads,
     parameter,
     scale,
-    softmax,
+    softmax,  # noqa: F401  (perfbench wraps model.softmax)
     split_heads,
-    tslice,  # noqa: F401  (perfbench wraps model.tslice)
+    tslice,
 )
 
 MAX_FRAMES = 64  # rows of the projector's learned frame-position table
@@ -249,20 +252,20 @@ class _Stack(_Params):
         name, shape = head
         self.params[name] = init(name, shape)
 
-    def _layers(self, x: Tensor, mask: Tensor | None, p: dict[str, Tensor], drop: float = 0.0,
+    def _layers(self, x: Tensor, mask: np.ndarray | None, p: dict[str, Tensor], drop: float = 0.0,
                 rng: Rng | None = None, cache: KVCache | None = None) -> Tensor:
         """The pre-LN layers and final layer norm over (..., L, d) inputs.
 
         Every projection is `linear(x, W)`, x @ W^T over the weights `p`,
         into which any adapters are already folded. Each layer splits its
         queries, keys and values into `n_heads` heads, (..., H, L, d/H), and
-        attends with all heads in one stacked product; `mask` is an additive
+        attends with all heads in one `attention` op; `mask` is an additive
         mask that broadcasts against the (..., H, L, S) scores. Callers
         decide when dropout applies: given an `rng`, dropout at rate `drop`
-        drawn from it hits attention probabilities (one draw over every head)
-        and both residual branches. With a `cache`, the layers attend over the
-        cached keys and values followed by the new rows' own, which they
-        append to the cache.
+        drawn from it hits attention probabilities (one draw over every head,
+        inside `attention`) and both residual branches. With a `cache`, the
+        layers attend over the cached keys and values followed by the new
+        rows' own, which they append to the cache.
         """
         inv = 1.0 / float(np.sqrt(x.shape[-1] // self.n_heads))
         for i in range(self.n_layers):
@@ -272,13 +275,8 @@ class _Stack(_Params):
             q, k, v = (split_heads(linear(h, p[pre + w]), self.n_heads) for w in ("wq", "wk", "wv"))
             if cache is not None:
                 k, v = cache.extend(i, k, v)
-            scores = scale(matmul(q, k, transpose_b=True), inv)
-            if mask is not None:
-                scores = add(scores, mask)
-            probs = softmax(scores)
-            if r is not None:
-                probs = dropout(probs, drop, r.split("attn"))
-            a = linear(merge_heads(matmul(probs, v)), p[pre + "wo"])
+            a = attention(q, k, v, mask, inv, drop, r.split("attn") if r is not None else None)
+            a = linear(merge_heads(a), p[pre + "wo"])
             if r is not None:
                 a = dropout(a, drop, r.split("post-attn"))
             x = add(x, a)
@@ -298,17 +296,17 @@ class Backbone(_Stack):
         d = cfg.d_model
         tables = {"wte": (cfg.vocab_size, d), "wpe": (cfg.max_seq_len, d)}
         super().__init__(d, cfg.d_ffn, cfg.n_layers, cfg.n_heads, tables, ("lm_head", (cfg.vocab_size, d)), rng, dtype)
-        self._masks: dict[tuple[int, int], Tensor] = {}
+        self._masks: dict[tuple[int, int], np.ndarray] = {}
 
-    def _causal_mask(self, L: int, past: int) -> Tensor:
+    def _causal_mask(self, L: int, past: int) -> np.ndarray:
         """(L, past + L) additive mask: row i sees keys up to past + i."""
         m = self._masks.get((L, past))
         if m is None:
-            mask = np.triu(np.full((L, past + L), -1e9, dtype=np.float32), k=past + 1)
-            m = self._masks[(L, past)] = Tensor(mask)
+            m = self._masks[(L, past)] = np.triu(np.full((L, past + L), -1e9, dtype=np.float32), k=past + 1)
         return m
 
-    def forward(self, emb: Tensor, positions, lora: LoraAdapters | None = None, cache: KVCache | None = None) -> Tensor:
+    def forward(self, emb: Tensor, positions, lora: LoraAdapters | None = None, cache: KVCache | None = None,
+                rows=None) -> Tensor:
         """emb: (..., L, d_model) content embeddings; returns (..., L, vocab) logits.
 
         `lora` is folded into the backbone's weights for this call. With a
@@ -316,6 +314,9 @@ class Backbone(_Stack):
         adapters, and `emb` holds the rows that follow the `cache.length`
         rows already fed: they attend over those rows' cached keys and
         values, and their own are appended. A single row needs no mask.
+        `rows` indexes the leading axes of `emb`, e.g. the (batch, position)
+        arrays of `np.nonzero(label_mask)`: given it, only those rows, picked
+        after the final layer norm, get logits, (N, vocab) for N indexed rows.
         """
         if emb.shape[-1] != self.cfg.d_model:
             raise ShapeError(f"expected embeddings of width {self.cfg.d_model}, got {emb.shape}")
@@ -328,6 +329,8 @@ class Backbone(_Stack):
         p = cache.params if cache is not None else fold_adapters(self.params, lora)
         x = add(emb, embedding_lookup(p["wpe"], np.asarray(positions, dtype=np.int64)))
         x = self._layers(x, None if L == 1 else self._causal_mask(L, past), p, cache=cache)
+        if rows is not None:
+            x = tslice(x, rows)
         return linear(x, p["lm_head"])
 
 
@@ -366,7 +369,7 @@ class SpeechProjector(_Stack):
             pad_mask = np.asarray(pad_mask)
             if pad_mask.shape != frames.shape[:-2] + (1, M):
                 raise ShapeError(f"pad_mask must be {frames.shape[:-2] + (1, M)} for frames {frames.shape}, got {pad_mask.shape}")
-            mask = Tensor(pad_mask[..., None, :, :])
+            mask = pad_mask[..., None, :, :]
         x = add(frames, embedding_lookup(self.params["wpe"], np.arange(M, dtype=np.int64)))
         x = self._layers(x, mask, self.params, drop=self.cfg.dropout, rng=rng if train and self.cfg.dropout > 0 else None)
         return linear(x, self.params["out_proj"])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -115,6 +116,15 @@ def _make_node(op: str, data: np.ndarray, parents: tuple[Tensor, ...], backward)
         out.parents = parents
         out._backward = backward
         out._seq = next(_SEQ)
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _filled(shape: tuple[int, int], value: float, dtype: np.dtype) -> np.ndarray:
+    """A read-only 2-D array of `value`, built once per (shape, value, dtype):
+    the column or row that turns row and column sums into BLAS mat-vecs."""
+    out = np.full(shape, value, dtype=dtype)
+    out.flags.writeable = False
     return out
 
 
@@ -234,13 +244,30 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _make_node("concat", y, tuple(tensors), backward)
 
 
+def _addresses_each_element_once(key, shape) -> bool:
+    """True for a basic key (ints, slices, None, Ellipsis) and for a tuple of
+    integer arrays naming distinct positions of the leading axes."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice)) for k in parts):
+        return True
+    if not all(isinstance(k, np.ndarray) and k.dtype.kind in "iu" for k in parts):
+        return False
+    flat = np.sort(np.ravel_multi_index(parts, shape[: len(parts)], mode="wrap"), axis=None)
+    return not np.any(flat[1:] == flat[:-1])
+
+
 def tslice(a: Tensor, key) -> Tensor:
+    """a[key]. The backward writes the gradient into zeros, or adds it with
+    `np.add.at` (~1 us a row) where `key` may name an element twice."""
     a = _as_tensor(a)
     y = a.data[key]
 
     def backward(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if _addresses_each_element_once(key, a.shape):
+            buf[key] = g
+        else:
+            np.add.at(buf, key, g)
         return (buf,)
 
     return _make_node("slice", y, (a,), backward)
@@ -281,36 +308,52 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     y = table.data[ids]
 
     def backward(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return (buf,)
+        # One GEMM with the one-hot (rows, ids) matrix sums each id's gradient
+        # rows, several times faster than `np.add.at` on training batches.
+        flat = ids.reshape(-1)
+        onehot = np.zeros((table.shape[0], flat.size), dtype=table.data.dtype)
+        onehot[flat, np.arange(flat.size)] = 1.0
+        return (onehot @ g.reshape(-1, table.shape[-1]),)
 
     return _make_node("embedding-lookup", y, (table,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    `gain` and `bias` are (n,) vectors. Row means are one BLAS mat-vec over
+    all rows against a (n, 1) column of 1/n (exact for the model's
+    power-of-two widths): ~4x faster than `np.add.reduce` on rows of 64
+    floats."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    # add.reduce / n equals .mean bit for bit without its Python-level wrapper.
-    n = x.data.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    y = xhat * gain.data + bias.data
+    X = x.data
+    n = X.shape[-1]
+    X2 = X.reshape(-1, n)
+    c = _filled((n, 1), 1.0 / n, X.dtype)
+    xhat = X2 - X2 @ c
+    inv = (xhat * xhat) @ c
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
 
     def backward(g):
-        dxhat = g * gain.data
-        dx = (inv / n) * (
-            n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-        )
+        g2 = g.reshape(-1, n)
+        dxhat = g2 * gain.data
+        dx = dxhat - dxhat @ c
+        dxhat *= xhat
+        dx -= xhat * (dxhat @ c)
+        dx *= inv
         # A frozen gain or bias (the backbone after pretraining) gets none.
-        dgain = _unbroadcast(g * xhat, gain.shape) if gain.requires_grad else None
-        dbias = _unbroadcast(g, bias.shape) if bias.requires_grad else None
-        return dx, dgain, dbias
+        # Their sums over the rows are mat-vecs too, against a row of ones.
+        ones = _filled((1, len(g2)), 1.0, g2.dtype)
+        dgain = (ones @ (g2 * xhat)).reshape(gain.shape) if gain.requires_grad else None
+        dbias = (ones @ g2).reshape(bias.shape) if bias.requires_grad else None
+        return dx.reshape(X.shape), dgain, dbias
 
-    return _make_node("layer-norm", y, (x, gain, bias), backward)
+    return _make_node("layer-norm", y.reshape(X.shape), (x, gain, bias), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -325,6 +368,60 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make_node("softmax", y, (x,), backward)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, inv: float, drop: float, rng: Rng | None) -> Tensor:
+    """softmax(inv * q @ k^T + mask) @ v as one op, for q (..., L, dh), k and
+    v (..., S, dh) with the same leading axes.
+
+    `mask` is a constant additive mask that broadcasts against the
+    (..., L, S) scores. Given an `rng`, dropout at rate `drop` hits the
+    probabilities with a keep mask drawn from it as `dropout` draws one.
+    The scores are scaled, masked and normalized in place in one (..., L, S)
+    array. Row sums are mat-vecs against a ones column, one per (L, S)
+    matrix, so each head's rows sum as they would alone. The backward is
+    written out: with dp = g @ v^T, ds = inv * p * (dp - rowsum(dp * p)).
+    """
+    Q, K, V = q.data, k.data, v.data
+    if Q.shape[:-2] != K.shape[:-2] or K.shape[:-1] != V.shape[:-1] or Q.shape[-1] != K.shape[-1]:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    if rng is not None and not 0.0 <= drop < 1.0:
+        raise ContractViolation(f"dropout rate must be in [0, 1), got {drop}")
+    p = Q @ K.swapaxes(-1, -2)
+    p *= inv
+    if mask is not None:
+        try:
+            p += mask
+        except ValueError as e:
+            raise ShapeError(f"attention: mask {np.shape(mask)} against scores {p.shape} ({e})") from None
+    # numpy's last-axis max is slow on short rows: 146 us on (16, 4, 27, 27)
+    # scores. Over more rows than columns, S elementwise maxima over a
+    # transposed copy take 36 us; a one-row decode step keeps the plain one.
+    rows = p.reshape(-1, p.shape[-1])
+    row_max = np.maximum.reduce(rows.T.copy(), axis=0) if len(rows) > rows.shape[1] else np.maximum.reduce(rows, axis=1)
+    p -= row_max.reshape(p.shape[:-1] + (1,))
+    np.exp(p, out=p)
+    ones = _filled((p.shape[-1], 1), 1.0, p.dtype)
+    p /= p @ ones
+    pd = p
+    if rng is not None:
+        keep = (rng.uniform(size=p.shape) >= drop).astype(p.dtype)
+        factor = 1.0 / (1.0 - drop)
+        pd = p * keep * factor
+    y = pd @ V
+
+    def backward(g):
+        dv = pd.swapaxes(-1, -2) @ g
+        ds = g @ V.swapaxes(-1, -2)
+        if pd is not p:
+            ds *= keep
+            ds *= factor
+        ds -= (ds * p) @ ones
+        ds *= p
+        ds *= inv
+        return ds @ K, (Q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), dv
+
+    return _make_node("attention", y, (q, k, v), backward)
+
+
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
@@ -332,15 +429,32 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-approximated GELU; the gradient matches this exact formula."""
     x = _as_tensor(x)
     xd = x.data
-    # xd*xd*xd, not xd**3: numpy's generic float power is ~100x slower.
-    u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(u)
-    y = 0.5 * xd * (1.0 + t)
+    # C * (x + 0.044715 * x*x*x), then tanh, in place in one array: xd*xd*xd,
+    # not xd**3, since numpy's generic float power is ~100x slower.
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * xd
+    y *= 1.0 + t
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
-        dy = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
-        return (g * dy,)
+        du = xd * xd
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        dy = t * t
+        np.subtract(1.0, dy, out=dy)
+        half_x = 0.5 * xd
+        half_x *= dy
+        half_x *= du
+        np.add(1.0, t, out=dy)
+        dy *= 0.5
+        dy += half_x
+        dy *= g
+        return (dy,)
 
     return _make_node("gelu", y, (x,), backward)
 

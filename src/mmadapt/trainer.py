@@ -163,6 +163,8 @@ def batch_loss(
 
     The input is one lookup of a `splice_grid` index into the token table
     and the batch's speech rows, one slice of a single projector forward.
+    Only the positions that predict a target get logits (`Backbone.forward`'s
+    `rows`), a third or less of the grid.
     `content_noise` perturbs text content-block embeddings during training
     (backbone pretraining only); it makes content reading tolerant to the
     inexact embeddings a projector will later splice into the same slots.
@@ -203,10 +205,11 @@ def batch_loss(
             start, n = len(p.prefix_tokens), len(p.content_tokens)
             noise[i, start : start + n] = content_noise * rng.split("noise", p.id).normal(size=(n, emb.shape[-1]))
         emb = add(emb, Tensor(noise))
-    logits = backbone.forward(emb, np.arange(index.shape[1]), lora=adapters)
     label_mask = np.zeros_like(mask)
     label_mask[:, :-1] = mask[:, 1:]  # position t predicts token t + 1
-    return masked_cross_entropy(logits, np.roll(ids, -1, axis=1), label_mask)
+    rows = np.nonzero(label_mask)
+    logits = backbone.forward(emb, np.arange(index.shape[1]), lora=adapters, rows=rows)
+    return masked_cross_entropy(logits, ids[rows[0], rows[1] + 1], np.ones(len(rows[0]), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ repeat-and-tile frame synthesis that `Vocab.translate`'s tables and
 `linear_by_matmul` is the batched weight product `linear` replaced, the
 reference it must match within float32 rounding; `PerTensorAdamW` is the
 out-of-place, per-tensor AdamW update the in-place flat step must match
-bit for bit.
+bit for bit. `attention_by_chain`, `mean_layer_norm` and
+`embedding_backward_by_add_at` are the attention chain, the layer norm and
+the embedding scatter that `attention`, `layer_norm` and `embedding_lookup`
+replaced, each matched within float32 rounding; `out_of_place_gelu` is the
+gelu the in-place chain must match bit for bit. `full_grid_text_loss` is
+the text batch loss with logits at every grid position, which the
+target-row head must match within float32 rounding.
 """
 
 import hashlib
@@ -26,7 +32,7 @@ import numpy as np
 
 from mmadapt.corpus import AcousticCode, Corpus, CorpusConfig, Example
 from mmadapt.errors import ContractViolation
-from mmadapt.model import Backbone
+from mmadapt.model import Backbone, splice_grid
 from mmadapt.rng import Rng
 from mmadapt.sampler import TEXT_EQUIVALENT, BatchSchedule
 from mmadapt.trainer import BETAS, EPS
@@ -37,10 +43,13 @@ from mmadapt.tensor import (
     _unbroadcast,
     add,
     concat,
+    dropout,
     embedding_lookup,
     grad,
     masked_cross_entropy,
     matmul,
+    scale,
+    softmax,
     stack,
     tslice,
 )
@@ -216,7 +225,7 @@ def per_example_batch_loss(backbone, prompts, projector=None, adapters=None, tra
     """`batch_loss` assembled example by example: each sequence is spliced
     from its own lookups (a noisy text content block, or a slice of the
     projector output, between them), zero-padded and stacked; the returned
-    loss's parent is the logits."""
+    loss's parent is the logits of the rows that predict a target."""
     wte, d, dtype = backbone.params["wte"], backbone.cfg.d_model, backbone.dtype
     speech_out = None
     if prompts[0].frames is not None:
@@ -249,18 +258,76 @@ def per_example_batch_loss(backbone, prompts, projector=None, adapters=None, tra
     padded = [e if e.shape[0] == L else concat([e, Tensor(np.zeros((L - e.shape[0], d), dtype=dtype))], axis=0) for e in seqs]
     token_ids = np.array([t + [-1] * (L - len(t)) for t in ids], dtype=np.int64)
     mask = np.array([m + [False] * (L - len(m)) for m in masks])
-    logits = backbone.forward(stack(padded, axis=0), np.arange(L), lora=adapters)
     labels = np.zeros_like(token_ids)
     labels[:, :-1] = token_ids[:, 1:]
     label_mask = np.zeros_like(mask)
     label_mask[:, :-1] = mask[:, 1:]
-    return masked_cross_entropy(logits, np.where(label_mask, labels, 0), label_mask)
+    rows = np.nonzero(label_mask)
+    logits = backbone.forward(stack(padded, axis=0), np.arange(L), lora=adapters, rows=rows)
+    return masked_cross_entropy(logits, labels[rows], np.ones(len(rows[0]), dtype=bool))
 
 
 def linear_by_matmul(x: Tensor, w: Tensor) -> Tensor:
     """x @ w^T as a batched product against the transposed weight, one small
     product per leading index, whose backward computes both gradients."""
     return matmul(x, w, transpose_b=True)
+
+
+def attention_by_chain(q: Tensor, k: Tensor, v: Tensor, mask, inv: float, drop: float, rng) -> Tensor:
+    """softmax(inv * q @ k^T + mask), dropped out when given an `rng`, @ v:
+    one graph node per step."""
+    scores = scale(matmul(q, k, transpose_b=True), inv)
+    if mask is not None:
+        scores = add(scores, Tensor(mask))
+    probs = softmax(scores)
+    if rng is not None:
+        probs = dropout(probs, drop, rng)
+    return matmul(probs, v)
+
+
+def mean_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Layer norm's output and its input, gain and bias gradients, written
+    with `.mean` and `.sum`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    n = x.shape[-1]
+    dxhat = g * gain
+    dx = (inv / n) * (n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+    rows = tuple(range(x.ndim - 1))
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=rows), g.sum(axis=rows)
+
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def out_of_place_gelu(xd, g):
+    """tanh-GELU and its input gradient, one new array per operation."""
+    u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
+    t = np.tanh(u)
+    du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
+    dy = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
+    return 0.5 * xd * (1.0 + t), g * dy
+
+
+def embedding_backward_by_add_at(table_shape, ids, g):
+    """The table gradient of a lookup: each gradient row added onto its id's
+    row, one row at a time in order."""
+    buf = np.zeros(table_shape, dtype=g.dtype)
+    np.add.at(buf, np.asarray(ids).reshape(-1), g.reshape(-1, table_shape[-1]))
+    return buf
+
+
+def full_grid_text_loss(backbone, prompts, adapters=None):
+    """`batch_loss` on a text batch without training noise, with logits at
+    every grid position and the loss masked to the targets."""
+    rows = [(p.prefix_tokens, p.content_tokens, p.suffix_tokens, p.target_tokens) for p in prompts]
+    index, ids, mask = splice_grid(rows, backbone.cfg.vocab_size, backbone.cfg.max_seq_len)
+    logits = backbone.forward(embedding_lookup(backbone.params["wte"], index), np.arange(index.shape[1]), lora=adapters)
+    label_mask = np.zeros_like(mask)
+    label_mask[:, :-1] = mask[:, 1:]
+    return masked_cross_entropy(logits, np.roll(ids, -1, axis=1), label_mask)
 
 
 class PerTensorAdamW:

@@ -21,6 +21,7 @@ from mmadapt.rng import Rng
 from mmadapt.tensor import (
     Tensor,
     add,
+    attention,
     concat,
     embedding_lookup,
     gelu,
@@ -30,7 +31,7 @@ from mmadapt.tensor import (
     masked_cross_entropy,
     matmul,
     scale,
-    softmax,
+    tape_of,
     tslice,
 )
 
@@ -430,10 +431,7 @@ def _per_head_attention(q, k, v, n_heads, mask):
     for h in range(n_heads):
         key = (Ellipsis, slice(h * head_dim, (h + 1) * head_dim))
         qh, kh, vh = (tslice(t, key) for t in (q, k, v))
-        scores = scale(matmul(qh, kh, transpose_b=True), inv)
-        if mask is not None:
-            scores = add(scores, mask)
-        heads.append(matmul(softmax(scores), vh))
+        heads.append(attention(qh, kh, vh, mask, inv, 0.0, None))
     return concat(heads, axis=-1)
 
 
@@ -458,7 +456,7 @@ def _per_head_layers(stack, x, mask, kv=None):
 def _per_head_backbone(bb, emb, past=0, kv=None):
     L = emb.shape[-2]
     x = add(emb, embedding_lookup(bb.params["wpe"], np.arange(past, past + L)))
-    mask = None if L == 1 else Tensor(np.triu(np.full((L, past + L), -1e9, dtype=np.float32), k=past + 1))
+    mask = None if L == 1 else np.triu(np.full((L, past + L), -1e9, dtype=np.float32), k=past + 1)
     return linear(_per_head_layers(bb, x, mask, kv), bb.params["lm_head"])
 
 
@@ -518,10 +516,28 @@ def test_head_batched_projector_equals_the_per_head_loop(dtype):
     _, padded, pad = _padded_frames((3, 7, 5), HEADS_PROJ.d_in, dtype, Rng(60))
     got = proj.forward(Tensor(padded), train=False, pad_mask=pad)
     x = add(Tensor(padded), embedding_lookup(proj.params["wpe"], np.arange(padded.shape[1])))
-    want = linear(_per_head_layers(proj, x, Tensor(pad)), proj.params["out_proj"])
+    want = linear(_per_head_layers(proj, x, pad), proj.params["out_proj"])
     np.testing.assert_array_equal(got.data, want.data)
     weights = Tensor(Rng(61).normal(size=got.shape).astype(dtype))
     _assert_same_grads(mean(mul(got, weights)), mean(mul(want, weights)), list(proj.params.values()))
+
+
+def test_each_layer_attends_through_one_attention_node():
+    bb = Backbone(HEADS_BB, Rng(67))
+    ids = Rng(68).integers(0, HEADS_BB.vocab_size, size=(2, 7))
+    rows = (np.array([0, 0, 1]), np.array([4, 5, 6]))
+    logits = bb.forward(embed(bb, ids), np.arange(7), rows=rows)
+    assert logits.shape == (3, HEADS_BB.vocab_size)
+    bb_ops = [n.op for n in tape_of(masked_cross_entropy(logits, np.zeros(3), np.ones(3, bool))).nodes]
+    proj = SpeechProjector(HEADS_PROJ, Rng(69))
+    _, padded, pad = _padded_frames((3, 5), HEADS_PROJ.d_in, np.float32, Rng(70))
+    out = proj.forward(Tensor(padded), train=True, rng=Rng(71), pad_mask=pad)
+    proj_ops = [n.op for n in tape_of(mean(out)).nodes]
+    for ops, n_layers in ((bb_ops, HEADS_BB.n_layers), (proj_ops, HEADS_PROJ.n_layers)):
+        assert ops.count("attention") == n_layers
+        assert not {"matmul", "scale", "softmax"} & set(ops)
+    assert proj_ops.count("dropout") == 2 * HEADS_PROJ.n_layers  # the residual branches only
+    assert bb_ops.count("slice") == 1  # the target rows, after the final layer norm
 
 
 def test_padded_projector_rows_match_each_unpadded_forward():

@@ -13,6 +13,7 @@ from mmadapt.rng import Rng
 from mmadapt.tensor import (
     Tensor,
     add,
+    attention,
     concat,
     dropout,
     embedding_lookup,
@@ -33,7 +34,16 @@ from mmadapt.tensor import (
     tslice,
 )
 
-from references import finite_diff_check, linear_by_matmul, mean, mul
+from references import (
+    attention_by_chain,
+    embedding_backward_by_add_at,
+    finite_diff_check,
+    linear_by_matmul,
+    mean,
+    mean_layer_norm,
+    mul,
+    out_of_place_gelu,
+)
 
 
 def test_grad_sum_of_squares():
@@ -122,6 +132,8 @@ def test_finite_diff_rejects_nondeterministic_f():
         "embedding",
         "layer_norm",
         "softmax",
+        "attention",
+        "attention_dropout",
         "gelu",
         "dropout_fixed_mask",
         "mean_axis",
@@ -193,6 +205,13 @@ def test_every_op_gradient_matches_finite_differences(name):
         x = parameter(rng.normal(size=(3, 5)))
         f = lambda _: mean(mul(softmax(x), softmax(x)))
         params = [x]
+    elif name in ("attention", "attention_dropout"):
+        q, k, v = (parameter(rng.split(t).normal(size=(2, 2, 4, 3))) for t in "qkv")
+        mask = np.triu(np.full((4, 4), -1e9), k=1)
+        drop = 0.3 if name == "attention_dropout" else 0.0
+        w = Tensor(rng.split("w").normal(size=(2, 2, 4, 3)))
+        f = lambda _: mean(mul(attention(q, k, v, mask, 0.7, drop, Rng(5) if drop else None), w))
+        params = [q, k, v]
     elif name == "gelu":
         x = parameter(rng.normal(size=(4, 4)))
         f = lambda _: mean(mul(gelu(x), gelu(x)))
@@ -438,6 +457,22 @@ def test_tslice_backward_on_basic_keys_equals_add_at(key):
     assert _same_bits(y._backward(g)[0], want)
 
 
+def test_tslice_backward_on_distinct_integer_array_keys_equals_add_at():
+    # A tuple of integer arrays naming distinct positions (the target rows of
+    # a batch, the valid rows of a projector output) is written, not added.
+    rng = Rng(23)
+    a = parameter(rng.normal(size=(4, 6, 3)).astype(np.float32))
+    for key in (np.nonzero(rng.split("m").uniform(size=(4, 6)) < 0.4), (np.array([3, 0, 2]), np.array([-1, 5, 0]))):
+        y = tslice(a, key)
+        g = rng.split("g", str(len(key[0]))).normal(size=y.shape).astype(np.float32)
+        want = np.zeros_like(a.data)
+        np.add.at(want, key, g)
+        assert _same_bits(y._backward(g)[0], want)
+    # The same position twice, once as a negative index: added, not written.
+    twice = tslice(a, (np.array([1, 1]), np.array([5, -1])))
+    np.testing.assert_array_equal(twice._backward(np.ones((2, 3), np.float32))[0][1, 5], [2, 2, 2])
+
+
 def test_tslice_backward_accumulates_repeated_advanced_indices():
     a = parameter(np.zeros((4, 3)))
     rows = tslice(a, np.array([0, 2, 0]))
@@ -469,15 +504,12 @@ def _out_of_place_softmax(x, axis, g):
     return y, y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
-def _mean_layer_norm(x, gain, bias, g, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc * inv
-    n = x.shape[-1]
-    dxhat = g * gain
-    dx = (inv / n) * (n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-    return xhat * gain + bias, dx
+def _within_ulps_of_largest(got, want, ulps):
+    """Every element within `ulps` units of roundoff of the reference's
+    largest magnitude: the bound for a rewrite that only re-orders float
+    sums and keeps each temporary in the same dtype."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=0, atol=ulps * np.finfo(want.dtype).eps * np.abs(want).max())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -504,8 +536,88 @@ def test_rewritten_hot_ops_are_bit_identical_to_their_old_formulas(dtype):
         bias = rng.split("bias", str(width)).normal(size=width).astype(dtype)
         g = rng.split("lng", str(width)).normal(size=x.shape).astype(dtype)
         y = layer_norm(parameter(x), parameter(gain), parameter(bias))
-        want_y, want_dx = _mean_layer_norm(x, gain, bias, g)
-        assert _same_bits(y.data, want_y) and _same_bits(y._backward(g)[0], want_dx)
+        want = mean_layer_norm(x, gain, bias, g)
+        # Row and column sums are mat-vecs, not `.mean` and `.sum`: the same
+        # sums in another order. Measured gaps are below 2 ulps.
+        for got, ref in zip((y.data, *y._backward(g)), want):
+            _within_ulps_of_largest(got, ref, 8)
+
+    x = (rng.split("gelu").normal(size=(5, 7, 9)) * 3.0).astype(dtype)
+    g = rng.split("gelu-g").normal(size=x.shape).astype(dtype)
+    y = gelu(parameter(x))
+    want_y, want_dx = out_of_place_gelu(x, g)
+    assert _same_bits(y.data, want_y) and _same_bits(y._backward(g)[0], want_dx)
+
+
+def _causal(L):
+    return np.triu(np.full((L, L), -1e9, dtype=np.float32), k=1)
+
+
+def _key_padding(lengths, M):
+    pad = np.zeros((len(lengths), 1, 1, M), dtype=np.float32)
+    for i, n in enumerate(lengths):
+        pad[i, ..., n:] = -1e9
+    return pad
+
+
+# (q shape, k/v shape, mask, dropout rate): what the backbone, the projector
+# and a cached decode step hand to `attention`.
+ATTENTION_CASES = {
+    "no-mask": ((3, 4, 9, 8), (3, 4, 9, 8), None, 0.0),
+    "causal": ((3, 4, 19, 8), (3, 4, 19, 8), _causal(19), 0.0),
+    "key-padding": ((3, 4, 11, 8), (3, 4, 11, 8), _key_padding((7, 11, 3), 11), 0.0),
+    "dropout": ((3, 4, 11, 8), (3, 4, 11, 8), _key_padding((7, 11, 3), 11), 0.1),
+    "cached-row": ((4, 1, 16), (4, 23, 16), None, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_matches_the_op_chain_within_float32_rounding(case):
+    # The fused op computes the chain's formulas in the same dtype; only the
+    # softmax's row sums run as mat-vecs. Measured worst gaps are ~2 ulps of
+    # the largest output and ~11 of the largest gradient; the bound is 64.
+    q_shape, kv_shape, mask, drop = ATTENTION_CASES[case]
+    rng = Rng(90)
+    q = parameter((rng.split("q").normal(size=q_shape) * 2.0).astype(np.float32))
+    k = parameter((rng.split("k").normal(size=kv_shape) * 2.0).astype(np.float32))
+    v = parameter(rng.split("v").normal(size=kv_shape).astype(np.float32))
+    inv = 1.0 / float(np.sqrt(q_shape[-1]))
+
+    def stream():  # the same keep mask for both: a fresh `r.split("attn")`
+        return Rng(91).split("layer0").split("attn") if drop else None
+
+    got = attention(q, k, v, mask, inv, drop, stream())
+    want = attention_by_chain(q, k, v, mask, inv, drop, stream())
+    _within_ulps_of_largest(got.data, want.data, 64)
+    w = Tensor(rng.split("w").normal(size=got.shape).astype(np.float32))
+    g_got, g_want = grad(mean(mul(got, w)), [q, k, v]), grad(mean(mul(want, w)), [q, k, v])
+    for t in (q, k, v):
+        _within_ulps_of_largest(g_got[t].data, g_want[t].data, 64)
+    if drop:  # the keep mask really drops: without it the outputs differ
+        plain = attention(q, k, v, mask, inv, 0.0, None)
+        assert not np.allclose(plain.data, got.data, rtol=1e-3)
+
+
+def test_embedding_backward_matches_add_at_within_float32_rounding():
+    # The one-hot GEMM sums each id's rows in its own order; np.add.at sums
+    # them one at a time. Ids repeat within and across rows, and the table
+    # is a concat of the token table and speech rows, as in a speech batch.
+    rng = Rng(92)
+    wte = parameter(rng.split("wte").normal(size=(12, 16)).astype(np.float32))
+    speech = parameter(rng.split("speech").normal(size=(5, 16)).astype(np.float32))
+    ids = rng.split("ids").integers(0, 17, size=(4, 9))
+    ids[0, :4] = 3
+    ids[1, :4] = 13
+    for table in (wte, concat([wte, speech], axis=0)):
+        ids_in = ids % table.shape[0]
+        y = embedding_lookup(table, ids_in)
+        g = rng.split("g", str(table.shape[0])).normal(size=y.shape).astype(np.float32)
+        got = y._backward(g)[0]
+        want = embedding_backward_by_add_at(table.shape, ids_in, g)
+        counts = np.bincount(ids_in.reshape(-1), minlength=table.shape[0])
+        abs_sum = embedding_backward_by_add_at(table.shape, ids_in, np.abs(g))
+        _within_float32_sum_bound(got, want, abs_sum, int(counts.max()))
+        assert counts.max() >= 4 and np.array_equal(got[counts == 0], want[counts == 0])
 
 
 # Thirty pretraining-sized steps (the default backbone, 16 QA-length text
@@ -569,6 +681,12 @@ def test_training_steps_reuse_freed_memory_instead_of_faulting_it_in():
                  id="linear-3d-weight"),
     pytest.param(lambda: linear(Tensor(np.float64(1.0)), Tensor(np.ones((4, 1)))), ShapeError, "2-D weight",
                  id="linear-scalar-x"),
+    pytest.param(lambda: attention(*(Tensor(np.ones((2, 3, 4))) for _ in "qk"), Tensor(np.ones((2, 5, 4))), None, 1.0,
+                                   0.0, None), ShapeError, "attention", id="attention-kv-rows"),
+    pytest.param(lambda: attention(*(Tensor(np.ones((2, 3, 4))) for _ in "qkv"), np.zeros((2, 2, 3)), 1.0, 0.0, None),
+                 ShapeError, "mask", id="attention-mask"),
+    pytest.param(lambda: attention(*(Tensor(np.ones((2, 3, 4))) for _ in "qkv"), None, 1.0, 1.0, Rng(0)),
+                 ContractViolation, "dropout rate", id="attention-dropout-1"),
     pytest.param(lambda: masked_cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 4)), np.ones((2, 4), bool)),
                  ShapeError, "masked_cross_entropy", id="cross-entropy-targets"),
     pytest.param(lambda: masked_cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 3)), np.ones((3, 2), bool)),

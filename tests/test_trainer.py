@@ -15,7 +15,7 @@ from mmadapt.tensor import grad, parameter, tape_of
 from mmadapt.trainer import EPS, AdamW, OptimizerConfig, StagePlan, Trainer, batch_loss, run_stage
 from mmadapt.vocab import LANGUAGES, TARGET_LANGUAGES
 
-from references import PerTensorAdamW, corpus_split, per_example_batch_loss
+from references import PerTensorAdamW, corpus_split, full_grid_text_loss, per_example_batch_loss
 
 BB = BackboneConfig(vocab_size=96, d_model=16, n_layers=1, n_heads=2, d_ffn=24)
 PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=32, d_ffn=16, d_out=16, frame_avg_k=3)
@@ -184,13 +184,12 @@ def _unequal(corpus, task, modality, size) -> list:
     return list(by_size.values())[:3]
 
 
-def _assert_real_logits_equal(loss, ref, prompts):
-    """The logits (the loss's parent) agree at every real position; padding
-    rows may hold anything."""
+def _assert_target_logits_equal(loss, ref, prompts):
+    """The logits (the loss's parent) are one row per target token, and the
+    two assemblies agree on every one of them."""
     logits, ref_logits = loss.parents[0].data, ref.parents[0].data
-    assert logits.shape == ref_logits.shape
-    real = np.arange(logits.shape[1]) < np.array([len(p) for p in prompts])[:, None]
-    np.testing.assert_array_equal(logits[real], ref_logits[real])
+    assert logits.shape == (sum(len(p.target_tokens) for p in prompts), BB.vocab_size)
+    np.testing.assert_array_equal(logits, ref_logits)
 
 
 def _tape_ops(loss) -> list[str]:
@@ -202,7 +201,7 @@ def test_text_batch_grid_matches_the_per_example_assembly(corpus, content_noise)
     prompts = _unequal(corpus, "MT", "text", len)  # padded rows
     (loss, g), (ref, g_ref) = _grid_and_reference(_models(), prompts, ("backbone",), content_noise=content_noise)
     np.testing.assert_array_equal(loss.data, ref.data)
-    _assert_real_logits_equal(loss, ref, prompts)
+    _assert_target_logits_equal(loss, ref, prompts)
     assert set(g) == set(g_ref)
     for name in g:
         if name == "backbone.wte":  # float32 scatter-adds in another order
@@ -211,6 +210,7 @@ def test_text_batch_grid_matches_the_per_example_assembly(corpus, content_noise)
             np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
     ops = _tape_ops(loss)
     assert ops.count("embedding-lookup") == 2 and "concat" not in ops  # the grid and wpe
+    assert ops.count("slice") == 1  # the target rows
 
 
 def test_speech_batch_grid_matches_the_per_example_assembly(corpus):
@@ -218,12 +218,38 @@ def test_speech_batch_grid_matches_the_per_example_assembly(corpus):
     assert PROJ.dropout > 0
     (loss, g), (ref, g_ref) = _grid_and_reference(_models(), prompts, ("lora", "projector"))
     np.testing.assert_array_equal(loss.data, ref.data)
-    _assert_real_logits_equal(loss, ref, prompts)
+    _assert_target_logits_equal(loss, ref, prompts)
     assert set(g) == set(g_ref)
     for name in g:
         np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
     ops = _tape_ops(loss)
-    assert ops.count("slice") == 1 and ops.count("concat") == 1  # the valid rows, then the table
+    assert ops.count("slice") == 2 and ops.count("concat") == 1  # the valid rows, the table, the target rows
+
+
+@pytest.mark.parametrize("component", ["backbone", "lora"])
+def test_target_row_loss_matches_the_full_grid_masked_loss(corpus, component):
+    # Logits only at the positions that predict a target: the same loss and
+    # gradients as logits everywhere with the loss masked to those positions,
+    # up to the order of float32 sums (measured: at most 1 ulp of the loss,
+    # below 1 ulp of each gradient's largest entry).
+    models = _models()
+    for c, obj in models.items():
+        obj.set_trainable(c == component)
+    adapters = models["lora"] if component == "lora" else None
+    if adapters is not None:  # non-zero B, so the adapters change the logits
+        for name, t in adapters.params.items():
+            if name.endswith(".B"):
+                t.data = (Rng(6).split(name).normal(size=t.shape) * 0.3).astype(np.float32)
+    prompts = _unequal(corpus, "QA", "text", len)
+    loss = batch_loss(models["backbone"], prompts, adapters=adapters)
+    ref = full_grid_text_loss(models["backbone"], prompts, adapters=adapters)
+    assert ref.parents[0].shape[:2] == (3, max(len(p) for p in prompts))  # ref's logits span the grid
+    eps = float(np.finfo(np.float32).eps)
+    np.testing.assert_allclose(loss.data, ref.data, rtol=4 * eps)
+    params = list(models[component].params.values())
+    g, g_ref = grad(loss, params), grad(ref, params)
+    for t in params:
+        np.testing.assert_allclose(g[t].data, g_ref[t].data, rtol=0, atol=8 * eps * np.abs(g_ref[t].data).max())
 
 
 def test_adamw_first_step_moves_each_weight_by_lr_against_its_gradient():
