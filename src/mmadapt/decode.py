@@ -6,8 +6,9 @@ forward runs with no adapter matmuls; the folded weights live only in that
 call's `KVCache`, so nothing on the backbone or the adapters can go stale.
 The prompt is spliced as a batch of one (`splice_prompt`, the one-row case
 of the training batches' `splice_grid`); one prefill forward over it fills
-the cache with every layer's keys and values, and each new token is then
-fed as a single row that attends over the cache. The definition it must
+the cache with every layer's fused q/k/v rows, and each new token is then
+fed as a single row that appends its own (one `concat` a layer) and attends
+over the cache: 11 tensor ops a layer per token. The definition it must
 match is the plain loop: run the full model over the whole prefix, with no
 cache, and append the argmax of the last row; the tests keep that loop as
 the oracle, token for token.

@@ -9,21 +9,24 @@ key-padding mask, dropout and an output projection into the backbone's
 embedding space. Every component, adapters included, holds its named
 parameter tensors in `params` and shares one freeze/export/load path.
 
-Attention runs every head in one stacked product: queries, keys and
-values are split into the head layout (..., H, L, dh) once per layer, and
-one `attention` op (scores, mask, softmax, dropout and the context product,
-with a hand-written backward) attends over all of them.
-Inference can run the backbone one new row at a time over a `KVCache`,
-which holds every layer's keys and values for the rows fed so far, in that
-head layout, together with the weights that produced them, e.g. site
-weights with the adapters folded in by `fold_adapters`.
+Each layer projects its queries, keys and values with one fused weight,
+`wqkv` (3d, d), into rows of width 3d (the layout of GPT-2's `c_attn`),
+and one `attention` op (head views, scores, mask, softmax, dropout and the
+context product, with a hand-written backward) reads every head from those
+rows and returns the context rows with the heads merged: a layer is 10
+graph nodes (12 with the projector's residual dropouts). Inference can run
+the backbone one new row at a time over a `KVCache`, which holds every
+layer's fused rows fed so far together with the weights that produced
+them, e.g. site weights with the adapters folded in by `fold_adapters`; a
+cached step appends each layer's new rows with one `concat`, 11 nodes.
 
 Weights are stored (d_out, d_in); every weight product is `linear(x, W)`,
 x @ W^T as one 2-D product over the rows of x, whose backward computes no
 gradient for a frozen weight (the backbone in stages A/B/C). Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
 adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685). In training
-and inference alike, adapters enter only as W + delta_W (`fold_adapters`).
+and inference alike, adapters enter only as W + delta_W (`fold_adapters`);
+the q, k and v sites fold into their row blocks of `wqkv`.
 
 Inputs are spliced one way: `splice_grid` indexes a padded batch into the
 token table followed by the batch's speech rows, and one lookup gathers
@@ -50,17 +53,16 @@ from .tensor import (
     linear,
     masked_cross_entropy,  # noqa: F401  (perfbench wraps model.masked_cross_entropy)
     matmul,
-    merge_heads,
     parameter,
     scale,
     softmax,  # noqa: F401  (perfbench wraps model.softmax)
-    split_heads,
     tslice,
 )
 
 MAX_FRAMES = 64  # rows of the projector's learned frame-position table
 LORA_SITES = ("attn_q", "attn_k", "attn_v", "attn_out", "ffn_up", "ffn_down")
-_SITE_WEIGHT = {"attn_q": "wq", "attn_k": "wk", "attn_v": "wv", "attn_out": "wo", "ffn_up": "ffn_up", "ffn_down": "ffn_down"}
+_QKV_SITES = ("attn_q", "attn_k", "attn_v")  # the row blocks of `wqkv`, in order
+_SITE_WEIGHT = {"attn_out": "wo", "ffn_up": "ffn_up", "ffn_down": "ffn_down"}
 
 
 @dataclass(frozen=True)
@@ -180,52 +182,66 @@ def fold_adapters(params: dict[str, Tensor], lora: LoraAdapters | None) -> dict[
     Adapters enter the model only this way, in training and inference: the
     folded weights need no adapter matmuls per row (LoRA's zero-latency
     merge, Hu et al. 2021, section 4.1) and pass gradients on to A and B.
-    The result is a new dict; `params` and `lora` are left untouched.
+    The q, k and v sites share a layer's `wqkv`: it becomes
+    W + concat([dq, dk, dv]) over its row blocks, with a zero block for a
+    site that has no adapter. The result is a new dict; `params` and `lora`
+    are left untouched.
     """
     if lora is None:
         return params
     folded = dict(params)
+    qkv_deltas: dict[str, dict[str, Tensor]] = {}
     for key, a in lora.params.items():
         _, layer, site, part = key.split(".")
         if part == "A":
-            name = f"layers.{layer}.{_SITE_WEIGHT[site]}"
-            b = lora.params[f"layers.{layer}.{site}.B"]
-            folded[name] = add(params[name], scale(matmul(b, a), lora.cfg.scaling))
+            delta = scale(matmul(lora.params[f"layers.{layer}.{site}.B"], a), lora.cfg.scaling)
+            if site in _QKV_SITES:
+                qkv_deltas.setdefault(layer, {})[site] = delta
+            else:
+                name = f"layers.{layer}.{_SITE_WEIGHT[site]}"
+                folded[name] = add(params[name], delta)
+    for layer, deltas in qkv_deltas.items():
+        name = f"layers.{layer}.wqkv"
+        w = params[name]
+        zeros = Tensor(np.zeros((w.shape[1], w.shape[1]), dtype=w.dtype))
+        folded[name] = add(w, concat([deltas.get(site, zeros) for site in _QKV_SITES], axis=0))
     return folded
 
 
 @dataclass
 class KVCache:
-    """Every layer's keys and values for the rows a backbone has been fed,
-    each (..., H, S, dh) over S rows so far, and the weights (`params`, all
-    of the backbone's names) that made them.
+    """Every layer's fused q/k/v rows for the rows a backbone has been fed,
+    each (..., S, 3d) over S rows so far, and the weights (`params`, all of
+    the backbone's names) that made them. `attention` reads the keys and
+    values from these rows; their query columns ride along unread.
 
     A cache serves one sequence: its entries are valid only for `params`,
     so the weights travel with it instead of being stored on the model.
     """
 
     params: dict[str, Tensor]
-    kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    rows: dict[int, Tensor] = field(default_factory=dict)
 
     @property
     def length(self) -> int:
-        return self.kv[0][0].shape[-2] if self.kv else 0
+        return self.rows[0].shape[-2] if self.rows else 0
 
-    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the new rows' keys and values; return all of them."""
-        if layer in self.kv:
-            old_k, old_v = self.kv[layer]
-            k, v = concat([old_k, k], axis=-2), concat([old_v, v], axis=-2)
-        self.kv[layer] = (k, v)
-        return k, v
+    def extend(self, layer: int, qkv: Tensor) -> Tensor:
+        """Append the new fused rows, one `concat`; return all of them."""
+        if layer in self.rows:
+            qkv = concat([self.rows[layer], qkv], axis=-2)
+        self.rows[layer] = qkv
+        return qkv
 
 
 class _Stack(_Params):
     """Pre-LN transformer layers of width `d` plus a final layer norm.
 
     `params` holds, in order: the subclass's input tables, each layer's
-    ln1/wq/wk/wv/wo/ln2/ffn_up/ffn_down, ln_f, then the subclass's head.
-    Weight matrices start as N(0, 0.02^2) draws from `rng.split(name)`.
+    ln1/wqkv/wo/ln2/ffn_up/ffn_down, ln_f, then the subclass's head.
+    Weight matrices start as N(0, 0.02^2) draws from `rng.split(name)`;
+    `layers.{i}.wqkv` (3d, d) stacks the draws named `layers.{i}.wq`, `.wk`
+    and `.wv`, in that order.
     """
 
     def __init__(self, d: int, d_ffn: int, n_layers: int, n_heads: int, tables: dict, head: tuple, rng: Rng, dtype):
@@ -233,8 +249,11 @@ class _Stack(_Params):
         self.n_layers = n_layers
         self.n_heads = n_heads
 
+        def draw(name, shape):
+            return (rng.split(name).normal(size=shape) * 0.02).astype(dtype)
+
         def init(name, shape):
-            return parameter((rng.split(name).normal(size=shape) * 0.02).astype(dtype))
+            return parameter(draw(name, shape))
 
         def norm(prefix):
             return {prefix + ".g": parameter(np.ones(d, dtype=dtype)), prefix + ".b": parameter(np.zeros(d, dtype=dtype))}
@@ -243,8 +262,8 @@ class _Stack(_Params):
         for i in range(n_layers):
             p = f"layers.{i}."
             self.params.update(norm(p + "ln1"))
-            for w in ("wq", "wk", "wv", "wo"):
-                self.params[p + w] = init(p + w, (d, d))
+            self.params[p + "wqkv"] = parameter(np.concatenate([draw(p + w, (d, d)) for w in ("wq", "wk", "wv")]))
+            self.params[p + "wo"] = init(p + "wo", (d, d))
             self.params.update(norm(p + "ln2"))
             self.params[p + "ffn_up"] = init(p + "ffn_up", (d_ffn, d))
             self.params[p + "ffn_down"] = init(p + "ffn_down", (d, d_ffn))
@@ -257,26 +276,28 @@ class _Stack(_Params):
         """The pre-LN layers and final layer norm over (..., L, d) inputs.
 
         Every projection is `linear(x, W)`, x @ W^T over the weights `p`,
-        into which any adapters are already folded. Each layer splits its
-        queries, keys and values into `n_heads` heads, (..., H, L, d/H), and
-        attends with all heads in one `attention` op; `mask` is an additive
-        mask that broadcasts against the (..., H, L, S) scores. Callers
-        decide when dropout applies: given an `rng`, dropout at rate `drop`
-        drawn from it hits attention probabilities (one draw over every head,
-        inside `attention`) and both residual branches. With a `cache`, the
-        layers attend over the cached keys and values followed by the new
-        rows' own, which they append to the cache.
+        into which any adapters are already folded. Each layer projects its
+        queries, keys and values with one `linear` into fused (..., L, 3d)
+        rows, and one `attention` op reads all `n_heads` heads from them and
+        returns (..., L, d) context rows; `mask` is an additive mask that
+        broadcasts against the (..., H, L, S) scores. Callers decide when
+        dropout applies: given an `rng`, dropout at rate `drop` drawn from it
+        hits attention probabilities (one draw over every head, inside
+        `attention`) and both residual branches. With a `cache`, the new
+        rows' fused rows are appended to the cached ones, and the new rows
+        attend over all of them.
         """
         inv = 1.0 / float(np.sqrt(x.shape[-1] // self.n_heads))
         for i in range(self.n_layers):
             pre = f"layers.{i}."
             r = rng.split(f"layer{i}") if rng is not None else None
             h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q, k, v = (split_heads(linear(h, p[pre + w]), self.n_heads) for w in ("wq", "wk", "wv"))
+            qkv = linear(h, p[pre + "wqkv"])
+            n_query = qkv.shape[-2]
             if cache is not None:
-                k, v = cache.extend(i, k, v)
-            a = attention(q, k, v, mask, inv, drop, r.split("attn") if r is not None else None)
-            a = linear(merge_heads(a), p[pre + "wo"])
+                qkv = cache.extend(i, qkv)
+            a = attention(qkv, self.n_heads, n_query, mask, inv, drop, r.split("attn") if r is not None else None)
+            a = linear(a, p[pre + "wo"])
             if r is not None:
                 a = dropout(a, drop, r.split("post-attn"))
             x = add(x, a)

@@ -273,35 +273,6 @@ def tslice(a: Tensor, key) -> Tensor:
     return _make_node("slice", y, (a,), backward)
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., L, H*dh) -> (..., H, L, dh): the last axis cut into `n_heads`
-    equal heads, which move in front of the row axis."""
-    x = _as_tensor(x)
-    if x.ndim < 2 or n_heads < 1 or x.shape[-1] % n_heads:
-        raise ShapeError(f"split_heads: cannot cut {x.shape} into {n_heads} heads of rows")
-    y = x.data.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-2, -3)
-
-    def backward(g):
-        return (g.swapaxes(-2, -3).reshape(x.shape),)
-
-    return _make_node("split-heads", y, (x,), backward)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., H, L, dh) -> (..., L, H*dh), the inverse of `split_heads`."""
-    x = _as_tensor(x)
-    if x.ndim < 3:
-        raise ShapeError(f"merge_heads needs (..., H, L, dh), got {x.shape}")
-    rows_first = x.data.swapaxes(-2, -3)  # (..., L, H, dh)
-    shape = rows_first.shape
-    y = rows_first.reshape(shape[:-2] + (-1,))
-
-    def backward(g):
-        return (g.reshape(shape).swapaxes(-2, -3),)
-
-    return _make_node("merge-heads", y, (x,), backward)
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
@@ -324,23 +295,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     `gain` and `bias` are (n,) vectors. Row means are one BLAS mat-vec over
     all rows against a (n, 1) column of 1/n (exact for the model's
     power-of-two widths): ~4x faster than `np.add.reduce` on rows of 64
-    floats."""
+    floats. A 2-D x (a one-row decode step) is not reshaped at all."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     X = x.data
     n = X.shape[-1]
-    X2 = X.reshape(-1, n)
+    flat = X.ndim == 2
+    X2 = X if flat else X.reshape(-1, n)
     c = _filled((n, 1), 1.0 / n, X.dtype)
     xhat = X2 - X2 @ c
     inv = (xhat * xhat) @ c
     inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
+    np.reciprocal(inv, out=inv)
     xhat *= inv
     y = xhat * gain.data
     y += bias.data
 
     def backward(g):
-        g2 = g.reshape(-1, n)
+        g2 = g if flat else g.reshape(-1, n)
         dxhat = g2 * gain.data
         dx = dxhat - dxhat @ c
         dxhat *= xhat
@@ -351,9 +323,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         ones = _filled((1, len(g2)), 1.0, g2.dtype)
         dgain = (ones @ (g2 * xhat)).reshape(gain.shape) if gain.requires_grad else None
         dbias = (ones @ g2).reshape(bias.shape) if bias.requires_grad else None
-        return dx.reshape(X.shape), dgain, dbias
+        return (dx if flat else dx.reshape(X.shape)), dgain, dbias
 
-    return _make_node("layer-norm", y.reshape(X.shape), (x, gain, bias), backward)
+    return _make_node("layer-norm", y if flat else y.reshape(X.shape), (x, gain, bias), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -368,23 +340,36 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make_node("softmax", y, (x,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, inv: float, drop: float, rng: Rng | None) -> Tensor:
-    """softmax(inv * q @ k^T + mask) @ v as one op, for q (..., L, dh), k and
-    v (..., S, dh) with the same leading axes.
+def attention(qkv: Tensor, n_heads: int, n_query: int, mask: np.ndarray | None, inv: float, drop: float,
+              rng: Rng | None) -> Tensor:
+    """softmax(inv * q @ k^T + mask) @ v as one op over every head, with q,
+    k and v read from fused rows: qkv (..., S, 3d) holds each row's query,
+    key and value side by side, each cut into `n_heads` heads of d/H. Keys
+    and values come from all S rows, queries from the last `n_query`.
+    Returns the (..., n_query, d) context rows with the heads merged.
 
-    `mask` is a constant additive mask that broadcasts against the
-    (..., L, S) scores. Given an `rng`, dropout at rate `drop` hits the
-    probabilities with a keep mask drawn from it as `dropout` draws one.
-    The scores are scaled, masked and normalized in place in one (..., L, S)
-    array. Row sums are mat-vecs against a ones column, one per (L, S)
-    matrix, so each head's rows sum as they would alone. The backward is
-    written out: with dp = g @ v^T, ds = inv * p * (dp - rowsum(dp * p)).
+    q, k and v are head views, (..., H, rows, d/H), of the rows, not
+    copies, and the context product writes each head straight into its
+    columns of the output. `mask` is a constant additive mask that
+    broadcasts against the (..., H, n_query, S) scores. Given an `rng`,
+    dropout at rate `drop` hits the probabilities with a keep mask drawn
+    from it as `dropout` draws one. The scores are scaled, masked and
+    normalized in place in one array. Row sums are mat-vecs against a ones
+    column, one per (n_query, S) matrix, so each head's rows sum as they
+    would alone. The backward is written out: with dp = g @ v^T,
+    ds = inv * p * (dp - rowsum(dp * p)), and it writes dq, dk and dv into
+    their head views of one (..., S, 3d) gradient.
     """
-    Q, K, V = q.data, k.data, v.data
-    if Q.shape[:-2] != K.shape[:-2] or K.shape[:-1] != V.shape[:-1] or Q.shape[-1] != K.shape[-1]:
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    QKV = qkv.data
+    if QKV.ndim < 2 or n_heads < 1 or QKV.shape[-1] % (3 * n_heads) or not 1 <= n_query <= QKV.shape[-2]:
+        raise ShapeError(f"attention: cannot read {n_query} query rows of {n_heads} heads from fused rows {qkv.shape}")
     if rng is not None and not 0.0 <= drop < 1.0:
         raise ContractViolation(f"dropout rate must be in [0, 1), got {drop}")
+    *lead, S, width = QKV.shape
+    lead, d = tuple(lead), width // 3
+    fused = lead + (S, 3, n_heads, d // n_heads)
+    heads = QKV.reshape(fused).swapaxes(-2, -4)  # (..., H, 3, S, dh)
+    Q, K, V = heads[..., 0, S - n_query :, :], heads[..., 1, :, :], heads[..., 2, :, :]
     p = Q @ K.swapaxes(-1, -2)
     p *= inv
     if mask is not None:
@@ -406,20 +391,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, inv: flo
         keep = (rng.uniform(size=p.shape) >= drop).astype(p.dtype)
         factor = 1.0 / (1.0 - drop)
         pd = p * keep * factor
-    y = pd @ V
+    y = np.empty(lead + (n_query, d), dtype=p.dtype)
+    np.matmul(pd, V, out=_head_view(y, n_heads))
 
     def backward(g):
-        dv = pd.swapaxes(-1, -2) @ g
-        ds = g @ V.swapaxes(-1, -2)
+        G = _head_view(g, n_heads)
+        dqkv = np.empty(QKV.shape, dtype=g.dtype)
+        dheads = dqkv.reshape(fused).swapaxes(-2, -4)
+        if n_query < S:
+            dheads[..., 0, : S - n_query, :] = 0.0
+        np.matmul(pd.swapaxes(-1, -2), G, out=dheads[..., 2, :, :])
+        ds = G @ V.swapaxes(-1, -2)
         if pd is not p:
             ds *= keep
             ds *= factor
         ds -= (ds * p) @ ones
         ds *= p
         ds *= inv
-        return ds @ K, (Q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), dv
+        np.matmul(ds, K, out=dheads[..., 0, S - n_query :, :])
+        np.matmul(Q.swapaxes(-1, -2), ds, out=dheads[..., 1, :, :].swapaxes(-1, -2))
+        return (dqkv,)
 
-    return _make_node("attention", y, (q, k, v), backward)
+    return _make_node("attention", y, (qkv,), backward)
+
+
+def _head_view(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """The (..., H, L, dh) view of rows x (..., L, H*dh)."""
+    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-2, -3)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))

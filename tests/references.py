@@ -20,7 +20,9 @@ out-of-place, per-tensor AdamW update the in-place flat step must match
 bit for bit. `attention_by_chain`, `mean_layer_norm` and
 `embedding_backward_by_add_at` are the attention chain, the layer norm and
 the embedding scatter that `attention`, `layer_norm` and `embedding_lookup`
-replaced, each matched within float32 rounding; `out_of_place_gelu` is the
+replaced, each matched within float32 rounding; `attention_by_head_slices`
+runs that chain on head slices cut from fused q/k/v rows, the layout the
+fused `attention` reads; `out_of_place_gelu` is the
 gelu the in-place chain must match bit for bit. `full_grid_text_loss` is
 the text batch loss with logits at every grid position, which the
 target-row head must match within float32 rounding.
@@ -283,6 +285,22 @@ def attention_by_chain(q: Tensor, k: Tensor, v: Tensor, mask, inv: float, drop: 
     if rng is not None:
         probs = dropout(probs, drop, rng)
     return matmul(probs, v)
+
+
+def attention_by_head_slices(qkv: Tensor, n_heads: int, n_query: int, mask, inv: float, drop: float, rng) -> Tensor:
+    """`attention_by_chain` over q, k and v cut head by head from fused rows
+    (..., S, 3d) with `tslice` and stacked into (..., H, rows, d/H); the
+    context heads are sliced back out and concatenated into (..., n_query, d)."""
+    S, d = qkv.shape[-2], qkv.shape[-1] // 3
+    dh = d // n_heads
+
+    def heads(block: int, rows: slice) -> Tensor:
+        cols = [slice(block * d + h * dh, block * d + (h + 1) * dh) for h in range(n_heads)]
+        return stack([tslice(qkv, (Ellipsis, rows, c)) for c in cols], axis=-3)
+
+    out = attention_by_chain(heads(0, slice(S - n_query, S)), heads(1, slice(None)), heads(2, slice(None)),
+                             mask, inv, drop, rng)
+    return concat([tslice(out, (Ellipsis, h, slice(None), slice(None))) for h in range(n_heads)], axis=-1)
 
 
 def mean_layer_norm(x, gain, bias, g, eps=1e-5):

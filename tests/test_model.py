@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -138,9 +140,17 @@ def test_projector_gradients_match_finite_differences():
     assert finite_diff_check(f, params, epsilon=1e-5) < 1e-4
 
 
-# Site name -> the backbone weight an adapter at that site perturbs.
-SITE_WEIGHTS = {"attn_q": "wq", "attn_k": "wk", "attn_v": "wv", "attn_out": "wo", "ffn_up": "ffn_up", "ffn_down": "ffn_down"}
+# Site name -> the backbone weight an adapter at that site perturbs, and
+# which d-row block of it: q, k and v are the row blocks of the fused `wqkv`.
+SITE_WEIGHTS = {"attn_q": ("wqkv", 0), "attn_k": ("wqkv", 1), "attn_v": ("wqkv", 2), "attn_out": ("wo", None),
+                "ffn_up": ("ffn_up", None), "ffn_down": ("ffn_down", None)}
 ONE_SITE = BackboneConfig(vocab_size=4, d_model=2, n_layers=1, n_heads=1, d_ffn=2, max_seq_len=4)
+
+
+def _site_rows(site: str, d: int) -> slice:
+    """The rows of its site weight that an adapter at `site` perturbs."""
+    block = SITE_WEIGHTS[site][1]
+    return slice(None) if block is None else slice(block * d, (block + 1) * d)
 
 
 def _one_pair(cfg: LoraConfig, A, B) -> LoraAdapters:
@@ -160,8 +170,8 @@ def _unfolded_linear(x: Tensor, W: Tensor, lora: LoraAdapters, prefix: str) -> T
 def test_lora_zero_b_is_exact_identity():
     rng = Rng(8)
     adapters = LoraAdapters(ONE_SITE, LoraConfig(rank=4, alpha=8.0, targets=("attn_q",)), rng, dtype=np.float64)
-    W = Tensor(rng.normal(size=(2, 2)))
-    folded = fold_adapters({"layers.0.wq": W}, adapters)["layers.0.wq"]
+    W = Tensor(rng.normal(size=(6, 2)))
+    folded = fold_adapters({"layers.0.wqkv": W}, adapters)["layers.0.wqkv"]
     assert folded.data.tobytes() == W.data.tobytes()
     x = Tensor(rng.normal(size=(5, 2)))
     np.testing.assert_array_equal(matmul(x, folded, transpose_b=True).data, x.data @ W.data.T)
@@ -169,9 +179,11 @@ def test_lora_zero_b_is_exact_identity():
 
 def test_lora_hand_case():
     adapters = _one_pair(LoraConfig(rank=1, alpha=2.0, targets=("attn_q",)), [[1.0, 0.0]], [[1.0], [0.0]])
-    folded = fold_adapters({"layers.0.wq": Tensor(np.eye(2))}, adapters)["layers.0.wq"]
-    np.testing.assert_allclose(folded.data, [[3.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(matmul(Tensor(np.array([[1.0, 1.0]])), folded, transpose_b=True).data, [[3.0, 1.0]])
+    wqkv = np.concatenate([np.eye(2), 2 * np.eye(2), 3 * np.eye(2)])
+    folded = fold_adapters({"layers.0.wqkv": Tensor(wqkv)}, adapters)["layers.0.wqkv"]
+    np.testing.assert_allclose(folded.data, [[3.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 3.0]])
+    np.testing.assert_allclose(matmul(Tensor(np.array([[1.0, 1.0]])), folded, transpose_b=True).data,
+                               [[3.0, 1.0, 2.0, 2.0, 3.0, 3.0]])
 
 
 def _with_random_b(adapters: LoraAdapters, rng: Rng, std: float = 0.3) -> LoraAdapters:
@@ -195,7 +207,7 @@ def test_lora_matches_dense_delta_oracle():
     for layer in range(SMALL_BB.n_layers):
         for site in LORA_SITES:
             delta = p[f"layers.{layer}.{site}.B"].data @ p[f"layers.{layer}.{site}.A"].data
-            arrays[f"layers.{layer}.{SITE_WEIGHTS[site]}"] += cfg.scaling * delta
+            arrays[f"layers.{layer}.{SITE_WEIGHTS[site][0]}"][_site_rows(site, SMALL_BB.d_model)] += cfg.scaling * delta
     merged.load_arrays(arrays)
     rng = Rng(93)
     for _ in range(10):
@@ -218,8 +230,8 @@ def test_lora_frozen_base_gets_no_gradient():
     adapters = LoraAdapters(ONE_SITE, LoraConfig(rank=2, alpha=4.0, targets=("attn_q",)), rng, dtype=np.float64)
     params = _with_random_b(adapters, rng.split("B")).params
     A, B = params["layers.0.attn_q.A"], params["layers.0.attn_q.B"]
-    W = Tensor(rng.normal(size=(2, 2)))  # frozen: requires_grad False
-    folded = fold_adapters({"layers.0.wq": W}, adapters)["layers.0.wq"]
+    W = Tensor(rng.normal(size=(6, 2)))  # frozen: requires_grad False
+    folded = fold_adapters({"layers.0.wqkv": W}, adapters)["layers.0.wqkv"]
     y = matmul(Tensor(rng.normal(size=(3, 2))), folded, transpose_b=True)
     g = grad(mean(mul(y, y)), [A, B, W])
     assert np.any(g[A].data != 0) and np.any(g[B].data != 0)
@@ -237,20 +249,50 @@ def test_folded_projection_matches_unfolded_reference_on_every_site():
     rng = Rng(44)
     for layer in range(SMALL_BB.n_layers):
         for site in LORA_SITES:
-            name = f"layers.{layer}.{SITE_WEIGHTS[site]}"
+            name = f"layers.{layer}.{SITE_WEIGHTS[site][0]}"
+            rows = _site_rows(site, SMALL_BB.d_model)
             prefix = f"layers.{layer}.{site}"
             A, B = adapters.params[f"{prefix}.A"], adapters.params[f"{prefix}.B"]
-            W = bb.params[name]
-            x = Tensor(rng.split(name).normal(size=(2, 5, W.shape[1])))
-            weights = Tensor(rng.split(name, "w").normal(size=(2, 5, W.shape[0])))
+            W = Tensor(bb.params[name].data[rows])
+            x = Tensor(rng.split(prefix).normal(size=(2, 5, W.shape[1])))
+            weights = Tensor(rng.split(prefix, "w").normal(size=(2, 5, W.shape[0])))
             want = _unfolded_linear(x, W, adapters, prefix)
-            got = matmul(x, folded[name], transpose_b=True)
+            got = matmul(x, tslice(folded[name], rows), transpose_b=True)
             np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=1e-12)
             g_want = grad(mean(mul(want, weights)), [A, B])
             g_got = grad(mean(mul(got, weights)), [A, B])
             for t in (A, B):
                 assert np.any(g_want[t].data != 0)
                 np.testing.assert_allclose(g_got[t].data, g_want[t].data, rtol=1e-10, atol=1e-12)
+
+
+def test_wqkv_at_init_stacks_the_three_labelled_draws():
+    # The fused weight starts as the q, k and v weights drawn one by one
+    # under their own labels would, bit for bit.
+    for stack, d in ((Backbone(SMALL_BB, Rng(45)), SMALL_BB.d_model), (SpeechProjector(SMALL_PROJ, Rng(45)), SMALL_PROJ.d_in)):
+        rng = Rng(45)
+        for i in range(stack.n_layers):
+            draws = [(rng.split(f"layers.{i}.{w}").normal(size=(d, d)) * 0.02).astype(np.float32) for w in ("wq", "wk", "wv")]
+            assert stack.params[f"layers.{i}.wqkv"].data.tobytes() == np.concatenate(draws).tobytes()
+        assert not {f"layers.0.{w}" for w in ("wq", "wk", "wv")} & set(stack.params)
+
+
+@pytest.mark.parametrize("site", ["attn_q", "attn_k", "attn_v"])
+def test_each_qkv_adapter_folds_into_its_row_block_only(site):
+    bb = Backbone(SMALL_BB, Rng(47), dtype=np.float64)
+    adapters = _with_random_b(LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0, targets=(site,)), Rng(48),
+                                           dtype=np.float64), Rng(49))
+    folded = fold_adapters(bb.params, adapters)
+    d = SMALL_BB.d_model
+    rows = _site_rows(site, d)
+    for layer in range(SMALL_BB.n_layers):
+        W, got = bb.params[f"layers.{layer}.wqkv"].data, folded[f"layers.{layer}.wqkv"].data
+        A, B = (adapters.params[f"layers.{layer}.{site}.{part}"].data for part in "AB")
+        changed = np.zeros(3 * d, dtype=bool)
+        changed[rows] = True
+        np.testing.assert_array_equal(got[~changed], W[~changed])
+        np.testing.assert_array_equal(got[rows], W[rows] + adapters.cfg.scaling * (B @ A))
+        assert np.all(np.any(got[rows] != W[rows], axis=1))
 
 
 def test_lora_config_guards():
@@ -292,17 +334,22 @@ def test_load_arrays_round_trips_and_rejects_wrong_names_and_shapes(component):
 
 
 def test_zero_init_adapters_leave_backbone_logits_bit_identical():
+    # The default sites; q, k and v all adapted, so `wqkv` needs no zero
+    # block; and v alone, so its q and k blocks are zeros.
     bb = Backbone(SMALL_BB, Rng(11), dtype=np.float64)
-    adapters = LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0), Rng(12), dtype=np.float64)
-    rng = Rng(13)
-    for _ in range(20):
-        L = int(rng.integers(2, 10))
-        ids = rng.integers(0, SMALL_BB.vocab_size, size=L)
-        emb = embed(bb, ids)
-        pos = np.arange(L)
-        base = bb.forward(emb, pos).data
-        with_lora = bb.forward(embed(bb, ids), pos, lora=adapters).data
-        assert np.array_equal(base, with_lora)
+    for targets in (LoraConfig().targets, LORA_SITES, ("attn_v",)):
+        adapters = LoraAdapters(SMALL_BB, LoraConfig(rank=2, alpha=4.0, targets=targets), Rng(12), dtype=np.float64)
+        for name, w in fold_adapters(bb.params, adapters).items():
+            assert w.data.tobytes() == bb.params[name].data.tobytes(), name
+        rng = Rng(13)
+        for _ in range(20):
+            L = int(rng.integers(2, 10))
+            ids = rng.integers(0, SMALL_BB.vocab_size, size=L)
+            emb = embed(bb, ids)
+            pos = np.arange(L)
+            base = bb.forward(emb, pos).data
+            with_lora = bb.forward(embed(bb, ids), pos, lora=adapters).data
+            assert np.array_equal(base, with_lora)
 
 
 def test_backbone_rejects_overflow_and_bad_width():
@@ -423,31 +470,33 @@ HEADS_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=4, d_ff
 HEADS_PROJ = ProjectorConfig(n_layers=2, n_heads=4, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
 
 
-def _per_head_attention(q, k, v, n_heads, mask):
-    """Each head sliced out of q/k/v and attended alone; heads concatenated."""
-    head_dim = q.shape[-1] // n_heads
+def _per_head_attention(qkv, n_heads, n_query, mask):
+    """Each head's q, k and v columns sliced out of the fused rows and
+    attended alone, as fused rows of one head; heads concatenated."""
+    d = qkv.shape[-1] // 3
+    head_dim = d // n_heads
     inv = 1.0 / float(np.sqrt(head_dim))
     heads = []
     for h in range(n_heads):
-        key = (Ellipsis, slice(h * head_dim, (h + 1) * head_dim))
-        qh, kh, vh = (tslice(t, key) for t in (q, k, v))
-        heads.append(attention(qh, kh, vh, mask, inv, 0.0, None))
+        cols = [tslice(qkv, (Ellipsis, slice(j * d + h * head_dim, j * d + (h + 1) * head_dim))) for j in range(3)]
+        heads.append(attention(concat(cols, axis=-1), 1, n_query, mask, inv, 0.0, None))
     return concat(heads, axis=-1)
 
 
 def _per_head_layers(stack, x, mask, kv=None):
     """`_Stack._layers` with dropout off, attending head by head; `kv` maps
-    layer -> (keys, values) of shape (..., S, d) for cached rows."""
+    layer -> the fused q/k/v rows (..., S, 3d) of cached rows."""
     p = stack.params
     for i in range(stack.n_layers):
         pre = f"layers.{i}."
         h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q, k, v = (linear(h, p[pre + w]) for w in ("wq", "wk", "wv"))
+        qkv = linear(h, p[pre + "wqkv"])
+        n_query = qkv.shape[-2]
         if kv is not None:
             if i in kv:
-                k, v = concat([kv[i][0], k], axis=-2), concat([kv[i][1], v], axis=-2)
-            kv[i] = (k, v)
-        x = add(x, linear(_per_head_attention(q, k, v, stack.n_heads, mask), p[pre + "wo"]))
+                qkv = concat([kv[i], qkv], axis=-2)
+            kv[i] = qkv
+        x = add(x, linear(_per_head_attention(qkv, stack.n_heads, n_query, mask), p[pre + "wo"]))
         h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
         x = add(x, linear(gelu(linear(h, p[pre + "ffn_up"])), p[pre + "ffn_down"]))
     return layer_norm(x, p["ln_f.g"], p["ln_f.b"])
@@ -516,7 +565,7 @@ def test_head_batched_projector_equals_the_per_head_loop(dtype):
     _, padded, pad = _padded_frames((3, 7, 5), HEADS_PROJ.d_in, dtype, Rng(60))
     got = proj.forward(Tensor(padded), train=False, pad_mask=pad)
     x = add(Tensor(padded), embedding_lookup(proj.params["wpe"], np.arange(padded.shape[1])))
-    want = linear(_per_head_layers(proj, x, pad), proj.params["out_proj"])
+    want = linear(_per_head_layers(proj, x, pad[..., None, :, :]), proj.params["out_proj"])  # with a head axis
     np.testing.assert_array_equal(got.data, want.data)
     weights = Tensor(Rng(61).normal(size=got.shape).astype(dtype))
     _assert_same_grads(mean(mul(got, weights)), mean(mul(want, weights)), list(proj.params.values()))
@@ -535,9 +584,29 @@ def test_each_layer_attends_through_one_attention_node():
     proj_ops = [n.op for n in tape_of(mean(out)).nodes]
     for ops, n_layers in ((bb_ops, HEADS_BB.n_layers), (proj_ops, HEADS_PROJ.n_layers)):
         assert ops.count("attention") == n_layers
-        assert not {"matmul", "scale", "softmax"} & set(ops)
+        assert ops.count("linear") == 4 * n_layers + 1  # q/k/v, output, two FFN products; then the head
+        assert not {"matmul", "scale", "softmax", "split-heads", "merge-heads"} & set(ops)
     assert proj_ops.count("dropout") == 2 * HEADS_PROJ.n_layers  # the residual branches only
     assert bb_ops.count("slice") == 1  # the target rows, after the final layer norm
+
+
+def test_a_cached_one_row_step_is_eleven_nodes_a_layer():
+    # With gradients on, a decoded token costs each layer its two layer
+    # norms, the q/k/v, output and two FFN products, one cache append, one
+    # attention, one gelu and the two residual adds: nothing else.
+    bb = Backbone(HEADS_BB, Rng(72))
+    ids = Rng(73).integers(0, HEADS_BB.vocab_size, size=6)
+    cache = KVCache(bb.params)
+    prefill = bb.forward(Tensor(bb.params["wte"].data[ids[:5]]), np.arange(5), cache=cache)
+    step = bb.forward(Tensor(bb.params["wte"].data[ids[5:]]), np.arange(5, 6), cache=cache)
+    ops = [n.op for n in tape_of(step).nodes if n._seq > prefill._seq]
+    per_layer = {"layer-norm": 2, "linear": 4, "concat": 1, "attention": 1, "gelu": 1, "add": 2}
+    assert sum(per_layer.values()) == 11
+    # Outside the layers: the position lookup and its add, ln_f, the LM head.
+    outside = {"embedding-lookup": 1, "add": 1, "layer-norm": 1, "linear": 1}
+    want = {op: HEADS_BB.n_layers * per_layer.get(op, 0) + outside.get(op, 0) for op in {*per_layer, *outside}}
+    assert dict(Counter(ops)) == want
+    assert len(ops) == 11 * HEADS_BB.n_layers + 4
 
 
 def test_padded_projector_rows_match_each_unpadded_forward():

@@ -23,19 +23,17 @@ from mmadapt.tensor import (
     linear,
     masked_cross_entropy,
     matmul,
-    merge_heads,
     no_grad,
     parameter,
     scale,
     softmax,
-    split_heads,
     stack,
     tape_of,
     tslice,
 )
 
 from references import (
-    attention_by_chain,
+    attention_by_head_slices,
     embedding_backward_by_add_at,
     finite_diff_check,
     linear_by_matmul,
@@ -127,13 +125,12 @@ def test_finite_diff_rejects_nondeterministic_f():
         "concat",
         "stack",
         "slice",
-        "split_heads",
-        "merge_heads",
         "embedding",
         "layer_norm",
         "softmax",
         "attention",
         "attention_dropout",
+        "attention_cached",
         "gelu",
         "dropout_fixed_mask",
         "mean_axis",
@@ -183,14 +180,6 @@ def test_every_op_gradient_matches_finite_differences(name):
         a = parameter(rng.normal(size=(4, 6)))
         f = lambda _: mean(mul(tslice(a, (slice(1, 3), slice(None, 4))), tslice(a, (slice(1, 3), slice(None, 4)))))
         params = [a]
-    elif name == "split_heads":
-        a, w = parameter(rng.normal(size=(2, 3, 6))), Tensor(rng.split("w").normal(size=(2, 3, 3, 2)))
-        f = lambda _: mean(mul(split_heads(a, 3), w))
-        params = [a]
-    elif name == "merge_heads":
-        a, w = parameter(rng.normal(size=(2, 3, 4, 2))), Tensor(rng.split("w").normal(size=(2, 4, 6)))
-        f = lambda _: mean(mul(merge_heads(a), w))
-        params = [a]
     elif name == "embedding":
         table = parameter(rng.normal(size=(7, 3)))
         ids = np.array([[0, 2, 2], [5, 1, 0]])
@@ -206,12 +195,18 @@ def test_every_op_gradient_matches_finite_differences(name):
         f = lambda _: mean(mul(softmax(x), softmax(x)))
         params = [x]
     elif name in ("attention", "attention_dropout"):
-        q, k, v = (parameter(rng.split(t).normal(size=(2, 2, 4, 3))) for t in "qkv")
+        qkv = parameter(rng.normal(size=(2, 4, 18)))  # 2 heads of 3
         mask = np.triu(np.full((4, 4), -1e9), k=1)
         drop = 0.3 if name == "attention_dropout" else 0.0
-        w = Tensor(rng.split("w").normal(size=(2, 2, 4, 3)))
-        f = lambda _: mean(mul(attention(q, k, v, mask, 0.7, drop, Rng(5) if drop else None), w))
-        params = [q, k, v]
+        w = Tensor(rng.split("w").normal(size=(2, 4, 6)))
+        f = lambda _: mean(mul(attention(qkv, 2, 4, mask, 0.7, drop, Rng(5) if drop else None), w))
+        params = [qkv]
+    elif name == "attention_cached":  # 2 new rows after 3 cached ones
+        qkv = parameter(rng.normal(size=(5, 18)))
+        mask = np.triu(np.full((2, 5), -1e9), k=4)
+        w = Tensor(rng.split("w").normal(size=(2, 6)))
+        f = lambda _: mean(mul(attention(qkv, 2, 2, mask, 0.7, 0.0, None), w))
+        params = [qkv]
     elif name == "gelu":
         x = parameter(rng.normal(size=(4, 4)))
         f = lambda _: mean(mul(gelu(x), gelu(x)))
@@ -392,26 +387,6 @@ def test_masked_ce_empty_mask_raises():
         masked_cross_entropy(Tensor(np.zeros((2, 4))), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
 
 
-def test_split_and_merge_heads_are_the_per_head_slices_and_their_concat():
-    x = Tensor(np.arange(2 * 3 * 8, dtype=np.float32).reshape(2, 3, 8))
-    heads = split_heads(x, 4)
-    assert heads.shape == (2, 4, 3, 2)
-    for h in range(4):
-        np.testing.assert_array_equal(heads.data[:, h], x.data[..., 2 * h : 2 * h + 2])
-    np.testing.assert_array_equal(merge_heads(heads).data, x.data)
-
-
-def test_split_heads_and_add_raise_shape_errors():
-    with pytest.raises(ShapeError, match="split_heads"):
-        split_heads(Tensor(np.ones((3, 10))), 4)
-    with pytest.raises(ShapeError, match="split_heads"):
-        split_heads(Tensor(np.ones(8)), 2)
-    with pytest.raises(ShapeError, match="add"):
-        add(Tensor(np.ones((3, 4))), Tensor(np.ones((3,))))
-    with pytest.raises(ShapeError, match="merge_heads"):
-        merge_heads(Tensor(np.ones((3, 4))))
-
-
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
@@ -541,6 +516,10 @@ def test_rewritten_hot_ops_are_bit_identical_to_their_old_formulas(dtype):
         # sums in another order. Measured gaps are below 2 ulps.
         for got, ref in zip((y.data, *y._backward(g)), want):
             _within_ulps_of_largest(got, ref, 8)
+        # 2-D rows (a decode step's) skip the reshapes: the same bits.
+        flat = layer_norm(parameter(x.reshape(-1, width)), parameter(gain), parameter(bias))
+        for got, ref in zip((flat.data, *flat._backward(g.reshape(-1, width))), (y.data, *y._backward(g))):
+            assert _same_bits(got, ref.reshape(got.shape))
 
     x = (rng.split("gelu").normal(size=(5, 7, 9)) * 3.0).astype(dtype)
     g = rng.split("gelu-g").normal(size=x.shape).astype(dtype)
@@ -560,41 +539,44 @@ def _key_padding(lengths, M):
     return pad
 
 
-# (q shape, k/v shape, mask, dropout rate): what the backbone, the projector
-# and a cached decode step hand to `attention`.
+# (fused q/k/v rows, heads, query rows, mask, dropout rate): what the
+# backbone, the projector and a cached decode step hand to `attention`.
 ATTENTION_CASES = {
-    "no-mask": ((3, 4, 9, 8), (3, 4, 9, 8), None, 0.0),
-    "causal": ((3, 4, 19, 8), (3, 4, 19, 8), _causal(19), 0.0),
-    "key-padding": ((3, 4, 11, 8), (3, 4, 11, 8), _key_padding((7, 11, 3), 11), 0.0),
-    "dropout": ((3, 4, 11, 8), (3, 4, 11, 8), _key_padding((7, 11, 3), 11), 0.1),
-    "cached-row": ((4, 1, 16), (4, 23, 16), None, 0.0),
+    "no-mask": ((3, 9, 96), 4, 9, None, 0.0),
+    "causal": ((3, 19, 96), 4, 19, _causal(19), 0.0),
+    "key-padding": ((3, 11, 96), 4, 11, _key_padding((7, 11, 3), 11), 0.0),
+    "dropout": ((3, 11, 96), 4, 11, _key_padding((7, 11, 3), 11), 0.1),
+    "cached-row": ((23, 192), 4, 1, None, 0.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
 def test_attention_matches_the_op_chain_within_float32_rounding(case):
-    # The fused op computes the chain's formulas in the same dtype; only the
-    # softmax's row sums run as mat-vecs. Measured worst gaps are ~2 ulps of
-    # the largest output and ~11 of the largest gradient; the bound is 64.
-    q_shape, kv_shape, mask, drop = ATTENTION_CASES[case]
+    # The fused op computes the chain's formulas in the same dtype on head
+    # views of the rows; only the softmax's row sums run as mat-vecs.
+    # Measured worst gaps are ~2 ulps of the largest output and ~3 of the
+    # largest d(qkv); the bound is 64.
+    shape, n_heads, n_query, mask, drop = ATTENTION_CASES[case]
     rng = Rng(90)
-    q = parameter((rng.split("q").normal(size=q_shape) * 2.0).astype(np.float32))
-    k = parameter((rng.split("k").normal(size=kv_shape) * 2.0).astype(np.float32))
-    v = parameter(rng.split("v").normal(size=kv_shape).astype(np.float32))
-    inv = 1.0 / float(np.sqrt(q_shape[-1]))
+    rows = rng.split("qkv").normal(size=shape)
+    rows[..., : 2 * shape[-1] // 3] *= 2.0  # the q and k columns
+    qkv = parameter(rows.astype(np.float32))
+    inv = 1.0 / float(np.sqrt(shape[-1] // 3 // n_heads))
 
     def stream():  # the same keep mask for both: a fresh `r.split("attn")`
         return Rng(91).split("layer0").split("attn") if drop else None
 
-    got = attention(q, k, v, mask, inv, drop, stream())
-    want = attention_by_chain(q, k, v, mask, inv, drop, stream())
+    got = attention(qkv, n_heads, n_query, mask, inv, drop, stream())
+    want = attention_by_head_slices(qkv, n_heads, n_query, mask, inv, drop, stream())
+    assert got.shape == shape[:-2] + (n_query, shape[-1] // 3)
     _within_ulps_of_largest(got.data, want.data, 64)
     w = Tensor(rng.split("w").normal(size=got.shape).astype(np.float32))
-    g_got, g_want = grad(mean(mul(got, w)), [q, k, v]), grad(mean(mul(want, w)), [q, k, v])
-    for t in (q, k, v):
-        _within_ulps_of_largest(g_got[t].data, g_want[t].data, 64)
+    g_got, g_want = grad(mean(mul(got, w)), [qkv])[qkv], grad(mean(mul(want, w)), [qkv])[qkv]
+    _within_ulps_of_largest(g_got.data, g_want.data, 64)
+    if n_query < shape[-2]:  # rows that only give keys and values get no query gradient
+        np.testing.assert_array_equal(g_got.data[..., : shape[-2] - n_query, : shape[-1] // 3], 0.0)
     if drop:  # the keep mask really drops: without it the outputs differ
-        plain = attention(q, k, v, mask, inv, 0.0, None)
+        plain = attention(qkv, n_heads, n_query, mask, inv, 0.0, None)
         assert not np.allclose(plain.data, got.data, rtol=1e-3)
 
 
@@ -681,11 +663,20 @@ def test_training_steps_reuse_freed_memory_instead_of_faulting_it_in():
                  id="linear-3d-weight"),
     pytest.param(lambda: linear(Tensor(np.float64(1.0)), Tensor(np.ones((4, 1)))), ShapeError, "2-D weight",
                  id="linear-scalar-x"),
-    pytest.param(lambda: attention(*(Tensor(np.ones((2, 3, 4))) for _ in "qk"), Tensor(np.ones((2, 5, 4))), None, 1.0,
-                                   0.0, None), ShapeError, "attention", id="attention-kv-rows"),
-    pytest.param(lambda: attention(*(Tensor(np.ones((2, 3, 4))) for _ in "qkv"), np.zeros((2, 2, 3)), 1.0, 0.0, None),
+    pytest.param(lambda: add(Tensor(np.ones((3, 4))), Tensor(np.ones((3,)))), ShapeError, "add", id="add-broadcast"),
+    pytest.param(lambda: attention(Tensor(np.ones((2, 3, 12))), 2, 4, None, 1.0, 0.0, None), ShapeError,
+                 "4 query rows", id="attention-kv-rows"),
+    pytest.param(lambda: attention(Tensor(np.ones((2, 3, 12))), 2, 0, None, 1.0, 0.0, None), ShapeError,
+                 "0 query rows", id="attention-no-query"),
+    pytest.param(lambda: attention(Tensor(np.ones((2, 3, 10))), 2, 3, None, 1.0, 0.0, None), ShapeError,
+                 "fused rows", id="attention-width"),
+    pytest.param(lambda: attention(Tensor(np.ones((2, 3, 12))), 0, 3, None, 1.0, 0.0, None), ShapeError,
+                 "0 heads", id="attention-heads"),
+    pytest.param(lambda: attention(Tensor(np.ones(12)), 2, 1, None, 1.0, 0.0, None), ShapeError, "fused rows",
+                 id="attention-rank"),
+    pytest.param(lambda: attention(Tensor(np.ones((2, 3, 12))), 2, 3, np.zeros((2, 2, 3)), 1.0, 0.0, None),
                  ShapeError, "mask", id="attention-mask"),
-    pytest.param(lambda: attention(*(Tensor(np.ones((2, 3, 4))) for _ in "qkv"), None, 1.0, 1.0, Rng(0)),
+    pytest.param(lambda: attention(Tensor(np.ones((2, 3, 12))), 2, 3, None, 1.0, 1.0, Rng(0)),
                  ContractViolation, "dropout rate", id="attention-dropout-1"),
     pytest.param(lambda: masked_cross_entropy(Tensor(np.zeros((2, 3, 5))), np.zeros((2, 4)), np.ones((2, 4), bool)),
                  ShapeError, "masked_cross_entropy", id="cross-entropy-targets"),

@@ -223,7 +223,10 @@ def test_speech_batch_grid_matches_the_per_example_assembly(corpus):
     for name in g:
         np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
     ops = _tape_ops(loss)
-    assert ops.count("slice") == 2 and ops.count("concat") == 1  # the valid rows, the table, the target rows
+    assert ops.count("slice") == 2  # the valid rows and the target rows
+    # The speech rows joined onto the token table, and one fold of the q/k
+    # adapters into each layer's fused q/k/v weight.
+    assert ops.count("concat") == 1 + BB.n_layers
 
 
 @pytest.mark.parametrize("component", ["backbone", "lora"])
