@@ -44,48 +44,43 @@ class PromptedExample:
         return self.prompt_len + len(self.target_tokens)
 
 
-def question_line(task: str, language: str, vocab: Vocab, example: Example | None = None) -> tuple[int, ...]:
+def question_line(example: Example, vocab: Vocab) -> tuple[int, ...]:
     """Fixed instruction tokens for ASR/ST/MT; the example's own question for SQA/QA."""
+    task = example.task
     if task == "ASR":
         return (Q_ASR,)
     if task in ("ST", "MT"):
-        return (vocab.lang(language).q_st,)
+        return (vocab.lang(example.language).q_st,)
     if task in ("SQA", "QA"):
-        if example is None or example.question_tokens is None:
+        if example.question_tokens is None:
             raise ContractViolation(f"{task} rendering needs the example's question")
         return tuple(example.question_tokens)
     raise ContractViolation(f"unknown task {task!r}")
 
 
 def render_prompt(example: Example, modality: str, vocab: Vocab, frame_avg_k: int) -> PromptedExample:
-    """Render one example into a prompt with a content block and loss mask."""
+    """Render one example into a prompt of the module docstring's shape. The
+    modalities differ only in their tags and content: averaged frames or source tokens."""
     if modality not in MODALITIES:
         raise ContractViolation(f"unknown modality {modality!r}")
-    question = question_line(example.task, example.language, vocab, example)
-    targets = tuple(example.answer_tokens) + (EOS,)
+    frames = content = None
     if modality == "speech":
         if example.frames is None:
             raise ContractViolation(f"example {example.id} has no frames for speech rendering")
         frames = average_frames(example.frames, frame_avg_k)
-        return PromptedExample(
-            id=example.id,
-            task=example.task,
-            language=example.language,
-            validity=example.validity,
-            modality="speech",
-            prefix_tokens=(SPEECH_OPEN,),
-            frames=frames,
-            suffix_tokens=(SPEECH_CLOSE,) + question + (ANSWER_PROMPT,),
-            target_tokens=targets,
-        )
+        open_tag, close_tag = SPEECH_OPEN, SPEECH_CLOSE
+    else:
+        content = tuple(example.source_tokens)
+        open_tag, close_tag = TEXT_OPEN, TEXT_CLOSE
     return PromptedExample(
         id=example.id,
         task=example.task,
         language=example.language,
         validity=example.validity,
-        modality="text",
-        prefix_tokens=(TEXT_OPEN,),
-        content_tokens=tuple(example.source_tokens),
-        suffix_tokens=(TEXT_CLOSE,) + question + (ANSWER_PROMPT,),
-        target_tokens=targets,
+        modality=modality,
+        prefix_tokens=(open_tag,),
+        content_tokens=content,
+        frames=frames,
+        suffix_tokens=(close_tag,) + question_line(example, vocab) + (ANSWER_PROMPT,),
+        target_tokens=tuple(example.answer_tokens) + (EOS,),
     )

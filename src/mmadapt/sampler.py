@@ -2,10 +2,12 @@
 
 An epoch is X steps. Each step draws a task by the task-level ratios, then
 a (language, validity) split by the within-task ratios, and fills its
-primary batch from that split's shuffled without-replacement cursor. When a
-drawn speech task has a text equivalent (ST -> MT, SQA -> QA), the step
-also holds a text batch from the same language-split, interleaved right
-after the primary one; interleaved batches do not count toward X.
+primary batch from that split's shuffled without-replacement cursor. A
+batch holds the examples it drew, so a step goes from split to prompt with
+no lookup. When a drawn speech task has a text equivalent (ST -> MT,
+SQA -> QA), the step also holds a text batch from the same language-split,
+interleaved right after the primary one; interleaved batches do not count
+toward X.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .corpus import SPEECH_TASKS
+from .corpus import SPEECH_TASKS, Example
 from .errors import ConfigError
 from .rng import Rng
 
@@ -59,11 +61,13 @@ def _check_ratio_group(name: str, group: dict) -> None:
 
 @dataclass(frozen=True)
 class BatchEntry:
+    """One batch: its split, the modality to render it in and its examples."""
+
     task: str
     language: str
     validity: str
     modality: str
-    example_ids: tuple[str, ...]
+    examples: tuple[Example, ...]
     interleaved: bool = False
 
 
@@ -88,7 +92,7 @@ class BatchSchedule:
                     "validity": e.validity,
                     "modality": e.modality,
                     "interleaved": e.interleaved,
-                    "ids": list(e.example_ids),
+                    "ids": [ex.id for ex in e.examples],
                 }
             )
             for e in self.entries
@@ -96,23 +100,24 @@ class BatchSchedule:
 
 
 class _Cursor:
-    """Shuffled without-replacement iteration, reshuffled on exhaustion."""
+    """Shuffled without-replacement iteration over one split's own list,
+    reshuffled on exhaustion."""
 
-    def __init__(self, ids: list[str], rng: Rng):
-        self.ids = list(ids)
+    def __init__(self, examples: list[Example], rng: Rng):
+        self.examples = examples
         self.rng = rng
-        self.order = list(rng.split("init").permutation(len(self.ids)))
+        self.order = list(rng.split("init").permutation(len(examples)))
         self.pos = 0
         self.cycle = 0
 
-    def take(self, n: int) -> tuple[str, ...]:
+    def take(self, n: int) -> tuple[Example, ...]:
         out = []
         while len(out) < n:
             if self.pos >= len(self.order):
                 self.cycle += 1
-                self.order = list(self.rng.split(f"cycle{self.cycle}").permutation(len(self.ids)))
+                self.order = list(self.rng.split(f"cycle{self.cycle}").permutation(len(self.examples)))
                 self.pos = 0
-            out.append(self.ids[self.order[self.pos]])
+            out.append(self.examples[self.order[self.pos]])
             self.pos += 1
         return tuple(out)
 
@@ -126,17 +131,13 @@ def _draw(rng_value: float, group: list[tuple]) -> tuple:
     return group[-1][0]
 
 
-def _example_ids(pool) -> list[str]:
-    return [getattr(e, "id", e) for e in pool]
-
-
-def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], rng: Rng, max_steps: int) -> BatchSchedule:
+def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list[Example]], rng: Rng, max_steps: int) -> BatchSchedule:
     """Plan the first `max_steps` steps of one epoch over `datasets` keyed by
     (task, language, validity), or the whole epoch if it is shorter.
 
     Step i draws from `rng.split("draw").split(str(i))` and cursors advance
     in step order, so a shorter plan is the prefix of a longer one. Only the
-    splits the plan draws from are read for their ids.
+    splits the plan draws from are read.
     """
     active: dict[str, list[tuple[SplitKey, float]]] = {}
     for task, p_task in sorted(cfg.task_ratios.items()):
@@ -165,27 +166,24 @@ def plan_epoch(cfg: SamplerConfig, datasets: dict[tuple[str, str, str], list], r
         if key not in cursors:
             if not datasets.get(key):
                 raise ConfigError(f"split {key} has no data")
-            cursors[key] = _Cursor(_example_ids(datasets[key]), rng.split("cursor", *key))
+            cursors[key] = _Cursor(datasets[key], rng.split("cursor", *key))
         return cursors[key]
 
-    total = sum(cfg.task_ratios[t] for t in active)
-    task_group = [(t, cfg.task_ratios[t] / total) for t in active]
+    task_group = [(t, cfg.task_ratios[t]) for t in active]
 
     draw_rng = rng.split("draw")
     steps: list[tuple[BatchEntry, ...]] = []
     for i in range(min(n_steps, max_steps)):
         r = draw_rng.split(str(i))
         task = _draw(float(r.uniform()), task_group)
-        splits = active[task]
-        z = sum(p for _, p in splits)
-        (lang, validity) = _draw(float(r.uniform()), [(k, p / z) for k, p in splits])
+        (lang, validity) = _draw(float(r.uniform()), active[task])
         modality = "text" if (cfg.text_mode or task not in SPEECH_TASKS) else "speech"
-        ids = cursor(task, lang, validity).take(cfg.batch_size)
-        step = (BatchEntry(task, lang, validity, modality, ids),)
+        examples = cursor(task, lang, validity).take(cfg.batch_size)
+        step = (BatchEntry(task, lang, validity, modality, examples),)
         if cfg.interleave_text and not cfg.text_mode and task in TEXT_EQUIVALENT:
             text_task = TEXT_EQUIVALENT[task]
-            text_ids = cursor(text_task, lang, validity).take(cfg.batch_size)
-            step += (BatchEntry(text_task, lang, validity, "text", text_ids, interleaved=True),)
+            text_examples = cursor(text_task, lang, validity).take(cfg.batch_size)
+            step += (BatchEntry(text_task, lang, validity, "text", text_examples, interleaved=True),)
         steps.append(step)
     return BatchSchedule(steps=steps)
 

@@ -268,8 +268,9 @@ class StagePlan:
 
 
 class Trainer:
-    """Drives one stage: schedules epochs, renders batches and steps one
-    optimizer per trainable component on every batch."""
+    """Drives one stage: plans epochs, renders the examples each planned
+    batch holds and steps one optimizer per trainable component on every
+    batch."""
 
     def __init__(
         self,
@@ -284,23 +285,17 @@ class Trainer:
         self.frame_avg_k = frame_avg_k
         self.projector = projector
         self.adapters = adapters
-        self._index: dict[tuple[str, str, str], dict[str, Example]] = {}
         self._render_cache: dict[tuple[str, str], PromptedExample] = {}
 
-    def _example(self, entry: BatchEntry, ex_id: str) -> Example:
-        key = (entry.task, entry.language, entry.validity)
-        if key not in self._index:
-            pool = self.corpus.splits[(entry.task, entry.language, entry.validity, "train")]
-            self._index[key] = {e.id: e for e in pool}
-        return self._index[key][ex_id]
-
     def render_batch(self, entry: BatchEntry) -> list[PromptedExample]:
+        """The prompts of `entry`'s examples in its modality, each rendered
+        once per trainer and kept under its (id, modality)."""
         prompts = []
-        for ex_id in entry.example_ids:
-            cache_key = (ex_id, entry.modality)
+        for ex in entry.examples:
+            cache_key = (ex.id, entry.modality)
             p = self._render_cache.get(cache_key)
             if p is None:
-                p = render_prompt(self._example(entry, ex_id), entry.modality, self.corpus.vocab, self.frame_avg_k)
+                p = render_prompt(ex, entry.modality, self.corpus.vocab, self.frame_avg_k)
                 self._render_cache[cache_key] = p
             prompts.append(p)
         return prompts

@@ -291,6 +291,13 @@ def test_benchmark_size_corpus_is_pinned_to_its_recorded_digest(full_corpus):
     assert _corpus_digest(full_corpus) == FULL_DIGESTS[full_corpus.cfg.seed]
 
 
+def test_every_example_id_is_unique_across_all_splits(full_corpus):
+    # The trainer's render cache keys on (id, modality), and a schedule's
+    # manifest names its batches' examples by id alone.
+    ids = [e.id for exs in full_corpus.splits.values() for e in exs]
+    assert ids and len(set(ids)) == len(ids)
+
+
 def _qa_splits(corpus):
     for (task, lang, validity, part), exs in corpus.splits.items():
         if task in ("SQA", "QA"):

@@ -80,11 +80,11 @@ def test_targets_end_with_end_of_answer(corpus):
 
 
 def test_st_question_lines_differ_per_language_asr_fixed(corpus):
-    st_lines = {lang: question_line("ST", lang, corpus.vocab) for lang in TARGET_LANGUAGES}
+    st_lines = {lang: question_line(corpus_split(corpus, "ST", lang)[0], corpus.vocab) for lang in TARGET_LANGUAGES}
     assert len(set(st_lines.values())) == len(TARGET_LANGUAGES)
-    assert question_line("ASR", "src", corpus.vocab) == (Q_ASR,)
+    assert question_line(corpus_split(corpus, "ASR", "src")[0], corpus.vocab) == (Q_ASR,)
     for lang in TARGET_LANGUAGES:
-        assert question_line("MT", lang, corpus.vocab) == st_lines[lang]
+        assert question_line(corpus_split(corpus, "MT", lang)[0], corpus.vocab) == st_lines[lang]
 
 
 def test_speech_rendering_requires_frames(corpus):
@@ -103,12 +103,11 @@ def test_sqa_question_is_example_specific(corpus):
 
 
 @pytest.mark.parametrize("call,match", [
-    pytest.param(lambda c: question_line("SQA", "src", c.vocab), "SQA rendering needs the example's question",
-                 id="sqa-without-example"),
     pytest.param(lambda c: render_prompt(replace(corpus_split(c, "QA", "src")[0], question_tokens=None), "text",
                                          c.vocab, 3),
                  "QA rendering needs the example's question", id="qa-without-question"),
-    pytest.param(lambda c: question_line("TTS", "src", c.vocab), "unknown task", id="unknown-task"),
+    pytest.param(lambda c: question_line(replace(corpus_split(c, "MT", "tgt1")[0], task="TTS"), c.vocab), "unknown task",
+                 id="unknown-task"),
     pytest.param(lambda c: render_prompt(corpus_split(c, "MT", "tgt1")[0], "video", c.vocab, 3), "unknown modality",
                  id="unknown-modality"),
 ])

@@ -1,5 +1,6 @@
 import pytest
 
+from mmadapt.corpus import CorpusConfig, build_corpus
 from mmadapt.errors import ConfigError, ContractViolation
 from mmadapt.rng import Rng
 from mmadapt.sampler import BatchSchedule, SamplerConfig, plan_epoch
@@ -128,7 +129,7 @@ def test_without_replacement_until_cursor_cycles():
     )
     pools = {("ST", "tgt1", "valid"): [f"id{i}" for i in range(50)]}
     schedule = plan_epoch(cfg, pools, Rng(10), WHOLE_EPOCH)
-    drawn = [i for e in schedule.entries for i in e.example_ids]
+    drawn = [i for e in schedule.entries for i in e.examples]
     assert len(drawn) == 150
     for cycle in range(3):
         window = drawn[cycle * 50 : (cycle + 1) * 50]
@@ -192,11 +193,12 @@ def test_text_mode_renders_everything_text():
 
 
 class _Unread:
-    """A pool entry whose id must not be read."""
+    """A split that must not be read."""
 
-    @property
-    def id(self):
-        raise AssertionError("plan_epoch read the ids of a split it never draws from")
+    def _read(self, *args):
+        raise AssertionError("plan_epoch read a split it never draws from")
+
+    __len__ = __iter__ = __getitem__ = _read
 
 
 def test_a_shorter_plan_is_the_prefix_of_the_whole_epoch():
@@ -209,20 +211,24 @@ def test_a_shorter_plan_is_the_prefix_of_the_whole_epoch():
     for n in (1, 7, 59, 60):
         assert plan_epoch(cfg, _pools(20), Rng(16), n).steps == whole[:n]
     # A split of an inactive task, or one no step draws from, is never read.
-    pools = {**_pools(20), ("ASR", "src", "invalid"): [_Unread()]}
-    pools[("QA", "src", "valid")] = [_Unread()]
+    pools = {**_pools(20), ("ASR", "src", "invalid"): _Unread()}
+    pools[("QA", "src", "valid")] = _Unread()
     asr_only = _config(task_ratios={"ASR": 1.0}, epoch_steps=5)
     assert len(plan_epoch(asr_only, pools, Rng(17), WHOLE_EPOCH).steps) == 5
 
 
 def test_manifest_lines_round_trip():
     import json
+    from types import SimpleNamespace
 
-    schedule = plan_epoch(_config(epoch_steps=20), _pools(), Rng(15), WHOLE_EPOCH)
+    pools = {key: [SimpleNamespace(id=i) for i in ids] for key, ids in _pools().items()}
+    schedule = plan_epoch(_config(epoch_steps=20), pools, Rng(15), WHOLE_EPOCH)
     lines = schedule.to_manifest_lines()
     assert len(lines) == len(schedule.entries)
-    rec = json.loads(lines[0])
-    assert set(rec) == {"task", "language", "validity", "modality", "interleaved", "ids"}
+    for line, e in zip(lines, schedule.entries):
+        rec = json.loads(line)
+        assert set(rec) == {"task", "language", "validity", "modality", "interleaved", "ids"}
+        assert rec["ids"] == [ex.id for ex in e.examples]
 
 
 def _no_qa_pools():
@@ -243,3 +249,49 @@ def test_sampler_checks_raise_their_typed_errors(call, match):
     with pytest.raises(ConfigError, match=match) as raised:
         call()
     assert type(raised.value) is ConfigError
+
+
+# Two seeded plans over a built corpus: a text-mode pretraining mix and a
+# stage-C mix with interleaved text. Batches of 4 over splits of 6-60
+# examples make every cursor cycle. The pretraining plan is the first 60
+# of its 78 steps; the stage-C plan is its whole epoch of 48. The digests were recorded while the
+# sampler still drew example ids and the trainer looked them up again, so a
+# sampler change that alters which examples a batch holds, or their order,
+# fails here.
+SCHEDULE_DIGESTS = {
+    "pretrain": "92bd4cbe7bfbb99cf72c5a95b7590b231dd90f62777b6df06c8b129cae484255",
+    "merge": "1440adb01308b2babe4c92133dd292f2bdb7afbe667a15be1f9fe0df9ae74020",
+}
+
+
+def _schedule_configs():
+    qa = {(lang, v): p for lang in ("src", "tgt1", "tgt2", "tgt3") for v, p in (("valid", 0.2), ("invalid", 0.05))}
+    targets = {(lang, "valid"): 1 / 3 for lang in ("tgt1", "tgt2", "tgt3")}
+    pretrain = SamplerConfig(
+        task_ratios={"ASR": 0.25, "ST": 0.25, "MT": 0.25, "QA": 0.25},
+        split_ratios={
+            "ASR": {("src", "valid"): 1.0},
+            "ST": targets,
+            "MT": {(lang, "valid"): 0.25 for lang in ("src", "tgt1", "tgt2", "tgt3")},
+            "QA": qa,
+        },
+        batch_size=4,
+        text_mode=True,
+    )
+    merge = SamplerConfig(
+        task_ratios={"ASR": 0.25, "ST": 0.35, "SQA": 0.4},
+        split_ratios={"ASR": {("src", "valid"): 1.0}, "ST": targets, "SQA": qa},
+        batch_size=4,
+    )
+    return {"pretrain": pretrain, "merge": merge}
+
+
+@pytest.mark.parametrize("mix", sorted(SCHEDULE_DIGESTS))
+def test_planned_schedule_over_a_built_corpus_is_pinned(mix):
+    import hashlib
+
+    pools = build_corpus(CorpusConfig(n_sentences=40, n_contexts=24, seed=5)).sampler_pools()
+    schedule = plan_epoch(_schedule_configs()[mix], pools, Rng(21), 60)
+    assert len(schedule.steps) == {"pretrain": 60, "merge": 48}[mix]
+    digest = hashlib.sha256("\n".join(schedule.to_manifest_lines()).encode()).hexdigest()
+    assert digest == SCHEDULE_DIGESTS[mix]

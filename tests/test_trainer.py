@@ -443,6 +443,30 @@ def test_run_plans_only_the_steps_it_trains(corpus, monkeypatch):
     assert [(r.step, r.task) for r in log] == [(i, step[0].task) for i, step in enumerate(s for ss in planned for s in ss)]
 
 
+def test_each_planned_batch_renders_the_examples_it_holds_in_order(corpus, monkeypatch):
+    # A stage-C plan of 2 steps: every example of every entry, primary and
+    # interleaved, is rendered once, in plan order, as the object the
+    # sampler drew.
+    real_plan, real_render, planned, rendered = trainer_module.plan_epoch, trainer_module.render_prompt, [], []
+
+    def recording_plan(*args):
+        schedule = real_plan(*args)
+        planned.extend(schedule.entries)
+        return schedule
+
+    def recording_render(example, modality, *args):
+        rendered.append((example, modality))
+        return real_render(example, modality, *args)
+
+    monkeypatch.setattr(trainer_module, "plan_epoch", recording_plan)
+    monkeypatch.setattr(trainer_module, "render_prompt", recording_render)
+    log, _, _ = run_stage(_plan("C"), _trainer(corpus, _models()), Rng(1))
+    assert len(planned) == len(log) > 2  # some step had an interleaved text batch
+    expected = [(ex, e.modality) for e in planned for ex in e.examples]
+    assert [(ex.id, m) for ex, m in rendered] == [(ex.id, m) for ex, m in expected]
+    assert all(ex is want for (ex, _), (want, _) in zip(rendered, expected))
+
+
 def test_each_micro_batch_graph_is_released_before_the_next_forward(corpus, monkeypatch):
     real = trainer_module.batch_loss
     live = []  # weak references into each earlier micro-batch's graph
