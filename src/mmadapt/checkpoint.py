@@ -114,5 +114,5 @@ def load_checkpoint(path, expect_component: str | None = None) -> CheckpointBund
         component=component,
         arrays=arrays,
         config=config,
-        digest=hashlib.sha256(body).hexdigest(),
+        digest=stored.hex(),
     )

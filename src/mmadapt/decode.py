@@ -4,7 +4,8 @@
 folds the adapters into the frozen site weights, W + (alpha/r)*B@A, so the
 forward runs with no adapter matmuls; the folded weights live only in that
 call's `KVCache`, so nothing on the backbone or the adapters can go stale.
-The prompt is spliced as a batch of one (`splice_prompt`, the one-row case
+Speech rows come from `SpeechProjector.speech_rows`, as in training, and
+the prompt is spliced as a batch of one (`splice_prompt`, the one-row case
 of the training batches' `splice_grid`); one prefill forward over it fills
 the cache with every layer's fused q/k/v rows, and each new token is then
 fed as a single row that appends its own (one `concat` a layer) and attends
@@ -21,8 +22,11 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, LengthError
 from .model import Backbone, KVCache, LoraAdapters, SpeechProjector, fold_adapters, splice_prompt
 from .prompting import PromptedExample
-from .tensor import Tensor, concat, embedding_lookup, no_grad  # noqa: F401  (perfbench wraps decode.concat)
+from .tensor import concat, embedding_lookup, no_grad  # noqa: F401  (perfbench wraps decode.concat)
 from .vocab import EOS
+
+DEGENERATION_MAX_N = 4  # the longest n-gram `flag_degeneration` checks
+DEGENERATION_MIN_REPEATS = 4  # back-to-back repeats of an n-gram that flag it
 
 
 def greedy_decode(
@@ -47,7 +51,7 @@ def greedy_decode(
         if prompt.frames is not None:
             if projector is None:
                 raise ConfigError("speech prompt needs a projector")
-            speech = projector.forward(Tensor(prompt.frames.astype(projector.dtype)), train=False)
+            speech = projector.speech_rows([prompt.frames])
         text = prompt.prefix_tokens + (prompt.content_tokens or ())
         sp = splice_prompt(backbone.params["wte"], text, speech, prompt.suffix_tokens, (), backbone.cfg.max_seq_len)
         cache = KVCache(fold_adapters(backbone.params, adapters))
@@ -86,11 +90,11 @@ def detect_degeneration(tokens, n: int, min_repeats: int) -> tuple[bool, tuple[i
     return False, None
 
 
-def flag_degeneration(tokens, max_n: int = 4, min_repeats: int = 4) -> tuple[bool, tuple[int, int] | None]:
-    """Degeneration check over all n-gram sizes 1..max_n; first span wins."""
+def flag_degeneration(tokens) -> tuple[bool, tuple[int, int] | None]:
+    """Degeneration check over all n-gram sizes 1..DEGENERATION_MAX_N; first span wins."""
     best: tuple[int, int] | None = None
-    for n in range(1, max_n + 1):
-        hit, span = detect_degeneration(tokens, n, min_repeats)
+    for n in range(1, DEGENERATION_MAX_N + 1):
+        hit, span = detect_degeneration(tokens, n, DEGENERATION_MIN_REPEATS)
         if hit and (best is None or span[0] < best[0]):
             best = span
     return best is not None, best

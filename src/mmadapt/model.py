@@ -31,6 +31,7 @@ the q, k and v sites fold into their row blocks of `wqkv`.
 Inputs are spliced one way: `splice_grid` indexes a padded batch into the
 token table followed by the batch's speech rows, and one lookup gathers
 it (`trainer.batch_loss`); `splice_prompt` (decoding) is its one-row case.
+Both take their speech rows from `SpeechProjector.speech_rows`.
 """
 
 from __future__ import annotations
@@ -357,7 +358,8 @@ class Backbone(_Stack):
 
 class SpeechProjector(_Stack):
     """Pre-LN bidirectional transformer encoder mapping averaged speech
-    frames into the backbone's embedding space.
+    frames into the backbone's embedding space; it pads and masks its own
+    batches of frame sequences (`speech_rows`).
 
     A learned positional table is added to the input frames; without it the
     encoder is near permutation-equivariant and cannot shape its outputs by
@@ -394,6 +396,20 @@ class SpeechProjector(_Stack):
         x = add(frames, embedding_lookup(self.params["wpe"], np.arange(M, dtype=np.int64)))
         x = self._layers(x, mask, self.params, drop=self.cfg.dropout, rng=rng if train and self.cfg.dropout > 0 else None)
         return linear(x, self.params["out_proj"])
+
+    def speech_rows(self, frames: list[np.ndarray], train: bool = False, rng: Rng | None = None) -> Tensor:
+        """The output rows of each (M_i, d_in) frame sequence, in order, as
+        (sum of M_i, d_out): one `forward` over the sequences zero-padded in
+        this projector's dtype, with a (B, 1, M) key mask only when their
+        lengths differ, then one slice of the valid rows."""
+        counts = [f.shape[0] for f in frames]
+        batch = np.zeros((len(frames), max(counts), frames[0].shape[-1]), dtype=self.dtype)  # `forward` checks the width
+        pad = np.zeros((len(frames), 1, max(counts)), dtype=np.float32)
+        for i, f in enumerate(frames):
+            batch[i, : counts[i]] = f
+            pad[i, 0, counts[i] :] = -1e9
+        out = self.forward(Tensor(batch), train=train, rng=rng, pad_mask=pad if len(set(counts)) > 1 else None)
+        return tslice(out, (np.repeat(np.arange(len(frames)), counts), np.concatenate([np.arange(m) for m in counts])))
 
 
 def average_frames(frames: np.ndarray, k: int) -> np.ndarray:

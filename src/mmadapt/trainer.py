@@ -35,8 +35,8 @@ from .model import splice_prompt  # noqa: F401  (perfbench wraps trainer.splice_
 from .prompting import PromptedExample, render_prompt
 from .rng import Rng
 from .sampler import BatchEntry, SamplerConfig, plan_epoch
-from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, tslice
-from .tensor import scale, stack  # noqa: F401  (perfbench wraps trainer.scale and trainer.stack)
+from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy
+from .tensor import scale, stack, tslice  # noqa: F401  (perfbench wraps trainer.scale, .stack and .tslice)
 from .vocab import TARGET_LANGUAGES
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def batch_loss(
     """Masked next-token loss over one padded batch of rendered prompts.
 
     The input is one lookup of a `splice_grid` index into the token table
-    and the batch's speech rows, one slice of a single projector forward.
+    and the batch's speech rows (`SpeechProjector.speech_rows`).
     Only the positions that predict a target get logits (`Backbone.forward`'s
     `rows`), a third or less of the grid.
     `content_noise` perturbs text content-block embeddings during training
@@ -178,21 +178,8 @@ def batch_loss(
     if speech == {True}:
         if projector is None:
             raise ConfigError("speech batch needs a projector")
-        frame_counts = [p.frames.shape[0] for p in prompts]
-        m_max = max(frame_counts)
-        fr = np.zeros((len(prompts), m_max, projector.cfg.d_in), dtype=projector.dtype)
-        pad = np.zeros((len(prompts), 1, m_max), dtype=np.float32)
-        for i, p in enumerate(prompts):
-            fr[i, : frame_counts[i]] = p.frames
-            pad[i, 0, frame_counts[i] :] = -1e9
-        speech_out = projector.forward(
-            Tensor(fr),
-            train=train,
-            rng=rng.split("projector") if rng is not None else None,
-            pad_mask=pad if len(set(frame_counts)) > 1 else None,
-        )
-        valid = (np.repeat(np.arange(len(prompts)), frame_counts), np.concatenate([np.arange(m) for m in frame_counts]))
-        table = concat([wte, tslice(speech_out, valid)], axis=0)
+        projector_rng = rng.split("projector") if rng is not None else None
+        table = concat([wte, projector.speech_rows([p.frames for p in prompts], train, projector_rng)], axis=0)
     rows = [(p.prefix_tokens, p.content_tokens if p.frames is None else len(p.frames), p.suffix_tokens, p.target_tokens)
             for p in prompts]
     index, ids, mask = splice_grid(rows, wte.shape[0], backbone.cfg.max_seq_len)
@@ -285,20 +272,10 @@ class Trainer:
         self.frame_avg_k = frame_avg_k
         self.projector = projector
         self.adapters = adapters
-        self._render_cache: dict[tuple[str, str], PromptedExample] = {}
 
     def render_batch(self, entry: BatchEntry) -> list[PromptedExample]:
-        """The prompts of `entry`'s examples in its modality, each rendered
-        once per trainer and kept under its (id, modality)."""
-        prompts = []
-        for ex in entry.examples:
-            cache_key = (ex.id, entry.modality)
-            p = self._render_cache.get(cache_key)
-            if p is None:
-                p = render_prompt(ex, entry.modality, self.corpus.vocab, self.frame_avg_k)
-                self._render_cache[cache_key] = p
-            prompts.append(p)
-        return prompts
+        """The prompts of `entry`'s examples in its modality, in order."""
+        return [render_prompt(ex, entry.modality, self.corpus.vocab, self.frame_avg_k) for ex in entry.examples]
 
     def run(self, plan: StagePlan, rng: Rng, eval_fn=None) -> tuple[list[TrainLogRecord], list[EvalRecord], dict]:
         """Train for `plan.max_steps` schedule steps.

@@ -53,10 +53,7 @@ KEEP = {
     "sampler.BatchSchedule.to_manifest_lines": "item 5",
 }
 
-KEEP_PARAMETERS = {
-    "decode.flag_degeneration.max_n": "item 1",
-    "decode.flag_degeneration.min_repeats": "item 1",
-}
+KEEP_PARAMETERS: dict[str, str] = {}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = (*_FUNCTIONS, ast.ClassDef)

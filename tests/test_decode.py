@@ -276,3 +276,7 @@ def test_flag_degeneration_over_orders():
     assert flag_degeneration(clean)[0] is False
     assert flag_degeneration([1, 2] * 8)[0] is True
     assert flag_degeneration([4, 5, 6] * 4 + [1])[0] is True
+    # Up to 4-grams, each repeated at least 4 times in a row.
+    assert flag_degeneration([9, 1, 2, 3] * 4) == (True, (0, 16))
+    assert flag_degeneration([1, 2, 3, 4, 5] * 4)[0] is False
+    assert flag_degeneration([7] * 3)[0] is False

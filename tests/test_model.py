@@ -109,6 +109,8 @@ def test_projector_rejects_wrong_width():
     proj = SpeechProjector(SMALL_PROJ, Rng(3))
     with pytest.raises(ShapeError):
         proj.forward(Tensor(np.zeros((2, SMALL_PROJ.d_in + 1), dtype=np.float32)), train=False)
+    with pytest.raises(ShapeError, match="frames of width"):
+        proj.speech_rows([np.zeros((3, SMALL_PROJ.d_in + 1))])
 
 
 def test_projector_rejects_more_frames_than_its_position_table():
@@ -548,7 +550,7 @@ def test_head_batched_cached_backbone_equals_the_per_head_loop(dtype):
 
 
 def _padded_frames(lengths, d_in, dtype, rng):
-    """Frames and the key-padding mask for one batch, as `batch_loss` builds them."""
+    """Frames and the key-padding mask for one batch, as `SpeechProjector.speech_rows` builds them."""
     frames = [rng.split(str(i)).normal(size=(n, d_in)).astype(dtype) for i, n in enumerate(lengths)]
     padded = np.zeros((len(lengths), max(lengths), d_in), dtype=dtype)
     pad = np.zeros((len(lengths), 1, max(lengths)), dtype=np.float32)
@@ -629,6 +631,49 @@ def test_projector_rejects_a_pad_mask_of_the_wrong_shape():
     for bad in (pad[:, 0], pad[:1], pad[:, :, :3], pad[:, :, None]):
         with pytest.raises(ShapeError, match="pad_mask"):
             proj.forward(Tensor(padded), train=False, pad_mask=bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_speech_rows_of_one_sequence_are_its_forward_rows_bit_for_bit(dtype):
+    # Decoding feeds one prompt's float64 averaged frames: its rows must not
+    # move by an ulp, or the decoded tokens could.
+    proj = SpeechProjector(HEADS_PROJ, Rng(69), dtype=dtype)
+    _scale_up_weights(proj.params, Rng(70), std=0.1)
+    frames = Rng(71).normal(size=(6, HEADS_PROJ.d_in))
+    rows = proj.speech_rows([frames])
+    assert rows.dtype == dtype
+    np.testing.assert_array_equal(rows.data, proj.forward(Tensor(frames.astype(dtype)), train=False).data)
+
+
+def test_speech_rows_are_each_sequence_rows_in_order():
+    proj = SpeechProjector(ProjectorConfig(), Rng(72))
+    _scale_up_weights(proj.params, Rng(73), std=0.1)
+    frames, _, _ = _padded_frames((5, 9, 2, 7), proj.cfg.d_in, np.float32, Rng(74))
+    rows = proj.speech_rows(frames).data
+    alone = np.concatenate([proj.forward(Tensor(f), train=False).data for f in frames])
+    assert rows.shape == (5 + 9 + 2 + 7, proj.cfg.d_out)
+    np.testing.assert_allclose(rows, alone, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("lengths", [(4, 4, 4), (3, 4, 2)])
+def test_speech_rows_mask_the_padding_only_when_lengths_differ(lengths, monkeypatch):
+    proj = SpeechProjector(HEADS_PROJ, Rng(75))
+    frames, padded, pad = _padded_frames(lengths, HEADS_PROJ.d_in, np.float32, Rng(76))
+    seen = []
+    real = proj.forward
+
+    def recording(x, train=False, rng=None, pad_mask=None):
+        seen.append((x.data, pad_mask))
+        return real(x, train=train, rng=rng, pad_mask=pad_mask)
+
+    monkeypatch.setattr(proj, "forward", recording)
+    proj.speech_rows(frames)
+    [(batch, mask)] = seen
+    np.testing.assert_array_equal(batch, padded)
+    if len(set(lengths)) == 1:
+        assert mask is None
+    else:
+        np.testing.assert_array_equal(mask, pad)
 
 
 BACKBONE_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ffn", "max_seq_len")
