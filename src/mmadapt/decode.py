@@ -1,15 +1,18 @@
 """Greedy autoregressive decoding and repetition-degeneration detection.
 
 `greedy_decode` decodes one prompt at a time. At the start of each call it
-folds the adapters into the frozen site weights, W + (alpha/r)*B@A, so the
-forward runs with no adapter matmuls; the folded weights live only in that
-call's `KVCache`, so nothing on the backbone or the adapters can go stale.
-Speech rows come from `SpeechProjector.speech_rows`, as in training, and
-the prompt is spliced as a batch of one (`splice_prompt`, the one-row case
-of the training batches' `splice_grid`); one prefill forward over it fills
-the cache with every layer's fused q/k/v rows, and each new token is then
-fed as a single row that appends its own (one `concat` a layer) and attends
-over the cache: 11 tensor ops a layer per token. The definition it must
+folds the adapters into the frozen site weights, W + (alpha/r)*B@A, one op
+per adapted weight, so the forward runs with no adapter matmuls; the folded
+weights live only in that call's `KVCache`, so nothing on the backbone or
+the adapters can go stale. Speech rows come from
+`SpeechProjector.speech_rows`, as in training, and the prompt is spliced as
+a batch of one (`splice_prompt`, the one-row case of the training batches'
+`splice_grid`); one prefill forward over it fills the cache with every
+layer's fused q/k/v rows, and each new token is then fed as a single row
+that writes its own after them, in place (one `append_rows` a layer, which
+copies no cached row), and attends over the cache: 11 tensor ops a layer
+per token. A one-row step's products and layer-norm sums are BLAS calls
+made through `ndarray.dot`, not the matmul ufunc. The definition it must
 match is the plain loop: run the full model over the whole prefix, with no
 cache, and append the argmax of the last row; the tests keep that loop as
 the oracle, token for token.

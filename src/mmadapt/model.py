@@ -18,15 +18,17 @@ graph nodes (12 with the projector's residual dropouts). Inference can run
 the backbone one new row at a time over a `KVCache`, which holds every
 layer's fused rows fed so far together with the weights that produced
 them, e.g. site weights with the adapters folded in by `fold_adapters`; a
-cached step appends each layer's new rows with one `concat`, 11 nodes.
+cached step writes each layer's new rows after the cached ones, in place
+and without copying them (`append_rows`), 11 nodes.
 
 Weights are stored (d_out, d_in); every weight product is `linear(x, W)`,
 x @ W^T as one 2-D product over the rows of x, whose backward computes no
 gradient for a frozen weight (the backbone in stages A/B/C). Low-rank
 pairs follow delta_W = (alpha/r) * B @ A with B zero-initialized, so a fresh
 adapter is an exact no-op (Hu et al. 2021, arXiv 2106.09685). In training
-and inference alike, adapters enter only as W + delta_W (`fold_adapters`);
-the q, k and v sites fold into their row blocks of `wqkv`.
+and inference alike, adapters enter only as W + delta_W (`fold_adapters`),
+one `add_low_rank` node per adapted weight; the q, k and v sites fold into
+their row blocks of `wqkv`.
 
 Inputs are spliced one way: `splice_grid` indexes a padded batch into the
 token table followed by the batch's speech rows, and one lookup gathers
@@ -45,6 +47,8 @@ from .rng import Rng
 from .tensor import (
     Tensor,
     add,
+    add_low_rank,
+    append_rows,
     attention,
     concat,
     dropout,
@@ -53,9 +57,9 @@ from .tensor import (
     layer_norm,
     linear,
     masked_cross_entropy,  # noqa: F401  (perfbench wraps model.masked_cross_entropy)
-    matmul,
+    matmul,  # noqa: F401  (perfbench wraps model.matmul)
     parameter,
-    scale,
+    scale,  # noqa: F401  (perfbench wraps model.scale)
     softmax,  # noqa: F401  (perfbench wraps model.softmax)
     tslice,
 )
@@ -183,29 +187,25 @@ def fold_adapters(params: dict[str, Tensor], lora: LoraAdapters | None) -> dict[
     Adapters enter the model only this way, in training and inference: the
     folded weights need no adapter matmuls per row (LoRA's zero-latency
     merge, Hu et al. 2021, section 4.1) and pass gradients on to A and B.
-    The q, k and v sites share a layer's `wqkv`: it becomes
-    W + concat([dq, dk, dv]) over its row blocks, with a zero block for a
-    site that has no adapter. The result is a new dict; `params` and `lora`
-    are left untouched.
+    Each adapted weight is one `add_low_rank` node: the q, k and v sites
+    are the row blocks 0, d and 2d of a layer's `wqkv`, and every other
+    site is the one block of its own weight. The result is a new dict;
+    `params` and `lora` are left untouched.
     """
     if lora is None:
         return params
-    folded = dict(params)
-    qkv_deltas: dict[str, dict[str, Tensor]] = {}
+    blocks: dict[str, list[tuple[int, Tensor, Tensor]]] = {}
     for key, a in lora.params.items():
         _, layer, site, part = key.split(".")
         if part == "A":
-            delta = scale(matmul(lora.params[f"layers.{layer}.{site}.B"], a), lora.cfg.scaling)
             if site in _QKV_SITES:
-                qkv_deltas.setdefault(layer, {})[site] = delta
+                name, row0 = f"layers.{layer}.wqkv", _QKV_SITES.index(site) * a.shape[1]
             else:
-                name = f"layers.{layer}.{_SITE_WEIGHT[site]}"
-                folded[name] = add(params[name], delta)
-    for layer, deltas in qkv_deltas.items():
-        name = f"layers.{layer}.wqkv"
-        w = params[name]
-        zeros = Tensor(np.zeros((w.shape[1], w.shape[1]), dtype=w.dtype))
-        folded[name] = add(w, concat([deltas.get(site, zeros) for site in _QKV_SITES], axis=0))
+                name, row0 = f"layers.{layer}.{_SITE_WEIGHT[site]}", 0
+            blocks.setdefault(name, []).append((row0, lora.params[f"layers.{layer}.{site}.B"], a))
+    folded = dict(params)
+    for name, site_blocks in blocks.items():
+        folded[name] = add_low_rank(params[name], site_blocks, lora.cfg.scaling)
     return folded
 
 
@@ -216,23 +216,31 @@ class KVCache:
     the backbone's names) that made them. `attention` reads the keys and
     values from these rows; their query columns ride along unread.
 
+    Each layer's rows live in one (..., max_seq_len, 3d) buffer, sized by
+    the position table `params["wpe"]`: a step writes its new rows after
+    the old ones (`append_rows`) and copies none of them. Rows once written
+    are never written again, so the rows a step returned keep their values.
+
     A cache serves one sequence: its entries are valid only for `params`,
     so the weights travel with it instead of being stored on the model.
     """
 
     params: dict[str, Tensor]
-    rows: dict[int, Tensor] = field(default_factory=dict)
+    rows: dict[int, Tensor] = field(default_factory=dict, init=False)
+    _buffers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def length(self) -> int:
         return self.rows[0].shape[-2] if self.rows else 0
 
     def extend(self, layer: int, qkv: Tensor) -> Tensor:
-        """Append the new fused rows, one `concat`; return all of them."""
-        if layer in self.rows:
-            qkv = concat([self.rows[layer], qkv], axis=-2)
-        self.rows[layer] = qkv
-        return qkv
+        """Append the new fused rows in place; return all of them."""
+        buf = self._buffers.get(layer)
+        if buf is None:
+            shape = qkv.shape[:-2] + (self.params["wpe"].shape[0], qkv.shape[-1])
+            buf = self._buffers[layer] = np.empty(shape, dtype=qkv.dtype)
+        self.rows[layer] = append_rows(buf, self.rows.get(layer), qkv)
+        return self.rows[layer]
 
 
 class _Stack(_Params):
@@ -249,6 +257,9 @@ class _Stack(_Params):
         self.dtype = dtype
         self.n_layers = n_layers
         self.n_heads = n_heads
+        self._inv = 1.0 / float(np.sqrt(d // n_heads))  # the attention scale, 1/sqrt(d/H)
+        parts = ("ln1.g", "ln1.b", "wqkv", "wo", "ln2.g", "ln2.b", "ffn_up", "ffn_down")
+        self._layer_names = [tuple(f"layers.{i}.{part}" for part in parts) for i in range(n_layers)]
 
         def draw(name, shape):
             return (rng.split(name).normal(size=shape) * 0.02).astype(dtype)
@@ -285,25 +296,25 @@ class _Stack(_Params):
         dropout applies: given an `rng`, dropout at rate `drop` drawn from it
         hits attention probabilities (one draw over every head, inside
         `attention`) and both residual branches. With a `cache`, the new
-        rows' fused rows are appended to the cached ones, and the new rows
-        attend over all of them.
+        rows' fused rows are written after the cached ones in the cache's
+        buffer, and the new rows attend over all of them. The parameter
+        names of each layer and the attention scale are computed once, in
+        `__init__`, not on every forward.
         """
-        inv = 1.0 / float(np.sqrt(x.shape[-1] // self.n_heads))
-        for i in range(self.n_layers):
-            pre = f"layers.{i}."
+        for i, (ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, ffn_up, ffn_down) in enumerate(self._layer_names):
             r = rng.split(f"layer{i}") if rng is not None else None
-            h = layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            qkv = linear(h, p[pre + "wqkv"])
+            h = layer_norm(x, p[ln1_g], p[ln1_b])
+            qkv = linear(h, p[wqkv])
             n_query = qkv.shape[-2]
             if cache is not None:
                 qkv = cache.extend(i, qkv)
-            a = attention(qkv, self.n_heads, n_query, mask, inv, drop, r.split("attn") if r is not None else None)
-            a = linear(a, p[pre + "wo"])
+            a = attention(qkv, self.n_heads, n_query, mask, self._inv, drop, r.split("attn") if r is not None else None)
+            a = linear(a, p[wo])
             if r is not None:
                 a = dropout(a, drop, r.split("post-attn"))
             x = add(x, a)
-            h = layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            u = linear(gelu(linear(h, p[pre + "ffn_up"])), p[pre + "ffn_down"])
+            h = layer_norm(x, p[ln2_g], p[ln2_b])
+            u = linear(gelu(linear(h, p[ffn_up])), p[ffn_down])
             if r is not None:
                 u = dropout(u, drop, r.split("post-ffn"))
             x = add(x, u)
@@ -402,6 +413,8 @@ class SpeechProjector(_Stack):
         (sum of M_i, d_out): one `forward` over the sequences zero-padded in
         this projector's dtype, with a (B, 1, M) key mask only when their
         lengths differ, then one slice of the valid rows."""
+        if not frames:
+            raise ContractViolation("speech_rows needs at least one frame sequence")
         counts = [f.shape[0] for f in frames]
         batch = np.zeros((len(frames), max(counts), frames[0].shape[-1]), dtype=self.dtype)  # `forward` checks the width
         pad = np.zeros((len(frames), 1, max(counts)), dtype=np.float32)
@@ -439,6 +452,8 @@ def splice_grid(rows, vocab_size: int, max_seq_len: int) -> tuple[np.ndarray, np
     Padding follows every real row and gathers table row 0, which a causal
     model's real positions never see.
     """
+    if not rows:
+        raise ContractViolation("splice_grid needs at least one row")
     seqs = []  # (token ids, gather index, number of targets) per row
     speech_row = vocab_size
     for prefix, content, suffix, targets in rows:

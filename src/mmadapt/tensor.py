@@ -167,6 +167,12 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     """x @ w^T for x (..., d_in) and a 2-D weight w (d_out, d_in): one 2-D
     product over x's rows, not one small product per leading index.
 
+    A one-row x (a cached decode step) takes the product as `ndarray.dot`,
+    which skips the matmul ufunc's dispatch: 1.8 -> 1.2 us for (1, 64) x
+    (64, 192), with equal bits. More rows keep `@`, since `.dot` with a
+    transposed weight ran 2-12% slower at 100-600 rows (2-vCPU Xeon, one
+    BLAS thread, numpy 2.4).
+
     The backward computes only the gradients of operands that require one,
     so a frozen weight costs no weight gradient. dx = g @ w keeps g's
     layout (numpy runs a contiguous g as one product); dw = g2^T @ x2 is one
@@ -177,7 +183,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"linear needs x (..., d_in) and a 2-D weight, got {x.shape} x {w.shape}")
     X2 = X if X.ndim == 2 else X.reshape(-1, X.shape[-1])
     try:
-        y = X2 @ W.T
+        y = X2.dot(W.T) if len(X2) == 1 else X2 @ W.T
     except ValueError as e:
         raise ShapeError(f"linear: {x.shape} x {w.shape}^T ({e})") from None
     if X.ndim != 2:
@@ -231,6 +237,60 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _make_node("concat", y, tuple(tensors), backward)
+
+
+def append_rows(buf: np.ndarray, past: Tensor | None, new: Tensor) -> Tensor:
+    """`concat([past, new], axis=-2)` without copying `past`: the new rows
+    are written into `buf` (..., capacity, w) after the past ones, and the
+    result is a view of the rows written so far. `past` is the Tensor this
+    op last returned over `buf`, or None for its first rows. A row once
+    written is never written again, so every view returned earlier keeps
+    its values. The backward splits the gradient as `concat`'s does, and
+    the node is recorded as a `concat`.
+    """
+    start = 0 if past is None else past.shape[-2]
+    end = start + new.shape[-2]
+    if end > buf.shape[-2] or new.shape[:-2] + new.shape[-1:] != buf.shape[:-2] + buf.shape[-1:]:
+        raise ShapeError(f"append_rows: {new.shape} after {start} rows of a {buf.shape} buffer")
+    buf[..., start:end, :] = new.data
+    y = buf[..., :end, :]
+    if past is None:
+        return _make_node("concat", y, (new,), lambda g: (g,))
+
+    def backward(g):
+        return g[..., :start, :], g[..., start:, :]
+
+    return _make_node("concat", y, (past, new), backward)
+
+
+def add_low_rank(w: Tensor, blocks, scaling: float) -> Tensor:
+    """w + scaling * B @ A added into rows row0 : row0 + len(B) of the 2-D
+    weight w, for each (row0, B, A) in `blocks`, as one node: the merged
+    weight of low-rank adapters that each own a row block of w (Hu et al.
+    2021, arXiv 2106.09685). It rounds as `add(w, concat(...))` of the
+    `scale`d `matmul`s would; rows no block covers are w's own.
+
+    The backward computes, per block, gs = g[rows] * scaling, dB = gs @ A^T
+    and dA = B^T @ gs, and passes g on to w only if w requires a gradient.
+    """
+    W, c = w.data, float(scaling)
+    deltas = [(b.data @ a.data) * c for _, b, a in blocks]
+    y = W.astype(np.result_type(W, *deltas))
+    for (row0, _, _), delta in zip(blocks, deltas):
+        rows = y[row0 : row0 + len(delta)]
+        if rows.shape != delta.shape:
+            raise ShapeError(f"add_low_rank: a {delta.shape} block at row {row0} of a {w.shape} weight")
+        rows += delta
+
+    def backward(g):
+        out = [g if w.requires_grad else None]
+        for row0, b, a in blocks:
+            gs = g[row0 : row0 + b.shape[0]] * c
+            out.append(gs @ a.data.T if b.requires_grad else None)
+            out.append(b.data.T @ gs if a.requires_grad else None)
+        return tuple(out)
+
+    return _make_node("add-low-rank", y, (w, *(t for _, b, a in blocks for t in (b, a))), backward)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -295,15 +355,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     `gain` and `bias` are (n,) vectors. Row means are one BLAS mat-vec over
     all rows against a (n, 1) column of 1/n (exact for the model's
     power-of-two widths): ~4x faster than `np.add.reduce` on rows of 64
-    floats. A 2-D x (a one-row decode step) is not reshaped at all."""
+    floats. These mat-vecs are `ndarray.dot`, not `@`: the same bits
+    without the matmul ufunc's dispatch, 0.80 -> 0.38 us at one row and
+    3.86 -> 3.26 us at 600 (2-vCPU Xeon, one BLAS thread, numpy 2.4). A
+    2-D x (a one-row decode step) is not reshaped at all."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     X = x.data
     n = X.shape[-1]
     flat = X.ndim == 2
     X2 = X if flat else X.reshape(-1, n)
     c = _filled((n, 1), 1.0 / n, X.dtype)
-    xhat = X2 - X2 @ c
-    inv = (xhat * xhat) @ c
+    xhat = X2 - X2.dot(c)
+    inv = (xhat * xhat).dot(c)
     inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
@@ -314,9 +377,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         g2 = g if flat else g.reshape(-1, n)
         dxhat = g2 * gain.data
-        dx = dxhat - dxhat @ c
+        dx = dxhat - dxhat.dot(c)
         dxhat *= xhat
-        dx -= xhat * (dxhat @ c)
+        dx -= xhat * dxhat.dot(c)
         dx *= inv
         # A frozen gain or bias (the backbone after pretraining) gets none.
         # Their sums over the rows are mat-vecs too, against a row of ones.

@@ -25,7 +25,10 @@ runs that chain on head slices cut from fused q/k/v rows, the layout the
 fused `attention` reads; `out_of_place_gelu` is the
 gelu the in-place chain must match bit for bit. `full_grid_text_loss` is
 the text batch loss with logits at every grid position, which the
-target-row head must match within float32 rounding.
+target-row head must match within float32 rounding. `fold_by_chain` is
+the adapter fold as a chain of `matmul`, `scale`, `concat` and `add` nodes
+(with a zero block for an unadapted q, k or v site), which the one
+`add_low_rank` node per weight in `fold_adapters` must match bit for bit.
 """
 
 import hashlib
@@ -273,6 +276,29 @@ def linear_by_matmul(x: Tensor, w: Tensor) -> Tensor:
     """x @ w^T as a batched product against the transposed weight, one small
     product per leading index, whose backward computes both gradients."""
     return matmul(x, w, transpose_b=True)
+
+
+def fold_by_chain(params: dict, lora) -> dict:
+    """`params` with each adapted weight W replaced by W + (alpha/r) * B @ A,
+    one `matmul` and one `scale` per site; a layer's `wqkv` adds the concat
+    of its q, k and v deltas, a zero block standing in for a missing one."""
+    folded = dict(params)
+    qkv: dict[str, dict[str, Tensor]] = {}
+    for key, a in lora.params.items():
+        _, layer, site, part = key.split(".")
+        if part == "A":
+            delta = scale(matmul(lora.params[f"layers.{layer}.{site}.B"], a), lora.cfg.scaling)
+            if site in ("attn_q", "attn_k", "attn_v"):
+                qkv.setdefault(layer, {})[site] = delta
+            else:
+                name = f"layers.{layer}.{'wo' if site == 'attn_out' else site}"  # ffn_up, ffn_down: their own names
+                folded[name] = add(params[name], delta)
+    for layer, deltas in qkv.items():
+        w = params[f"layers.{layer}.wqkv"]
+        zeros = Tensor(np.zeros((w.shape[1], w.shape[1]), dtype=w.dtype))
+        blocks = [deltas.get(site, zeros) for site in ("attn_q", "attn_k", "attn_v")]
+        folded[f"layers.{layer}.wqkv"] = add(w, concat(blocks, axis=0))
+    return folded
 
 
 def attention_by_chain(q: Tensor, k: Tensor, v: Tensor, mask, inv: float, drop: float, rng) -> Tensor:

@@ -37,7 +37,7 @@ from mmadapt.tensor import (
     tslice,
 )
 
-from references import average_frames_by_group, embed, finite_diff_check, mean, mul
+from references import average_frames_by_group, embed, finite_diff_check, fold_by_chain, mean, mul
 
 SMALL_BB = BackboneConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ffn=24, max_seq_len=32)
 SMALL_PROJ = ProjectorConfig(n_layers=1, n_heads=2, d_in=8, d_ffn=12, d_out=16, dropout=0.1, frame_avg_k=3)
@@ -295,6 +295,43 @@ def test_each_qkv_adapter_folds_into_its_row_block_only(site):
         np.testing.assert_array_equal(got[~changed], W[~changed])
         np.testing.assert_array_equal(got[rows], W[rows] + adapters.cfg.scaling * (B @ A))
         assert np.all(np.any(got[rows] != W[rows], axis=1))
+
+
+@pytest.mark.parametrize("targets", [LoraConfig().targets, LORA_SITES], ids=["default-sites", "every-site"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fold_matches_the_op_chain_bit_for_bit(dtype, targets):
+    # One `add_low_rank` node per weight rounds as the matmul/scale/concat/add
+    # chain did, forward and backward; the default sites leave v's block of
+    # `wqkv` to the chain's zero block. alpha/r is not a power of two, so a
+    # product scaled in another order would round differently.
+    bb = Backbone(SMALL_BB, Rng(100), dtype=dtype)
+    _scale_up_weights(bb.params, Rng(101))
+    adapters = LoraAdapters(SMALL_BB, LoraConfig(rank=3, alpha=5.0, targets=targets), Rng(102), dtype=dtype)
+    for name, t in adapters.params.items():
+        if name.endswith(".B"):
+            t.data = (Rng(103).split(name).normal(size=t.shape) * 0.3).astype(dtype)
+    got, want = fold_adapters(bb.params, adapters), fold_by_chain(bb.params, adapters)
+    adapted = {name for name, t in want.items() if t is not bb.params[name]}
+    assert adapted == {name for name, t in got.items() if t is not bb.params[name]}
+    assert len(adapted) == len({SITE_WEIGHTS[site][0] for site in targets}) * SMALL_BB.n_layers
+    for name in adapted:
+        assert got[name].dtype == dtype and got[name].op == "add-low-rank"
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+        layer = name.split(".")[1]
+        params = [bb.params[name], *(t for k, t in adapters.params.items() if k.split(".")[1] == layer)]
+        weights = Tensor(Rng(104).split(name).normal(size=got[name].shape).astype(dtype))
+        g_got, g_want = grad(mean(mul(got[name], weights)), params), grad(mean(mul(want[name], weights)), params)
+        for t in params:
+            assert g_got[t].data.tobytes() == g_want[t].data.tobytes(), name
+
+
+def test_a_default_fold_is_one_node_per_adapted_weight():
+    # wqkv (its q and k blocks), wo, ffn_up and ffn_down in each of 4 layers.
+    bb = Backbone(BackboneConfig(), Rng(105))
+    folded = fold_adapters(bb.params, LoraAdapters(bb.cfg, LoraConfig(), Rng(106)))
+    nodes = [t for name, t in folded.items() if t is not bb.params[name]]
+    assert [len(tape_of(t).nodes) for t in nodes] == [1] * 16
+    assert {t.op for t in nodes} == {"add-low-rank"}
 
 
 def test_lora_config_guards():
@@ -611,6 +648,41 @@ def test_a_cached_one_row_step_is_eleven_nodes_a_layer():
     assert len(ops) == 11 * HEADS_BB.n_layers + 4
 
 
+def test_cached_rows_stay_where_they_were_written():
+    # Later steps write after the rows an earlier step returned: those keep
+    # their values, and the cache holds them in the same memory, uncopied.
+    bb = Backbone(HEADS_BB, Rng(77))
+    ids = Rng(78).integers(0, HEADS_BB.vocab_size, size=8)
+    cache = KVCache(bb.params)
+    bb.forward(embed(bb, ids[:5]), np.arange(5), cache=cache)
+    first = {i: (t, t.data.copy()) for i, t in cache.rows.items()}
+    for pos in range(5, 8):
+        bb.forward(embed(bb, ids[pos : pos + 1]), np.arange(pos, pos + 1), cache=cache)
+    assert cache.length == 8 and len(first) == HEADS_BB.n_layers
+    for i, (rows, values) in first.items():
+        np.testing.assert_array_equal(rows.data, values)
+        now = cache.rows[i].data
+        assert now.shape == (8, 3 * HEADS_BB.d_model)
+        assert now.ctypes.data == rows.data.ctypes.data and np.shares_memory(now, rows.data)
+
+
+def test_a_length_error_leaves_the_cache_as_it_was():
+    bb = Backbone(HEADS_BB, Rng(79))
+    ids = Rng(80).integers(0, HEADS_BB.vocab_size, size=HEADS_BB.max_seq_len + 1)
+    cache = KVCache(bb.params)
+    bb.forward(embed(bb, ids[:30]), np.arange(30), cache=cache)
+    before = {i: t.data.copy() for i, t in cache.rows.items()}
+    with pytest.raises(LengthError):
+        bb.forward(embed(bb, ids[30:33]), np.arange(30, 33), cache=cache)
+    assert cache.length == 30
+    for i, t in cache.rows.items():
+        np.testing.assert_array_equal(t.data, before[i])
+    bb.forward(embed(bb, ids[30:32]), np.arange(30, 32), cache=cache)  # the rows that fit still go in
+    assert cache.length == HEADS_BB.max_seq_len
+    for i, t in cache.rows.items():
+        np.testing.assert_array_equal(t.data[:30], before[i])
+
+
 def test_padded_projector_rows_match_each_unpadded_forward():
     # As many prompts as heads: a mask without its head axis would broadcast
     # the batch axis against the head axis here and raise no error.
@@ -691,6 +763,9 @@ BACKBONE_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ffn", "max
                  id="projector-heads"),
     pytest.param(lambda: LoraConfig(alpha=0.0), ConfigError, "alpha", id="lora-alpha"),
     pytest.param(lambda: average_frames(np.ones((4, 2)), 0), ContractViolation, "k must be", id="average-frames-k"),
+    pytest.param(lambda: splice_grid([], 12, 32), ContractViolation, "at least one row", id="splice-grid-empty"),
+    pytest.param(lambda: SpeechProjector(SMALL_PROJ, Rng(0)).speech_rows([]), ContractViolation,
+                 "at least one frame sequence", id="speech-rows-empty"),
 ])
 def test_model_checks_raise_their_typed_errors(call, error, match):
     with pytest.raises(error, match=match) as raised:

@@ -13,6 +13,8 @@ from mmadapt.rng import Rng
 from mmadapt.tensor import (
     Tensor,
     add,
+    add_low_rank,
+    append_rows,
     attention,
     concat,
     dropout,
@@ -123,6 +125,8 @@ def test_finite_diff_rejects_nondeterministic_f():
         "scale",
         "mul",
         "concat",
+        "append_rows",
+        "add_low_rank",
         "stack",
         "slice",
         "embedding",
@@ -172,6 +176,26 @@ def test_every_op_gradient_matches_finite_differences(name):
         a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(4, 3)))
         f = lambda _: mean(mul(concat([a, b], axis=0), concat([a, b], axis=0)))
         params = [a, b]
+    elif name == "append_rows":  # 2 rows after 3, and the first view read too
+        a, b = parameter(rng.normal(size=(2, 3, 4))), parameter(rng.normal(size=(2, 2, 4)))
+
+        def f(_):
+            buf = np.empty((2, 6, 4))
+            first = append_rows(buf, None, a)
+            both = append_rows(buf, first, b)
+            return add(mean(mul(both, both)), mean(first))
+
+        params = [a, b]
+    elif name == "add_low_rank":  # two row blocks of w, and rows 2-3 left alone
+        w = parameter(rng.normal(size=(6, 3)))
+        b1, a1 = parameter(rng.normal(size=(2, 2))), parameter(rng.normal(size=(2, 3)))
+        b2, a2 = parameter(rng.normal(size=(2, 1))), parameter(rng.normal(size=(1, 3)))
+
+        def f(_):
+            y = add_low_rank(w, [(0, b1, a1), (4, b2, a2)], 1.5)
+            return mean(mul(y, y))
+
+        params = [w, b1, a1, b2, a2]
     elif name == "stack":
         a, b = parameter(rng.normal(size=(3,))), parameter(rng.normal(size=(3,)))
         f = lambda _: mean(mul(stack([a, b]), stack([a, b])))
@@ -528,6 +552,27 @@ def test_rewritten_hot_ops_are_bit_identical_to_their_old_formulas(dtype):
     assert _same_bits(y.data, want_y) and _same_bits(y._backward(g)[0], want_dx)
 
 
+@pytest.mark.parametrize("rows", [1, 13, 100, 307, 600])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dot_mat_vecs_keep_the_bits_of_the_matmul_ufunc(rows, dtype):
+    # `layer_norm`'s row sums and a one-row `linear` are `ndarray.dot`
+    # products: the same BLAS sums as `@`, without its ufunc dispatch.
+    rng = Rng(23).split(str(rows))
+    x = (rng.normal(size=(rows, 64)) * 3.0 + 1.0).astype(dtype)
+    gain, bias = (rng.split(n).normal(size=64).astype(dtype) for n in ("gain", "bias"))
+    g = rng.split("g").normal(size=x.shape).astype(dtype)
+    c = np.full((64, 1), 1.0 / 64, dtype=dtype)
+    xhat = x - x @ c
+    inv = 1.0 / np.sqrt((xhat * xhat) @ c + dtype(1e-5))
+    xhat *= inv
+    dxhat = g * gain
+    dx = (dxhat - dxhat @ c - xhat * ((dxhat * xhat) @ c)) * inv
+    y = layer_norm(parameter(x), Tensor(gain), Tensor(bias))
+    assert _same_bits(y.data, xhat * gain + bias) and _same_bits(y._backward(g)[0], dx)
+    w = rng.split("w").normal(size=(192, 64)).astype(dtype)
+    assert _same_bits(linear(Tensor(x), Tensor(w)).data, x @ w.T)
+
+
 def _causal(L):
     return np.triu(np.full((L, L), -1e9, dtype=np.float32), k=1)
 
@@ -664,6 +709,12 @@ def test_training_steps_reuse_freed_memory_instead_of_faulting_it_in():
     pytest.param(lambda: linear(Tensor(np.float64(1.0)), Tensor(np.ones((4, 1)))), ShapeError, "2-D weight",
                  id="linear-scalar-x"),
     pytest.param(lambda: add(Tensor(np.ones((3, 4))), Tensor(np.ones((3,)))), ShapeError, "add", id="add-broadcast"),
+    pytest.param(lambda: append_rows(np.empty((2, 3)), None, Tensor(np.ones((3, 3)))), ShapeError, "append_rows",
+                 id="append-rows-capacity"),
+    pytest.param(lambda: append_rows(np.empty((4, 3)), None, Tensor(np.ones((1, 2)))), ShapeError, "append_rows",
+                 id="append-rows-width"),
+    pytest.param(lambda: add_low_rank(Tensor(np.ones((4, 2))), [(3, Tensor(np.ones((2, 1))), Tensor(np.ones((1, 2))))],
+                                      1.0), ShapeError, "add_low_rank", id="add-low-rank-rows"),
     pytest.param(lambda: attention(Tensor(np.ones((2, 3, 12))), 2, 4, None, 1.0, 0.0, None), ShapeError,
                  "4 query rows", id="attention-kv-rows"),
     pytest.param(lambda: attention(Tensor(np.ones((2, 3, 12))), 2, 0, None, 1.0, 0.0, None), ShapeError,

@@ -224,9 +224,13 @@ def test_speech_batch_grid_matches_the_per_example_assembly(corpus):
         np.testing.assert_array_equal(g[name], g_ref[name], err_msg=name)
     ops = _tape_ops(loss)
     assert ops.count("slice") == 2  # the valid rows and the target rows
-    # The speech rows joined onto the token table, and one fold of the q/k
-    # adapters into each layer's fused q/k/v weight.
-    assert ops.count("concat") == 1 + BB.n_layers
+    # The speech rows joined onto the token table, and one fold node per
+    # adapted weight: each layer's wqkv (its q and k blocks), wo, ffn_up and
+    # ffn_down, with no adapter product or scale of its own.
+    assert LORA.targets == ("attn_q", "attn_k", "attn_out", "ffn_up", "ffn_down")
+    assert ops.count("concat") == 1
+    assert ops.count("add-low-rank") == 4 * BB.n_layers
+    assert not {"matmul", "scale"} & set(ops)
 
 
 @pytest.mark.parametrize("component", ["backbone", "lora"])
@@ -578,6 +582,8 @@ def _diverging_run(corpus):
     pytest.param(lambda corpus: batch_loss(_models()["backbone"], [_prompt(corpus, "MT", "text")], train=True,
                                            content_noise=0.1),
                  ConfigError, "content noise needs an rng", id="noise-without-rng"),
+    pytest.param(lambda corpus: batch_loss(_models()["backbone"], []), ContractViolation, "at least one row",
+                 id="empty-batch"),
     pytest.param(lambda corpus: StagePlan("A", ("projector",), _sampler(("ASR", "ST"), interleave_text=False), {},
                                           max_steps=1),
                  ConfigError, "no optimizer config", id="no-optimizer"),
