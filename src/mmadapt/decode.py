@@ -1,21 +1,25 @@
 """Greedy autoregressive decoding and repetition-degeneration detection.
 
-`greedy_decode` decodes one prompt at a time. At the start of each call it
-folds the adapters into the frozen site weights, W + (alpha/r)*B@A, one op
-per adapted weight, so the forward runs with no adapter matmuls; the folded
-weights live only in that call's `KVCache`, so nothing on the backbone or
-the adapters can go stale. Speech rows come from
-`SpeechProjector.speech_rows`, as in training, and the prompt is spliced as
-a batch of one (`splice_prompt`, the one-row case of the training batches'
-`splice_grid`); one prefill forward over it fills the cache with every
-layer's fused q/k/v rows, and each new token is then fed as a single row
-that writes its own after them, in place (one `append_rows` a layer, which
+`greedy_decode` decodes one prompt at a time through the weights it is
+given: the backbone's parameters with any adapters already folded in,
+W + (alpha/r)*B@A, as `fold_adapters` returns them, so the forward runs
+with no adapter matmuls. A caller that decodes many prompts folds once and
+passes the same weights to every call (`trainer._dev_outputs` does, once
+per dev metric call); the folded dict lives only as long as that caller
+keeps it, so nothing on the backbone or the adapters can go stale. Speech
+rows come from `SpeechProjector.speech_rows`, as in training, and the
+prompt is spliced as a batch of one (`splice_prompt`, the one-row case of
+the training batches' `splice_grid`). One prefill forward over it fills a
+`KVCache` sized to the sequence, prompt plus new tokens, with every
+layer's fused q/k/v rows; each new token is then fed as a single row that
+writes its own after them, in place (one `append_rows` a layer, which
 copies no cached row), and attends over the cache: 11 tensor ops a layer
-per token. A one-row step's products and layer-norm sums are BLAS calls
-made through `ndarray.dot`, not the matmul ufunc. The definition it must
-match is the plain loop: run the full model over the whole prefix, with no
-cache, and append the argmax of the last row; the tests keep that loop as
-the oracle, token for token.
+per token. A one-row step's products are BLAS calls made through
+`ndarray.dot`, its layer norms work on the row's 1-D view with scalar
+statistics, and its attention reads its one query's heads by plain
+slices. The definition it must match is the plain loop: run the full
+model over the whole prefix, with no cache, and append the argmax of the
+last row; the tests keep that loop as the oracle, token for token.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, LengthError
-from .model import Backbone, KVCache, LoraAdapters, SpeechProjector, fold_adapters, splice_prompt
+from .model import Backbone, KVCache, SpeechProjector, splice_prompt
 from .prompting import PromptedExample
-from .tensor import concat, embedding_lookup, no_grad  # noqa: F401  (perfbench wraps decode.concat)
+from .tensor import Tensor, concat, embedding_lookup, no_grad  # noqa: F401  (perfbench wraps decode.concat)
 from .vocab import EOS
 
 DEGENERATION_MAX_N = 4  # the longest n-gram `flag_degeneration` checks
@@ -37,11 +41,13 @@ def greedy_decode(
     prompt: PromptedExample,
     max_new_tokens: int,
     projector: SpeechProjector | None = None,
-    adapters: LoraAdapters | None = None,
+    weights: dict[str, Tensor] | None = None,
 ) -> list[int]:
     """Decode with batch size 1: at every step append the argmax token
     (ties break to the lowest id) until the end-of-answer token or the cap.
 
+    `weights` holds exactly the backbone's parameter names, with any
+    adapters folded in (`fold_adapters`); it defaults to `backbone.params`.
     The returned sequence excludes the stop token.
     """
     if prompt.prompt_len + max_new_tokens > backbone.cfg.max_seq_len:
@@ -49,6 +55,10 @@ def greedy_decode(
             f"prompt of {prompt.prompt_len} plus {max_new_tokens} new tokens "
             f"exceeds max_seq_len {backbone.cfg.max_seq_len}"
         )
+    if weights is None:
+        weights = backbone.params
+    elif weights.keys() != backbone.params.keys():
+        raise ContractViolation("weights must hold exactly the backbone's parameter names (see fold_adapters)")
     with no_grad():
         speech = None
         if prompt.frames is not None:
@@ -56,8 +66,8 @@ def greedy_decode(
                 raise ConfigError("speech prompt needs a projector")
             speech = projector.speech_rows([prompt.frames])
         text = prompt.prefix_tokens + (prompt.content_tokens or ())
-        sp = splice_prompt(backbone.params["wte"], text, speech, prompt.suffix_tokens, (), backbone.cfg.max_seq_len)
-        cache = KVCache(fold_adapters(backbone.params, adapters))
+        sp = splice_prompt(weights["wte"], text, speech, prompt.suffix_tokens, (), backbone.cfg.max_seq_len)
+        cache = KVCache(weights, prompt.prompt_len + max_new_tokens)
         emb, start = sp.embeddings, 0
         out: list[int] = []
         for _ in range(max_new_tokens):
@@ -68,7 +78,7 @@ def greedy_decode(
                 break
             out.append(tok)
             start += rows
-            emb = embedding_lookup(backbone.params["wte"], np.array([tok]))
+            emb = embedding_lookup(weights["wte"], np.array([tok]))
         return out
 
 

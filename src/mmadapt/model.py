@@ -216,16 +216,19 @@ class KVCache:
     the backbone's names) that made them. `attention` reads the keys and
     values from these rows; their query columns ride along unread.
 
-    Each layer's rows live in one (..., max_seq_len, 3d) buffer, sized by
-    the position table `params["wpe"]`: a step writes its new rows after
-    the old ones (`append_rows`) and copies none of them. Rows once written
-    are never written again, so the rows a step returned keep their values.
+    Each layer's rows live in one (..., capacity, 3d) buffer, sized to the
+    sequence the cache serves (greedy decoding: the prompt plus its new
+    tokens): a step writes its new rows after the old ones (`append_rows`)
+    and copies none of them. Rows once written are never written again, so
+    the rows a step returned keep their values. `Backbone.forward` rejects
+    rows past the capacity before it writes any.
 
     A cache serves one sequence: its entries are valid only for `params`,
     so the weights travel with it instead of being stored on the model.
     """
 
     params: dict[str, Tensor]
+    capacity: int
     rows: dict[int, Tensor] = field(default_factory=dict, init=False)
     _buffers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
@@ -237,7 +240,7 @@ class KVCache:
         """Append the new fused rows in place; return all of them."""
         buf = self._buffers.get(layer)
         if buf is None:
-            shape = qkv.shape[:-2] + (self.params["wpe"].shape[0], qkv.shape[-1])
+            shape = qkv.shape[:-2] + (self.capacity, qkv.shape[-1])
             buf = self._buffers[layer] = np.empty(shape, dtype=qkv.dtype)
         self.rows[layer] = append_rows(buf, self.rows.get(layer), qkv)
         return self.rows[layer]
@@ -357,6 +360,8 @@ class Backbone(_Stack):
         past = 0 if cache is None else cache.length
         if past + L > self.cfg.max_seq_len:
             raise LengthError(f"sequence length {past + L} exceeds max_seq_len {self.cfg.max_seq_len}")
+        if cache is not None and past + L > cache.capacity:
+            raise LengthError(f"sequence length {past + L} exceeds the cache's capacity {cache.capacity}")
         if cache is not None and lora is not None:
             raise ContractViolation("cache.params already hold the adapters; fold lora when building the cache")
         p = cache.params if cache is not None else fold_adapters(self.params, lora)

@@ -120,9 +120,10 @@ def _make_node(op: str, data: np.ndarray, parents: tuple[Tensor, ...], backward)
 
 
 @functools.lru_cache(maxsize=256)
-def _filled(shape: tuple[int, int], value: float, dtype: np.dtype) -> np.ndarray:
-    """A read-only 2-D array of `value`, built once per (shape, value, dtype):
-    the column or row that turns row and column sums into BLAS mat-vecs."""
+def _filled(shape: tuple[int, ...], value: float, dtype: np.dtype) -> np.ndarray:
+    """A read-only array of `value`, built once per (shape, value, dtype):
+    the vector, column or row that turns row and column sums into BLAS
+    dots and mat-vecs."""
     out = np.full(shape, value, dtype=dtype)
     out.flags.writeable = False
     return out
@@ -356,39 +357,53 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     all rows against a (n, 1) column of 1/n (exact for the model's
     power-of-two widths): ~4x faster than `np.add.reduce` on rows of 64
     floats. These mat-vecs are `ndarray.dot`, not `@`: the same bits
-    without the matmul ufunc's dispatch, 0.80 -> 0.38 us at one row and
-    3.86 -> 3.26 us at 600 (2-vCPU Xeon, one BLAS thread, numpy 2.4). A
-    2-D x (a one-row decode step) is not reshaped at all."""
+    without the matmul ufunc's dispatch (3.86 -> 3.26 us at 600 rows,
+    2-vCPU Xeon, one BLAS thread, numpy 2.4).
+
+    A (1, n) x, a cached decode step, works on its 1-D view. Its mean and
+    variance are dots against a (n,) vector of 1/n, the same BLAS dot that
+    numpy runs for a (1, n) row against a (n, 1) column, and its inverse
+    std is scalar arithmetic in x's dtype. The bits are the general path's;
+    the op takes ~5.6 us instead of ~9.0 at n = 64 (same host)."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     X = x.data
     n = X.shape[-1]
-    flat = X.ndim == 2
-    X2 = X if flat else X.reshape(-1, n)
-    c = _filled((n, 1), 1.0 / n, X.dtype)
-    xhat = X2 - X2.dot(c)
-    inv = (xhat * xhat).dot(c)
-    inv += LAYER_NORM_EPS
-    np.sqrt(inv, out=inv)
-    np.reciprocal(inv, out=inv)
+    row = X.shape == (1, n)
+    if row:
+        x1, c = X[0], _filled((n,), 1.0 / n, X.dtype)
+        xhat = x1 - x1.dot(c)
+        inv = np.reciprocal(np.sqrt((xhat * xhat).dot(c) + LAYER_NORM_EPS))
+    else:
+        X2 = X.reshape(-1, n)
+        c = _filled((n, 1), 1.0 / n, X.dtype)
+        xhat = X2 - X2.dot(c)
+        inv = (xhat * xhat).dot(c)
+        inv += LAYER_NORM_EPS
+        np.sqrt(inv, out=inv)
+        np.reciprocal(inv, out=inv)
     xhat *= inv
     y = xhat * gain.data
     y += bias.data
 
     def backward(g):
-        g2 = g if flat else g.reshape(-1, n)
+        g2 = g.reshape(xhat.shape)
         dxhat = g2 * gain.data
         dx = dxhat - dxhat.dot(c)
         dxhat *= xhat
         dx -= xhat * dxhat.dot(c)
         dx *= inv
         # A frozen gain or bias (the backbone after pretraining) gets none.
-        # Their sums over the rows are mat-vecs too, against a row of ones.
-        ones = _filled((1, len(g2)), 1.0, g2.dtype)
-        dgain = (ones @ (g2 * xhat)).reshape(gain.shape) if gain.requires_grad else None
-        dbias = (ones @ g2).reshape(bias.shape) if bias.requires_grad else None
-        return (dx if flat else dx.reshape(X.shape)), dgain, dbias
+        # Over several rows, their sums are mat-vecs against a row of ones.
+        if row:
+            dgain = g2 * xhat if gain.requires_grad else None
+            dbias = g2 if bias.requires_grad else None
+        else:
+            ones = _filled((1, len(g2)), 1.0, g2.dtype)
+            dgain = (ones @ (g2 * xhat)).reshape(gain.shape) if gain.requires_grad else None
+            dbias = (ones @ g2).reshape(bias.shape) if bias.requires_grad else None
+        return dx.reshape(X.shape), dgain, dbias
 
-    return _make_node("layer-norm", y if flat else y.reshape(X.shape), (x, gain, bias), backward)
+    return _make_node("layer-norm", y.reshape(X.shape), (x, gain, bias), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -412,16 +427,25 @@ def attention(qkv: Tensor, n_heads: int, n_query: int, mask: np.ndarray | None, 
     Returns the (..., n_query, d) context rows with the heads merged.
 
     q, k and v are head views, (..., H, rows, d/H), of the rows, not
-    copies, and the context product writes each head straight into its
-    columns of the output. `mask` is a constant additive mask that
-    broadcasts against the (..., H, n_query, S) scores. Given an `rng`,
-    dropout at rate `drop` hits the probabilities with a keep mask drawn
-    from it as `dropout` draws one. The scores are scaled, masked and
-    normalized in place in one array. Row sums are mat-vecs against a ones
-    column, one per (n_query, S) matrix, so each head's rows sum as they
-    would alone. The backward is written out: with dp = g @ v^T,
+    copies: one (..., 3H, S, d/H) view holds the query heads, then the key
+    heads, then the value heads. The context product writes each head
+    straight into its columns of the output. `mask` is a constant additive
+    mask that broadcasts against the (..., H, n_query, S) scores. Given an
+    `rng`, dropout at rate `drop` hits the probabilities with a keep mask
+    drawn from it as `dropout` draws one. The scores are scaled, masked and
+    normalized in place in one array; the elementwise steps run on its 2-D
+    (rows, S) view. Row sums are mat-vecs against a ones column, one per
+    (n_query, S) matrix, so each head's rows sum as they would alone. The
+    backward is written out: with dp = g @ v^T,
     ds = inv * p * (dp - rowsum(dp * p)), and it writes dq, dk and dv into
     their head views of one (..., S, 3d) gradient.
+
+    A cached decode step has one query row over 2-D fused rows: it reads q,
+    k and v by plain slices of the stacked heads, takes each head's score
+    maximum as a plain reduce, and its (H, 1, dh) context, read in order, is
+    already the (1, d) row of merged heads. ~12.4 us instead of ~14.1 at
+    S = 9 to 33 and d = 64 (2-vCPU Xeon, one BLAS thread, numpy 2.4), with
+    the same bits.
     """
     QKV = qkv.data
     if QKV.ndim < 2 or n_heads < 1 or QKV.shape[-1] % (3 * n_heads) or not 1 <= n_query <= QKV.shape[-2]:
@@ -429,12 +453,17 @@ def attention(qkv: Tensor, n_heads: int, n_query: int, mask: np.ndarray | None, 
     if rng is not None and not 0.0 <= drop < 1.0:
         raise ContractViolation(f"dropout rate must be in [0, 1), got {drop}")
     *lead, S, width = QKV.shape
-    lead, d = tuple(lead), width // 3
-    fused = lead + (S, 3, n_heads, d // n_heads)
-    heads = QKV.reshape(fused).swapaxes(-2, -4)  # (..., H, 3, S, dh)
-    Q, K, V = heads[..., 0, S - n_query :, :], heads[..., 1, :, :], heads[..., 2, :, :]
+    lead, d, H = tuple(lead), width // 3, n_heads
+    step = not lead and n_query == 1  # a cached decode step
+    stacked = lead + (S, 3 * H, d // H)
+    heads = QKV.reshape(stacked).swapaxes(-2, -3)  # (..., 3H, S, dh): q heads, k heads, v heads
+    if step:
+        Q, K, V = heads[:H, S - 1 :], heads[H : 2 * H], heads[2 * H :]
+    else:
+        Q, K, V = heads[..., :H, S - n_query :, :], heads[..., H : 2 * H, :, :], heads[..., 2 * H :, :, :]
     p = Q @ K.swapaxes(-1, -2)
-    p *= inv
+    rows = p.reshape(-1, S)  # a view: elementwise steps run on 2-D rows
+    rows *= inv
     if mask is not None:
         try:
             p += mask
@@ -442,11 +471,12 @@ def attention(qkv: Tensor, n_heads: int, n_query: int, mask: np.ndarray | None, 
             raise ShapeError(f"attention: mask {np.shape(mask)} against scores {p.shape} ({e})") from None
     # numpy's last-axis max is slow on short rows: 146 us on (16, 4, 27, 27)
     # scores. Over more rows than columns, S elementwise maxima over a
-    # transposed copy take 36 us; a one-row decode step keeps the plain one.
-    rows = p.reshape(-1, p.shape[-1])
-    row_max = np.maximum.reduce(rows.T.copy(), axis=0) if len(rows) > rows.shape[1] else np.maximum.reduce(rows, axis=1)
-    p -= row_max.reshape(p.shape[:-1] + (1,))
-    np.exp(p, out=p)
+    # transposed copy take 36 us; a one-query decode step keeps the plain one.
+    if len(rows) > S:
+        rows -= np.maximum.reduce(rows.T.copy(), axis=0)[:, None]
+    else:
+        rows -= np.maximum.reduce(rows, axis=1, keepdims=True)
+    np.exp(rows, out=rows)
     ones = _filled((p.shape[-1], 1), 1.0, p.dtype)
     p /= p @ ones
     pd = p
@@ -454,16 +484,19 @@ def attention(qkv: Tensor, n_heads: int, n_query: int, mask: np.ndarray | None, 
         keep = (rng.uniform(size=p.shape) >= drop).astype(p.dtype)
         factor = 1.0 / (1.0 - drop)
         pd = p * keep * factor
-    y = np.empty(lead + (n_query, d), dtype=p.dtype)
-    np.matmul(pd, V, out=_head_view(y, n_heads))
+    if step:
+        y = (pd @ V).reshape(1, d)
+    else:
+        y = np.empty(lead + (n_query, d), dtype=p.dtype)
+        np.matmul(pd, V, out=_head_view(y, n_heads))
 
     def backward(g):
         G = _head_view(g, n_heads)
         dqkv = np.empty(QKV.shape, dtype=g.dtype)
-        dheads = dqkv.reshape(fused).swapaxes(-2, -4)
+        dheads = dqkv.reshape(stacked).swapaxes(-2, -3)
         if n_query < S:
-            dheads[..., 0, : S - n_query, :] = 0.0
-        np.matmul(pd.swapaxes(-1, -2), G, out=dheads[..., 2, :, :])
+            dheads[..., :H, : S - n_query, :] = 0.0
+        np.matmul(pd.swapaxes(-1, -2), G, out=dheads[..., 2 * H :, :, :])
         ds = G @ V.swapaxes(-1, -2)
         if pd is not p:
             ds *= keep
@@ -471,8 +504,8 @@ def attention(qkv: Tensor, n_heads: int, n_query: int, mask: np.ndarray | None, 
         ds -= (ds * p) @ ones
         ds *= p
         ds *= inv
-        np.matmul(ds, K, out=dheads[..., 0, S - n_query :, :])
-        np.matmul(Q.swapaxes(-1, -2), ds, out=dheads[..., 1, :, :].swapaxes(-1, -2))
+        np.matmul(ds, K, out=dheads[..., :H, S - n_query :, :])
+        np.matmul(Q.swapaxes(-1, -2), ds, out=dheads[..., H : 2 * H, :, :].swapaxes(-1, -2))
         return (dqkv,)
 
     return _make_node("attention", y, (qkv,), backward)
@@ -486,33 +519,51 @@ def _head_view(x: np.ndarray, n_heads: int) -> np.ndarray:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+@functools.lru_cache(maxsize=8)
+def _gelu_scalars(dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """0.044715, C, 0.5, 1 and 3 * 0.044715 as read-only 0-d arrays of
+    `dtype`, built once per dtype. numpy casts a Python float operand to the
+    array's dtype on every call (~0.35 us of fixed cost); a 0-d array of
+    that dtype holds the same cast value, so the bits do not change."""
+    out = tuple(np.array(v, dtype=dtype) for v in (0.044715, _GELU_C, 0.5, 1.0, 3 * 0.044715))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximated GELU; the gradient matches this exact formula."""
+    """tanh-approximated GELU; the gradient matches this exact formula.
+
+    Its constants are 0-d arrays of x's dtype (`_gelu_scalars`): a one-row
+    decode step's (1, 128) input costs ~4.3 us instead of ~5.5, nearly all of
+    it the fixed cost of nine ufunc calls. The row's 1-D view costs the same
+    as the 2-D row (2-vCPU Xeon, numpy 2.4), so every shape takes one path."""
     x = _as_tensor(x)
     xd = x.data
+    k, c, half, one, k3 = _gelu_scalars(xd.dtype)
     # C * (x + 0.044715 * x*x*x), then tanh, in place in one array: xd*xd*xd,
     # not xd**3, since numpy's generic float power is ~100x slower.
     t = xd * xd
     t *= xd
-    t *= 0.044715
+    t *= k
     t += xd
-    t *= _GELU_C
+    t *= c
     np.tanh(t, out=t)
-    y = 0.5 * xd
-    y *= 1.0 + t
+    y = half * xd
+    y *= one + t
 
     def backward(g):
         du = xd * xd
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= _GELU_C
+        du *= k3
+        du += one
+        du *= c
         dy = t * t
-        np.subtract(1.0, dy, out=dy)
-        half_x = 0.5 * xd
+        np.subtract(one, dy, out=dy)
+        half_x = half * xd
         half_x *= dy
         half_x *= du
-        np.add(1.0, t, out=dy)
-        dy *= 0.5
+        np.add(one, t, out=dy)
+        dy *= half
         dy += half_x
         dy *= g
         return (dy,)

@@ -16,7 +16,10 @@ accuracy while pretraining, ST BLEU in stage A, none in B/C). A batch's
 input is one lookup of a `model.splice_grid` index (`batch_loss`).
 
 Every dev metric (`st_dev_bleu`, `task_dev_accuracy`, `sqa_dev_accuracy`)
-decodes through one loop, `_dev_outputs`, and then scores its outputs.
+decodes through one loop, `_dev_outputs`, and then scores its outputs. The
+loop folds the adapters into the backbone's weights once per metric call,
+with no graph recorded on them, and decodes every prompt with that one
+folded dict.
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ from .corpus import SPEECH_TASKS, Corpus, Example
 from .decode import greedy_decode
 from .errors import ConfigError, ContractViolation, ShapeError, TrainingDivergenceError
 from .metrics import bleu4, make_default_judge, qa_accuracy, sequence_accuracy
-from .model import Backbone, LoraAdapters, SpeechProjector, splice_grid
+from .model import Backbone, LoraAdapters, SpeechProjector, fold_adapters, splice_grid
 from .model import splice_prompt  # noqa: F401  (perfbench wraps trainer.splice_prompt)
 from .prompting import PromptedExample, render_prompt
 from .rng import Rng
 from .sampler import BatchEntry, SamplerConfig, plan_epoch
-from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy
+from .tensor import Tensor, add, concat, embedding_lookup, grad, masked_cross_entropy, no_grad
 from .tensor import scale, stack, tslice  # noqa: F401  (perfbench wraps trainer.scale, .stack and .tslice)
 from .vocab import TARGET_LANGUAGES
 
@@ -353,12 +356,18 @@ def _dev_outputs(
     max_new_tokens: int,
 ) -> list[tuple[Example, list[int]]]:
     """(example, greedy output) for the first `max_examples` of each
-    `(language, validity)` dev split of `task`, split by split, in order."""
+    `(language, validity)` dev split of `task`, split by split, in order.
+
+    The adapters are folded once, under `no_grad` (an eval inside training
+    must record no graph on the trainable adapters), and every prompt is
+    decoded through the same folded weights."""
+    with no_grad():
+        weights = fold_adapters(backbone.params, adapters)
     out = []
     for language, validity in splits:
         for ex in corpus.splits[(task, language, validity, "dev")][:max_examples]:
             prompt = render_prompt(ex, modality, corpus.vocab, frame_avg_k)
-            out.append((ex, greedy_decode(backbone, prompt, max_new_tokens, projector=projector, adapters=adapters)))
+            out.append((ex, greedy_decode(backbone, prompt, max_new_tokens, projector=projector, weights=weights)))
     return out
 
 

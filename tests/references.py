@@ -23,12 +23,18 @@ the embedding scatter that `attention`, `layer_norm` and `embedding_lookup`
 replaced, each matched within float32 rounding; `attention_by_head_slices`
 runs that chain on head slices cut from fused q/k/v rows, the layout the
 fused `attention` reads; `out_of_place_gelu` is the
-gelu the in-place chain must match bit for bit. `full_grid_text_loss` is
+gelu, with Python-float constants and one new array per operation, that
+the in-place chain with its 0-d constants must match bit for bit. `full_grid_text_loss` is
 the text batch loss with logits at every grid position, which the
 target-row head must match within float32 rounding. `fold_by_chain` is
 the adapter fold as a chain of `matmul`, `scale`, `concat` and `add` nodes
 (with a zero block for an unadapted q, k or v site), which the one
 `add_low_rank` node per weight in `fold_adapters` must match bit for bit.
+`layer_norm_by_row_sums` and `attention_by_head_split` are `layer_norm`
+and `attention` as every input ran them before a one-row decode step had
+its own path (row statistics as (rows, 1) mat-vecs and in-place array
+arithmetic; the 5-D head split and the transposed row maximum), which a
+one-row step must match bit for bit, forward and backward.
 """
 
 import hashlib
@@ -42,8 +48,11 @@ from mmadapt.rng import Rng
 from mmadapt.sampler import TEXT_EQUIVALENT, BatchSchedule
 from mmadapt.trainer import BETAS, EPS
 from mmadapt.tensor import (
+    LAYER_NORM_EPS,
     Tensor,
     _as_tensor,
+    _filled,
+    _head_view,
     _make_node,
     _unbroadcast,
     add,
@@ -341,6 +350,74 @@ def mean_layer_norm(x, gain, bias, g, eps=1e-5):
     dx = (inv / n) * (n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
     rows = tuple(range(x.ndim - 1))
     return xhat * gain + bias, dx, (g * xhat).sum(axis=rows), g.sum(axis=rows)
+
+
+def layer_norm_by_row_sums(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """`layer_norm` with every input's statistics as (rows, 1) mat-vecs and
+    the inverse std as in-place arithmetic on a (rows, 1) array."""
+    X = x.data
+    n = X.shape[-1]
+    X2 = X.reshape(-1, n)
+    c = _filled((n, 1), 1.0 / n, X.dtype)
+    xhat = X2 - X2.dot(c)
+    inv = (xhat * xhat).dot(c)
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        dxhat = g2 * gain.data
+        dx = dxhat - dxhat.dot(c)
+        dxhat *= xhat
+        dx -= xhat * dxhat.dot(c)
+        dx *= inv
+        ones = _filled((1, len(g2)), 1.0, g2.dtype)
+        return dx.reshape(X.shape), (ones @ (g2 * xhat)).reshape(gain.shape), (ones @ g2).reshape(bias.shape)
+
+    return _make_node("layer-norm", y.reshape(X.shape), (x, gain, bias), backward)
+
+
+def attention_by_head_split(qkv: Tensor, n_heads: int, n_query: int, inv: float) -> Tensor:
+    """`attention` without mask or dropout, reading q, k and v through one
+    (..., H, 3, S, dh) view of the fused rows and taking each score row's
+    maximum over a transposed copy when there are more rows than keys."""
+    QKV = qkv.data
+    *lead, S, width = QKV.shape
+    lead, d = tuple(lead), width // 3
+    fused = lead + (S, 3, n_heads, d // n_heads)
+    heads = QKV.reshape(fused).swapaxes(-2, -4)
+    Q, K, V = heads[..., 0, S - n_query :, :], heads[..., 1, :, :], heads[..., 2, :, :]
+    p = Q @ K.swapaxes(-1, -2)
+    p *= inv
+    rows = p.reshape(-1, p.shape[-1])
+    row_max = np.maximum.reduce(rows.T.copy(), axis=0) if len(rows) > rows.shape[1] else np.maximum.reduce(rows, axis=1)
+    p -= row_max.reshape(p.shape[:-1] + (1,))
+    np.exp(p, out=p)
+    ones = _filled((p.shape[-1], 1), 1.0, p.dtype)
+    p /= p @ ones
+    y = np.empty(lead + (n_query, d), dtype=p.dtype)
+    np.matmul(p, V, out=_head_view(y, n_heads))
+
+    def backward(g):
+        G = _head_view(g, n_heads)
+        dqkv = np.empty(QKV.shape, dtype=g.dtype)
+        dheads = dqkv.reshape(fused).swapaxes(-2, -4)
+        if n_query < S:
+            dheads[..., 0, : S - n_query, :] = 0.0
+        np.matmul(p.swapaxes(-1, -2), G, out=dheads[..., 2, :, :])
+        ds = G @ V.swapaxes(-1, -2)
+        ds -= (ds * p) @ ones
+        ds *= p
+        ds *= inv
+        np.matmul(ds, K, out=dheads[..., 0, S - n_query :, :])
+        np.matmul(Q.swapaxes(-1, -2), ds, out=dheads[..., 1, :, :].swapaxes(-1, -2))
+        return (dqkv,)
+
+    return _make_node("attention", y, (qkv,), backward)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))

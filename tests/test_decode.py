@@ -122,6 +122,13 @@ def _adapted_models(seed: int):
     return bb, adapters, projector
 
 
+def _folded(bb, adapters):
+    """The backbone's weights with the adapters folded in, as a dev metric
+    call folds them once for all its prompts."""
+    with no_grad():
+        return fold_adapters(bb.params, adapters)
+
+
 def _full_recompute_decode(bb, prompt, max_new_tokens, projector=None, adapters=None):
     """Greedy decoding by definition: run the full model, with no cache, over
     the whole prefix for every new token and take the argmax of the last row."""
@@ -142,26 +149,28 @@ def _full_recompute_decode(bb, prompt, max_new_tokens, projector=None, adapters=
 
 def test_cached_folded_decode_matches_full_recompute_oracle():
     bb, adapters, _ = _adapted_models(30)
+    weights = _folded(bb, adapters)
     rng = Rng(31)
     lengths = []
     for i in range(24):
         content = tuple(int(t) for t in rng.split("c", str(i)).integers(2, DEEP.vocab_size, size=int(rng.integers(1, 8))))
         prompt = _prompt(prefix=(2,), content=content, suffix=(3,))
         want = _full_recompute_decode(bb, prompt, 12, adapters=adapters)
-        assert greedy_decode(bb, prompt, 12, adapters=adapters) == want
+        assert greedy_decode(bb, prompt, 12, weights=weights) == want
         lengths.append(len(want))
     assert max(lengths) >= 6  # the oracle decodes past several cache steps
 
 
 def test_cached_folded_decode_matches_oracle_on_speech_prompts():
     bb, adapters, projector = _adapted_models(32)
+    weights = _folded(bb, adapters)
     lengths = []
     for i in range(8):
         frames = Rng(33).split(str(i)).normal(size=(3 + i, SPEECH.d_in))
         prompt = PromptedExample(id=f"s{i}", task="ST", language="tgt1", validity="valid", modality="speech",
                                  prefix_tokens=(2, 4), frames=frames, suffix_tokens=(5,), target_tokens=())
         want = _full_recompute_decode(bb, prompt, 10, projector=projector, adapters=adapters)
-        assert greedy_decode(bb, prompt, 10, projector=projector, adapters=adapters) == want
+        assert greedy_decode(bb, prompt, 10, projector=projector, weights=weights) == want
         lengths.append(len(want))
     assert max(lengths) >= 4
 
@@ -170,7 +179,7 @@ def test_cached_logits_equal_the_full_forward():
     bb, adapters, _ = _adapted_models(34)
     ids = Rng(35).integers(0, DEEP.vocab_size, size=20)
     with no_grad():
-        cache = KVCache(fold_adapters(bb.params, adapters))
+        cache = KVCache(fold_adapters(bb.params, adapters), DEEP.max_seq_len)
         fed = 0
         for rows in (6, 3, 1, 1, 4, 1, 1, 1, 1, 1):  # a prefill, then chunks and single rows
             got = bb.forward(embed(bb, ids[fed : fed + rows]), np.arange(fed, fed + rows), cache=cache).data
@@ -186,7 +195,7 @@ def test_cache_rejects_lora_passed_again():
     # A cache already holds folded weights; folding the adapters in again
     # would apply them twice.
     bb, adapters, _ = _adapted_models(38)
-    cache = KVCache(fold_adapters(bb.params, adapters))
+    cache = KVCache(fold_adapters(bb.params, adapters), DEEP.max_seq_len)
     with pytest.raises(ContractViolation):
         bb.forward(embed(bb, [2, 3]), np.arange(2), lora=adapters, cache=cache)
     assert cache.length == 0
@@ -196,7 +205,7 @@ def test_decode_leaves_backbone_and_adapters_untouched():
     bb, adapters, _ = _adapted_models(36)
     state = {k: (v, v.data.copy()) for k, v in {**bb.params, **adapters.params}.items()}
     attrs = (set(vars(bb)), set(vars(adapters)))
-    greedy_decode(bb, _prompt(content=(2, 6, 7)), 8, adapters=adapters)
+    greedy_decode(bb, _prompt(content=(2, 6, 7)), 8, weights=_folded(bb, adapters))
     assert (set(vars(bb)), set(vars(adapters))) == attrs
     for k, (t, before) in state.items():
         assert ({**bb.params, **adapters.params}[k] is t) and np.array_equal(t.data, before)
@@ -225,6 +234,33 @@ def test_speech_prompt_without_projector_is_a_config_error():
                              prefix_tokens=(1,), frames=np.zeros((3, 8)), suffix_tokens=(4,), target_tokens=())
     with pytest.raises(ConfigError):
         greedy_decode(Backbone(CFG, Rng(6)), speech, max_new_tokens=2)
+
+
+def _without(params, name):
+    return {k: v for k, v in params.items() if k != name}
+
+
+_SPEECH_PROMPT = PromptedExample(id="s0", task="ASR", language="src", validity="valid", modality="speech",
+                                 prefix_tokens=(1,), frames=np.zeros((3, 8)), suffix_tokens=(4,), target_tokens=())
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: greedy_decode(Backbone(CFG, Rng(5)), _prompt(content=(2,) * 40), 10), LengthError,
+                 "exceeds max_seq_len", id="prompt-overflow"),
+    pytest.param(lambda: greedy_decode(Backbone(CFG, Rng(6)), _SPEECH_PROMPT, 2), ConfigError,
+                 "needs a projector", id="speech-without-projector"),
+    pytest.param(lambda: greedy_decode(Backbone(CFG, Rng(7)), _prompt(), 2,
+                                       weights=LoraAdapters(CFG, LoraConfig(rank=2), Rng(8)).params),
+                 ContractViolation, "parameter names", id="weights-are-the-adapters"),
+    pytest.param(lambda: greedy_decode(Backbone(CFG, Rng(9)), _prompt(), 2,
+                                       weights=_without(Backbone(CFG, Rng(9)).params, "lm_head")),
+                 ContractViolation, "parameter names", id="weights-missing-a-name"),
+    pytest.param(lambda: detect_degeneration([8, 8, 8, 8], 0, 4), ContractViolation, "n must be", id="empty-gram"),
+    pytest.param(lambda: detect_degeneration([8, 8, 8, 8], 2, 1), ContractViolation, "min_repeats", id="single-repeat"),
+])
+def test_decode_checks_raise_their_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_degeneration_hand_cases():

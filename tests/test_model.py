@@ -572,7 +572,7 @@ def test_head_batched_cached_backbone_equals_the_per_head_loop(dtype):
     bb = Backbone(HEADS_BB, Rng(54), dtype=dtype)
     _scale_up_weights(bb.params, Rng(55))
     ids = Rng(56).integers(0, HEADS_BB.vocab_size, size=9)
-    cache, kv = KVCache(bb.params), {}
+    cache, kv = KVCache(bb.params, len(ids)), {}
     loss_got = loss_want = None
     for lo, hi in ((0, 5), (5, 6), (6, 7), (7, 8), (8, 9)):
         got = bb.forward(embed(bb, ids[lo:hi]), np.arange(lo, hi), cache=cache)
@@ -635,7 +635,7 @@ def test_a_cached_one_row_step_is_eleven_nodes_a_layer():
     # attention, one gelu and the two residual adds: nothing else.
     bb = Backbone(HEADS_BB, Rng(72))
     ids = Rng(73).integers(0, HEADS_BB.vocab_size, size=6)
-    cache = KVCache(bb.params)
+    cache = KVCache(bb.params, len(ids))
     prefill = bb.forward(Tensor(bb.params["wte"].data[ids[:5]]), np.arange(5), cache=cache)
     step = bb.forward(Tensor(bb.params["wte"].data[ids[5:]]), np.arange(5, 6), cache=cache)
     ops = [n.op for n in tape_of(step).nodes if n._seq > prefill._seq]
@@ -653,7 +653,7 @@ def test_cached_rows_stay_where_they_were_written():
     # their values, and the cache holds them in the same memory, uncopied.
     bb = Backbone(HEADS_BB, Rng(77))
     ids = Rng(78).integers(0, HEADS_BB.vocab_size, size=8)
-    cache = KVCache(bb.params)
+    cache = KVCache(bb.params, len(ids))
     bb.forward(embed(bb, ids[:5]), np.arange(5), cache=cache)
     first = {i: (t, t.data.copy()) for i, t in cache.rows.items()}
     for pos in range(5, 8):
@@ -667,20 +667,24 @@ def test_cached_rows_stay_where_they_were_written():
 
 
 def test_a_length_error_leaves_the_cache_as_it_was():
+    # Either bound rejects the rows before any layer writes one: a capacity
+    # below max_seq_len, and max_seq_len under a larger capacity.
     bb = Backbone(HEADS_BB, Rng(79))
     ids = Rng(80).integers(0, HEADS_BB.vocab_size, size=HEADS_BB.max_seq_len + 1)
-    cache = KVCache(bb.params)
-    bb.forward(embed(bb, ids[:30]), np.arange(30), cache=cache)
-    before = {i: t.data.copy() for i, t in cache.rows.items()}
-    with pytest.raises(LengthError):
-        bb.forward(embed(bb, ids[30:33]), np.arange(30, 33), cache=cache)
-    assert cache.length == 30
-    for i, t in cache.rows.items():
-        np.testing.assert_array_equal(t.data, before[i])
-    bb.forward(embed(bb, ids[30:32]), np.arange(30, 32), cache=cache)  # the rows that fit still go in
-    assert cache.length == HEADS_BB.max_seq_len
-    for i, t in cache.rows.items():
-        np.testing.assert_array_equal(t.data[:30], before[i])
+    for capacity in (HEADS_BB.max_seq_len - 8, HEADS_BB.max_seq_len + 8):
+        limit = min(capacity, HEADS_BB.max_seq_len)
+        cache = KVCache(bb.params, capacity)
+        bb.forward(embed(bb, ids[: limit - 2]), np.arange(limit - 2), cache=cache)
+        before = {i: t.data.copy() for i, t in cache.rows.items()}
+        with pytest.raises(LengthError):
+            bb.forward(embed(bb, ids[limit - 2 : limit + 1]), np.arange(limit - 2, limit + 1), cache=cache)
+        assert cache.length == limit - 2
+        for i, t in cache.rows.items():
+            np.testing.assert_array_equal(t.data, before[i])
+        bb.forward(embed(bb, ids[limit - 2 : limit]), np.arange(limit - 2, limit), cache=cache)  # the rows that fit
+        assert cache.length == limit
+        for i, t in cache.rows.items():
+            np.testing.assert_array_equal(t.data[: limit - 2], before[i])
 
 
 def test_padded_projector_rows_match_each_unpadded_forward():

@@ -36,8 +36,10 @@ from mmadapt.tensor import (
 
 from references import (
     attention_by_head_slices,
+    attention_by_head_split,
     embedding_backward_by_add_at,
     finite_diff_check,
+    layer_norm_by_row_sums,
     linear_by_matmul,
     mean,
     mean_layer_norm,
@@ -131,11 +133,14 @@ def test_finite_diff_rejects_nondeterministic_f():
         "slice",
         "embedding",
         "layer_norm",
+        "layer_norm_row",
         "softmax",
         "attention",
         "attention_dropout",
         "attention_cached",
+        "attention_one_query",
         "gelu",
+        "gelu_row",
         "dropout_fixed_mask",
         "mean_axis",
         "masked_ce",
@@ -214,6 +219,11 @@ def test_every_op_gradient_matches_finite_differences(name):
         g_, b_ = parameter(rng.normal(size=(6,))), parameter(rng.normal(size=(6,)))
         f = lambda _: mean(mul(layer_norm(x, g_, b_), layer_norm(x, g_, b_)))
         params = [x, g_, b_]
+    elif name == "layer_norm_row":  # a decode step's one row
+        x = parameter(rng.normal(size=(1, 6), scale=2.0))
+        g_, b_ = parameter(rng.normal(size=(6,))), parameter(rng.normal(size=(6,)))
+        f = lambda _: mean(mul(layer_norm(x, g_, b_), layer_norm(x, g_, b_)))
+        params = [x, g_, b_]
     elif name == "softmax":
         x = parameter(rng.normal(size=(3, 5)))
         f = lambda _: mean(mul(softmax(x), softmax(x)))
@@ -231,8 +241,17 @@ def test_every_op_gradient_matches_finite_differences(name):
         w = Tensor(rng.split("w").normal(size=(2, 6)))
         f = lambda _: mean(mul(attention(qkv, 2, 2, mask, 0.7, 0.0, None), w))
         params = [qkv]
+    elif name == "attention_one_query":  # one new row after 4 cached ones
+        qkv = parameter(rng.normal(size=(5, 18)))
+        w = Tensor(rng.split("w").normal(size=(1, 6)))
+        f = lambda _: mean(mul(attention(qkv, 2, 1, None, 0.7, 0.0, None), w))
+        params = [qkv]
     elif name == "gelu":
         x = parameter(rng.normal(size=(4, 4)))
+        f = lambda _: mean(mul(gelu(x), gelu(x)))
+        params = [x]
+    elif name == "gelu_row":
+        x = parameter(rng.normal(size=(1, 8), scale=2.0))
         f = lambda _: mean(mul(gelu(x), gelu(x)))
         params = [x]
     elif name == "dropout_fixed_mask":
@@ -540,7 +559,7 @@ def test_rewritten_hot_ops_are_bit_identical_to_their_old_formulas(dtype):
         # sums in another order. Measured gaps are below 2 ulps.
         for got, ref in zip((y.data, *y._backward(g)), want):
             _within_ulps_of_largest(got, ref, 8)
-        # 2-D rows (a decode step's) skip the reshapes: the same bits.
+        # 2-D rows give the same bits as the 3-D batch.
         flat = layer_norm(parameter(x.reshape(-1, width)), parameter(gain), parameter(bias))
         for got, ref in zip((flat.data, *flat._backward(g.reshape(-1, width))), (y.data, *y._backward(g))):
             assert _same_bits(got, ref.reshape(got.shape))
@@ -550,6 +569,73 @@ def test_rewritten_hot_ops_are_bit_identical_to_their_old_formulas(dtype):
     y = gelu(parameter(x))
     want_y, want_dx = out_of_place_gelu(x, g)
     assert _same_bits(y.data, want_y) and _same_bits(y._backward(g)[0], want_dx)
+
+
+def _seeded_rows(rng, n, width, dtype):
+    """`n` (1, width) rows with magnitudes from 1e-3 to 1e3 and offset means."""
+    for i in range(n):
+        r = rng.split(str(i))
+        scale = 10.0 ** r.uniform(-3.0, 3.0)
+        yield r, ((r.normal(size=(1, width)) + r.normal()) * scale).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_row_layer_norm_keeps_the_bits_of_the_row_sums(dtype):
+    # A (1, n) row takes its 1-D view and scalar statistics: the same
+    # BLAS dots and the same roundings as the (rows, 1) mat-vecs.
+    for r, x in _seeded_rows(Rng(24), 200, 64, dtype):
+        gain, bias, g = (r.split(n).normal(size=s).astype(dtype) for n, s in (("gain", 64), ("bias", 64), ("g", (1, 64))))
+        got = layer_norm(parameter(x), parameter(gain), parameter(bias))
+        want = layer_norm_by_row_sums(parameter(x), parameter(gain), parameter(bias))
+        assert _same_bits(got.data, want.data)
+        for a, b in zip(got._backward(g), want._backward(g)):
+            assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_row_gelu_keeps_the_bits_of_the_out_of_place_formula(dtype):
+    for r, x in _seeded_rows(Rng(25), 200, 128, dtype):
+        g = r.split("g").normal(size=x.shape).astype(dtype)
+        y = gelu(parameter(x))
+        want_y, want_dx = out_of_place_gelu(x, g)
+        assert _same_bits(y.data, want_y) and _same_bits(y._backward(g)[0], want_dx)
+
+
+@pytest.mark.parametrize("S", [1, 2, 9, 33, 255])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_query_attention_keeps_the_bits_of_the_head_split(S, dtype):
+    # A one-query step reads q, k and v by plain slices of the stacked
+    # heads, takes a plain maximum and merges its heads by a reshape: the
+    # same bits as the 5-D head split with its transposed maximum, for one
+    # query and for all S.
+    rng = Rng(26).split(str(S))
+    for i in range(200):
+        r = rng.split(str(i))
+        qkv = (r.normal(size=(S, 192)) * 10.0 ** r.uniform(-3.0, 3.0)).astype(dtype)
+        for n_query in {1, S}:
+            g = r.split("g", str(n_query)).normal(size=(n_query, 64)).astype(dtype)
+            got = attention(parameter(qkv), 4, n_query, None, 0.25, 0.0, None)
+            want = attention_by_head_split(parameter(qkv), 4, n_query, 0.25)
+            assert _same_bits(got.data, want.data)
+            assert _same_bits(got._backward(g)[0], want._backward(g)[0])
+
+
+@pytest.mark.parametrize("lead", [(2,), (2, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_attention_keeps_the_bits_of_the_head_split(lead, dtype):
+    # Fused rows with leading axes read their heads from the same stacked
+    # (..., 3H, S, dh) view.
+    rng = Rng(27).split(str(lead))
+    for S in (1, 9, 33):
+        for i in range(20):
+            r = rng.split(str(S), str(i))
+            qkv = (r.normal(size=lead + (S, 192)) * 10.0 ** r.uniform(-3.0, 3.0)).astype(dtype)
+            for n_query in {1, S}:
+                g = r.split("g", str(n_query)).normal(size=lead + (n_query, 64)).astype(dtype)
+                got = attention(parameter(qkv), 4, n_query, None, 0.25, 0.0, None)
+                want = attention_by_head_split(parameter(qkv), 4, n_query, 0.25)
+                assert _same_bits(got.data, want.data)
+                assert _same_bits(got._backward(g)[0], want._backward(g)[0])
 
 
 @pytest.mark.parametrize("rows", [1, 13, 100, 307, 600])

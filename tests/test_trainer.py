@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mmadapt import model as model_module
 from mmadapt import trainer as trainer_module
 
 from mmadapt.corpus import CorpusConfig, build_corpus
@@ -498,7 +499,7 @@ def _decoder(monkeypatch, answer):
     list of (task, language, validity, modality, id) it is asked to decode."""
     seen = []
 
-    def fake(backbone, prompt, max_new_tokens, projector=None, adapters=None):
+    def fake(backbone, prompt, max_new_tokens, projector=None, weights=None):
         seen.append((prompt.task, prompt.language, prompt.validity, prompt.modality, prompt.id))
         return answer(prompt)
 
@@ -544,6 +545,36 @@ def test_task_dev_accuracy_decodes_one_split_in_order(corpus, monkeypatch):
     assert seen == _dev_keys(corpus, "MT", ("tgt2",), ("valid",), "text", 3)
     _decoder(monkeypatch, _empty)
     assert trainer_module.task_dev_accuracy(m["backbone"], corpus, "MT", "tgt2", "text", 3, max_examples=3) == 0.0
+
+
+def test_a_dev_metric_call_folds_the_adapters_once(corpus, monkeypatch):
+    # Four layers with the default targets adapt wqkv, wo, ffn_up and
+    # ffn_down: 16 folded weights for the whole call, not 16 per prompt.
+    cfg = BackboneConfig(vocab_size=96, d_model=16, n_layers=4, n_heads=2, d_ffn=24)
+    backbone = Backbone(cfg, Rng(5))
+    adapters = LoraAdapters(cfg, LoraConfig(), Rng(6))
+    folds, decoded = [], []
+
+    def counting(*args, **kwargs):
+        folds.append(args[0])
+        return add_low_rank(*args, **kwargs)
+
+    def recording(backbone, prompt, max_new_tokens, projector=None, weights=None):
+        decoded.append(weights)
+        return greedy_decode(backbone, prompt, max_new_tokens, projector=projector, weights=weights)
+
+    add_low_rank = model_module.add_low_rank
+    greedy_decode = trainer_module.greedy_decode
+    monkeypatch.setattr(model_module, "add_low_rank", counting)
+    monkeypatch.setattr(trainer_module, "greedy_decode", recording)
+    trainer_module.task_dev_accuracy(backbone, corpus, "MT", "tgt1", "text", 3, adapters=adapters, max_examples=5)
+    assert len(decoded) == 5 and len(folds) == 4 * cfg.n_layers == 16
+    weights = decoded[0]
+    assert all(w is weights for w in decoded)
+    folded = [name for name, t in weights.items() if t is not backbone.params[name]]
+    assert len(folded) == 16
+    assert all(t.requires_grad for t in adapters.params.values())
+    assert not any(weights[name].requires_grad or weights[name].parents for name in folded)
 
 
 @pytest.mark.parametrize("task,modality", [("SQA", "speech"), ("QA", "text")])
