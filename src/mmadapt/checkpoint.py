@@ -81,22 +81,24 @@ def load_checkpoint(path, expect_component: str | None = None) -> CheckpointBund
     body, stored = raw[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != stored:
         raise CorruptCheckpointError(f"{path}: digest mismatch (truncated or altered)")
-    off = len(MAGIC)
-    (version,) = struct.unpack_from("<I", body, off)
-    off += 4
-    if version != FORMAT_VERSION:
-        raise CheckpointVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    (clen,) = struct.unpack_from("<H", body, off)
-    off += 2
-    component = body[off : off + clen].decode()
-    off += clen
-    if expect_component is not None and component != expect_component:
-        raise ComponentKindError(f"{path}: holds {component!r}, expected {expect_component!r}")
-    (hlen,) = struct.unpack_from("<I", body, off)
-    off += 4
     # The digest only proves the file is what was written: a header that
-    # disagrees with its payload still fails here, as a corrupt bundle.
+    # disagrees with itself or with its payload still fails here, as a
+    # corrupt bundle.
     try:
+        off = len(MAGIC)
+        (version,) = struct.unpack_from("<I", body, off)
+        off += 4
+        if version != FORMAT_VERSION:
+            raise CheckpointVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+        (clen,) = struct.unpack_from("<H", body, off)
+        off += 2
+        (kind,) = struct.unpack_from(f"<{clen}s", body, off)  # struct.error if it runs past the body
+        component = kind.decode()
+        off += clen
+        if expect_component is not None and component != expect_component:
+            raise ComponentKindError(f"{path}: holds {component!r}, expected {expect_component!r}")
+        (hlen,) = struct.unpack_from("<I", body, off)
+        off += 4
         header = json.loads(body[off : off + hlen].decode())
         off += hlen
         arrays: dict[str, np.ndarray] = {}
@@ -106,7 +108,7 @@ def load_checkpoint(path, expect_component: str | None = None) -> CheckpointBund
             arrays[name] = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape).copy()
             off += count * 4
         config = header["config"]
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, struct.error) as e:  # UnicodeDecodeError is a ValueError
         raise CorruptCheckpointError(f"{path}: header does not match its payload ({e!r})") from e
     if off != len(body):
         raise CorruptCheckpointError(f"{path}: payload size does not match header")

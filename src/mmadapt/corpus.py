@@ -6,12 +6,11 @@ short fact lists whose anchors are theme-partitioned, so mismatching the
 question's theme makes an example deterministically unanswerable.
 
 Generation writes every example in its final form, a valid SQA/QA answer
-already wrapped in its language's answer-sentence tokens, except for two
-controlled kinds of mess: duplicate questions and answer spans that cross
-a sentence boundary. `build_corpus` generates each split, removes that
-mess (`dedup_answers`), carves the validation themes (`carve_validation`)
-and makes a fixed fraction of each SQA/QA split unanswerable
-(`make_invalid_split`).
+already wrapped in its language's answer-sentence tokens. A context may
+hold a fact whose payload a sentence boundary splits; that fact gets no
+question, so every span a split holds is whole. `build_corpus` generates
+each split, carves the validation themes (`carve_validation`) and makes a
+fixed fraction of each SQA/QA split unanswerable (`make_invalid_split`).
 
 One `build_corpus` call draws each shared source once (`draw_pools`): the
 ASR sentence pool, one sentence pool per target language that its ST and
@@ -65,8 +64,7 @@ def theme_anchors(theme: int) -> list[int]:
 class CorpusConfig:
     n_sentences: int = 1200  # per sentence pool: ASR's, and each target language's (ST and MT)
     n_contexts: int = 240  # QA contexts, shared across languages
-    duplicate_fraction: float = 0.05  # duplicated QA pairs (cleaned by dedup)
-    crossing_fraction: float = 0.15  # QA spans split across a boundary (cleaned)
+    crossing_fraction: float = 0.15  # facts whose payload a boundary splits; they get no question
     k_up: int = 3  # frames emitted per token
     noise_sigma: float = 0.05
     seed: int = 0
@@ -74,8 +72,10 @@ class CorpusConfig:
     def __post_init__(self):
         if self.k_up < 1:
             raise ConfigError("k_up must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails too
             raise ConfigError("noise_sigma must be >= 0")
+        if not 0.0 <= self.crossing_fraction < 1.0:
+            raise ConfigError("crossing_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,9 @@ def _gen_contexts(cfg: CorpusConfig, vocab: Vocab, rng: Rng):
     A context is 2..3 facts [anchor, payload...] joined by boundary tokens,
     with a random number of distractor tokens before each fact so anchor
     positions vary (a fixed-position reading strategy scores at chance).
-    A fraction of facts get the boundary moved inside the payload, producing
-    spans that cross it (removed later by dedup).
+    A `crossing_fraction` of facts get a boundary inside the payload; such
+    a fact stays in the context but gets no question, so every yielded span
+    is whole.
     """
     src = vocab.lang("src")
     f_lo, f_hi = FACTS_PER_CONTEXT
@@ -218,7 +219,8 @@ def _gen_contexts(cfg: CorpusConfig, vocab: Vocab, rng: Rng):
                 if cross and j == 1:
                     tokens.append(BOUND)
                 tokens.append(src.token_for_symbol(int(p)))
-            questions.append((anchor, (start, start + PAYLOAD_PER_FACT + (1 if cross else 0))))
+            if not cross:
+                questions.append((anchor, (start, start + PAYLOAD_PER_FACT)))
         yield theme, tuple(tokens), questions
 
 
@@ -253,12 +255,15 @@ def gen_task_dataset(
     derives them once from `cfg`). ASR reads `pools.sentences["src"]`; ST
     and MT for a target language both read that language's sentence pool;
     SQA and QA in every language read `pools.contexts`, with questions and
-    answers translated. Their answers come out in fluent form: the span
-    between the language's `ans_open` and `ans_close`. `rng` draws only
-    what is the split's own: speech noise and duplicated questions.
+    answers translated, one example per question. Their answers come out
+    in fluent form: the span between the language's `ans_open` and
+    `ans_close`. Ids number a split's examples consecutively. `rng` draws
+    only what is the split's own: speech noise.
 
     A speech example holds an `Utterance`, not frames: they are synthesized
-    when first read. All questions of one SQA context share its holder.
+    when first read. All questions of one SQA context share its holder,
+    whose noise stream is labelled by the context's index in
+    `pools.contexts`.
     """
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
@@ -290,53 +295,30 @@ def gen_task_dataset(
             )
         return examples
 
-    dup_rng = rng.split("dups")
-    i = 0
-    for theme, context, questions in pools.contexts:
-        utterance = Utterance(context, acoustic, cfg, rng, ("frames", f"ctx-{language}-{i}")) if speech else None
+    for c, (theme, context, questions) in enumerate(pools.contexts):
+        utterance = Utterance(context, acoustic, cfg, rng, ("frames", f"ctx-{language}-{c}")) if speech else None
         for anchor, (start, end) in questions:
             q = (lang.q_sqa, lang.token_for_symbol(anchor))
             answer = (lang.ans_open, *vocab.translate(context[start:end], "src", language), lang.ans_close)
-            copies = 2 if dup_rng.split(f"{i}").uniform() < cfg.duplicate_fraction else 1
-            for _ in range(copies):
-                examples.append(
-                    Example(
-                        id=f"{task.lower()}-{language}-{i:05d}",
-                        theme_id=theme,
-                        task=task,
-                        language=language,
-                        source_tokens=context,
-                        question_tokens=q,
-                        answer_tokens=answer,
-                        span=(start, end),
-                        speech=utterance,
-                    )
+            examples.append(
+                Example(
+                    id=f"{task.lower()}-{language}-{len(examples):05d}",
+                    theme_id=theme,
+                    task=task,
+                    language=language,
+                    source_tokens=context,
+                    question_tokens=q,
+                    answer_tokens=answer,
+                    span=(start, end),
+                    speech=utterance,
                 )
-                i += 1
+            )
     return examples
 
 
 # ---------------------------------------------------------------------------
 # preprocessing passes
 # ---------------------------------------------------------------------------
-
-
-def dedup_answers(examples: list[Example]) -> list[Example]:
-    """Drop exact-duplicate (question, answer) pairs per context, and drop
-    questions whose answer span crosses a sentence-boundary marker. Every
-    example is a freshly generated SQA/QA one, with a question and a span."""
-    seen: set[tuple] = set()
-    out = []
-    for ex in examples:
-        i, j = ex.span
-        if BOUND in ex.source_tokens[i:j]:
-            continue
-        key = (ex.source_tokens, ex.question_tokens, ex.answer_tokens)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(ex)
-    return out
 
 
 def carve_validation(examples: list[Example]) -> tuple[list[Example], list[Example]]:
@@ -408,7 +390,7 @@ class Corpus:
 
 
 def build_corpus(cfg: CorpusConfig) -> Corpus:
-    """Generate, dedup, carve and corrupt every task/language split.
+    """Generate, carve and corrupt every task/language split.
 
     The shared sources are drawn once per call (`draw_pools`) and read by
     every split built from them; a second call draws them again.
@@ -446,11 +428,11 @@ def build_corpus(cfg: CorpusConfig) -> Corpus:
         ]
         put("MT", "src", "valid", part, reverse)
 
-    # SQA / QA: dedup, carve, then make a fixed fraction unanswerable.
+    # SQA / QA: carve, then make a fixed fraction unanswerable.
     for task in ("SQA", "QA"):
         for lang in LANGUAGES:
             exs = gen_task_dataset(task, lang, cfg, root.split("gen", task, lang), vocab, acoustic, pools)
-            for part, pool in zip(("train", "dev"), carve_validation(dedup_answers(exs))):
+            for part, pool in zip(("train", "dev"), carve_validation(exs)):
                 pool = make_invalid_split(pool, root.split("invalid", task, lang, part), vocab)
                 for validity in ("valid", "invalid"):
                     put(task, lang, validity, part, [ex for ex in pool if ex.validity == validity])

@@ -116,8 +116,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigError("rank must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:  # NaN fails too
+            raise ConfigError("alpha must be positive and finite")
         unknown = set(self.targets) - set(LORA_SITES)
         if unknown:
             raise ConfigError(f"unknown adapter sites {sorted(unknown)}")

@@ -55,7 +55,7 @@ def _check_ratio_group(name: str, group: dict) -> None:
     total = sum(group.values())
     if any(v < 0 for v in group.values()):
         raise ConfigError(f"{name} has negative entries")
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError(f"{name} sums to {total!r}, expected 1")
 
 

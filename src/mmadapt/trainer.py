@@ -52,8 +52,8 @@ class OptimizerConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < np.inf:  # NaN fails too
+            raise ConfigError("lr must be positive and finite")
 
 
 BETAS = (0.9, 0.999)  # decay rates of the first and second moments

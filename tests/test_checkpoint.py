@@ -128,15 +128,32 @@ def test_header_that_disagrees_with_its_payload_is_corrupt(tmp_path, edit):
         load_checkpoint(path)
 
 
-def _resigned(raw: bytes) -> bytes:
-    body = raw[:-32] + b"\0\0\0\0"  # four payload bytes the header does not name
-    return body + hashlib.sha256(body).digest()
+def _resigned(edit):
+    """A rewrite that applies `edit` to a bundle's body (bytearray), then
+    re-signs it so the digest verifies."""
+    def rewrite(raw: bytes) -> bytes:
+        body = bytes(edit(bytearray(raw[:-32])))
+        return body + hashlib.sha256(body).digest()
+
+    return rewrite
+
+
+def _kind_not_utf8(body: bytearray) -> bytearray:
+    (clen,) = struct.unpack_from("<H", body, 8)
+    body[10 : 10 + clen] = b"\xff" * clen
+    return body
 
 
 @pytest.mark.parametrize("rewrite,match", [
     pytest.param(lambda raw: raw[:20], "not a parameter bundle", id="short-file"),
     pytest.param(lambda raw: b"X" + raw[1:], "not a parameter bundle", id="wrong-magic"),
-    pytest.param(_resigned, "payload size does not match header", id="payload-longer-than-header"),
+    pytest.param(_resigned(lambda body: body + b"\0\0\0\0"),  # four payload bytes the header does not name
+                 "payload size does not match header", id="payload-longer-than-header"),
+    pytest.param(_resigned(lambda body: body[:8] + struct.pack("<H", 0xFFFF) + body[10:]),
+                 "header does not match", id="kind-past-body"),
+    pytest.param(_resigned(_kind_not_utf8), "header does not match", id="kind-not-utf8"),
+    pytest.param(_resigned(lambda body: body[: 10 + len("projector") + 2]),  # half a header-length field
+                 "header does not match", id="ends-before-header-length"),
 ])
 def test_checkpoint_checks_raise_their_typed_errors(tmp_path, rewrite, match):
     path = tmp_path / "w.ckpt"

@@ -7,13 +7,14 @@ import pytest
 from mmadapt import corpus as corpus_module
 from mmadapt.corpus import (
     D_SPEECH,
+    N_ANCHOR_SYMBOLS,
     N_SYMBOLS,
+    PAYLOAD_PER_FACT,
     CorpusConfig,
     Example,
     Utterance,
     build_corpus,
     carve_validation,
-    dedup_answers,
     draw_pools,
     gen_task_dataset,
     make_acoustic_code,
@@ -136,43 +137,6 @@ def test_asr_requires_source_language(cfg, vocab, acoustic, pools):
         gen_task_dataset("ASR", "tgt1", cfg, Rng(0), vocab, acoustic, pools)
 
 
-def test_dedup_removes_duplicate_pairs_and_crossing_spans(cfg, vocab, acoustic, pools):
-    exs = gen_task_dataset("QA", "src", cfg, Rng(5).split("qa"), vocab, acoustic, pools)
-    deduped = dedup_answers(exs)
-    # pairwise-scan oracle: no (context, question, answer) key twice
-    keys = [(e.source_tokens, e.question_tokens, e.answer_tokens) for e in deduped]
-    assert len(keys) == len(set(keys))
-    # every surviving span avoids the boundary marker
-    for e in deduped:
-        i, j = e.span
-        assert BOUND not in e.source_tokens[i:j]
-    # the generator did produce offending inputs, so dedup had work to do
-    assert len(deduped) < len(exs)
-    raw_keys = [(e.source_tokens, e.question_tokens, e.answer_tokens) for e in exs]
-    assert len(raw_keys) != len(set(raw_keys))
-
-
-def test_dedup_keeps_one_of_identical_pairs(cfg, vocab, acoustic, pools):
-    exs = gen_task_dataset("QA", "src", cfg, Rng(5).split("qa"), vocab, acoustic, pools)
-    dup = [
-        e
-        for e in exs
-        if BOUND not in e.source_tokens[e.span[0] : e.span[1]]
-        and sum(
-            1
-            for o in exs
-            if (o.source_tokens, o.question_tokens, o.answer_tokens)
-            == (e.source_tokens, e.question_tokens, e.answer_tokens)
-        )
-        > 1
-    ]
-    assert dup, "generator should emit some duplicates"
-    deduped = dedup_answers(exs)
-    key = (dup[0].source_tokens, dup[0].question_tokens, dup[0].answer_tokens)
-    survivors = [e for e in deduped if (e.source_tokens, e.question_tokens, e.answer_tokens) == key]
-    assert len(survivors) == 1
-
-
 def test_carve_validation_partitions_by_theme(cfg, vocab, acoustic, pools):
     exs = gen_task_dataset("MT", "tgt1", cfg, Rng(6).split("mt"), vocab, acoustic, pools)
     train, val = carve_validation(exs)
@@ -184,7 +148,7 @@ def test_carve_validation_partitions_by_theme(cfg, vocab, acoustic, pools):
 
 
 def test_invalid_split_mismatches_themes(cfg, vocab, acoustic, pools):
-    exs = dedup_answers(gen_task_dataset("QA", "tgt2", cfg, Rng(7).split("qa"), vocab, acoustic, pools))
+    exs = gen_task_dataset("QA", "tgt2", cfg, Rng(7).split("qa"), vocab, acoustic, pools)
     out = make_invalid_split(exs, Rng(8), vocab)
     invalid = [e for e in out if e.validity == "invalid"]
     assert invalid
@@ -194,9 +158,9 @@ def test_invalid_split_mismatches_themes(cfg, vocab, acoustic, pools):
 
 
 def test_invalid_split_deterministic_count(vocab, acoustic):
-    cfg = CorpusConfig(n_contexts=700, duplicate_fraction=0.0, crossing_fraction=0.0, seed=11)
+    cfg = CorpusConfig(n_contexts=700, crossing_fraction=0.0, seed=11)
     pools = draw_pools(cfg, vocab)
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(11).split("qa"), vocab, acoustic, pools))
+    exs = gen_task_dataset("QA", "src", cfg, Rng(11).split("qa"), vocab, acoustic, pools)
     assert len(exs) >= 1000
     exs = exs[:1000]
     out = make_invalid_split(exs, Rng(12), vocab)
@@ -204,7 +168,7 @@ def test_invalid_split_deterministic_count(vocab, acoustic):
 
 
 def test_invalid_split_single_theme_rejected(cfg, vocab, acoustic, pools):
-    exs = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
+    exs = gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools)
     one_theme = [e for e in exs if e.theme_id == 2]
     with pytest.raises(ConfigError):
         make_invalid_split(one_theme, Rng(0), vocab)
@@ -212,8 +176,8 @@ def test_invalid_split_single_theme_rejected(cfg, vocab, acoustic, pools):
 
 def test_invalid_split_rejects_mixed_languages_before_any_change(cfg, vocab, acoustic, pools):
     # A donor question must come from the example's own language.
-    src = dedup_answers(gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
-    tgt = dedup_answers(gen_task_dataset("QA", "tgt1", cfg, Rng(9).split("qa"), vocab, acoustic, pools))
+    src = gen_task_dataset("QA", "src", cfg, Rng(9).split("qa"), vocab, acoustic, pools)
+    tgt = gen_task_dataset("QA", "tgt1", cfg, Rng(9).split("qa"), vocab, acoustic, pools)
     mixed = src[:6] + tgt[:6]
     kept = list(mixed)
     with pytest.raises(ContractViolation, match="one language"):
@@ -221,20 +185,43 @@ def test_invalid_split_rejects_mixed_languages_before_any_change(cfg, vocab, aco
     assert mixed == kept and all(e.validity == "valid" for e in mixed)
 
 
-def _corpus_digest(corpus) -> str:
-    """SHA-256 over every split's examples, frames included, and the acoustic code."""
+def _corpus_digest(corpus, content_only: bool = False) -> str:
+    """SHA-256 over every split's examples, ids and frames included unless
+    `content_only`, and the acoustic code."""
     h = hashlib.sha256()
     for key in sorted(corpus.splits):
         h.update(repr(key).encode())
         for e in corpus.splits[key]:
             spans = [None if t is None else [int(x) for x in t]
                      for t in (e.source_tokens, e.answer_tokens, e.question_tokens, e.span)]
-            h.update(repr((e.id, e.theme_id, e.task, e.language, e.validity, e.question_theme_id, spans)).encode())
-            if e.frames is not None:
+            fields = (e.theme_id, e.task, e.language, e.validity, e.question_theme_id, spans)
+            h.update(repr(fields if content_only else (e.id, *fields)).encode())
+            if not content_only and e.frames is not None:
                 h.update(np.ascontiguousarray(e.frames, dtype="<f4").tobytes())
     for a in (corpus.acoustic.code, corpus.acoustic.offsets):
         h.update(np.ascontiguousarray(a, dtype="<f4").tobytes())
     return h.hexdigest()
+
+
+def _content_digest(corpus) -> str:
+    """What each split holds, in order: no ids, no frames."""
+    return _corpus_digest(corpus, content_only=True)
+
+
+# Recorded while the generator still planted duplicate questions and
+# question spans that cross a boundary, and a dedup pass removed them, so a
+# generation change that alters what any split holds fails here.
+CONTENT_DIGESTS = {
+    SMALL: "d26dcf2f169e73826454403aaafc0ec631911d4ab74037fec3a43eca3b9e1cce",
+    CorpusConfig(seed=3, n_sentences=48, n_contexts=24): "e6ce979e17c1c956c183393729f6df93a73ff12a306cb4c669452ec9fbf2004d",
+    CorpusConfig(seed=1): "7238132d97c3ae0564291dd48b3cd1815233d104fa6d1ec9cb7351123c22fd40",
+    CorpusConfig(seed=7): "d8fd7bc25aa0852e68a15c55f2f66061094fdcf69b04745897a3e830f6267a26",
+}
+
+
+@pytest.mark.parametrize("config", list(CONTENT_DIGESTS), ids=lambda c: f"seed{c.seed}-{c.n_sentences}-{c.n_contexts}")
+def test_corpus_content_is_pinned_to_its_recorded_digest(config):
+    assert _content_digest(build_corpus(config)) == CONTENT_DIGESTS[config]
 
 
 def test_build_corpus_deterministic_and_well_formed(monkeypatch):
@@ -267,18 +254,21 @@ def test_build_corpus_deterministic_and_well_formed(monkeypatch):
 
 
 def test_small_corpus_is_pinned_to_its_recorded_digest():
-    # Recorded while the corpus shape was still a set of CorpusConfig fields,
-    # so a generation constant that drifts from its old default fails here.
+    # Ids and frames included. The content digest of this config holds its
+    # splits to the ones built while the corpus shape was still a set of
+    # CorpusConfig fields, so a generation constant that drifts fails there.
     corpus = build_corpus(CorpusConfig(seed=3, n_sentences=48, n_contexts=24))
-    assert _corpus_digest(corpus) == "57cd7cff257b22f5f1071a048bc9e504fc59c459243244a79d8fe3350d72b0ff"
+    assert _corpus_digest(corpus) == "b7f8a04d1caf7132132017644c88d15229f849f38302200155c5b44b0933c4ef"
 
 
-# The corpus every benchmark workload builds, at two seeds. Recorded while a
-# well-formedness filter and a separate answer-rewrite pass still ran, so a
-# generation change that alters the benchmark's data fails here.
+# The corpus every benchmark workload builds, at two seeds, ids and frames
+# included. Recorded when SQA/QA ids became consecutive and each SQA
+# utterance took its context's index as its label; `CONTENT_DIGESTS` holds
+# the content to the corpus built before, so a generation change that
+# alters the benchmark's data fails here.
 FULL_DIGESTS = {
-    1: "150cfdc3ec04d122c5dc641ce07ec70d2bdbed6256ac0564814f680860eca47a",
-    7: "38d6060eeee22af5f34d4f593f52a4d0e68699c04f9464b1229dbd39f7c3f267",
+    1: "7516132c302d4f37d893d3269c4a875a7ffec5460a62b4d199cb73e12c7b4a19",
+    7: "b8e0ce12b7e84cdfe7aad33a099db0acd7d72cd293a2b40202caa3daff1b3c24",
 }
 
 
@@ -325,6 +315,52 @@ def test_valid_answers_are_wrapped_and_invalid_answers_are_not_answerable(full_c
                 assert e.answer_tokens == lang.not_answerable
 
 
+def test_valid_spans_are_whole_and_no_split_repeats_a_question(full_corpus):
+    # An invalid split may repeat a triple: two questions of one context can
+    # draw the same donor question.
+    for _, validity, exs in _qa_splits(full_corpus):
+        if validity == "valid":
+            for e in exs:
+                i, j = e.span
+                assert BOUND not in e.source_tokens[i:j], e.id
+            keys = [(e.source_tokens, e.question_tokens, e.answer_tokens) for e in exs]
+            assert len(keys) == len(set(keys))
+
+
+def test_a_fact_whose_payload_a_boundary_splits_gets_no_question(full_corpus):
+    # Anchors appear only as fact anchors, so every anchor token opens a fact
+    # whose payload is the next PAYLOAD_PER_FACT tokens unless a boundary
+    # splits it.
+    src = full_corpus.vocab.lang("src")
+    symbol_of = {src.token_for_symbol(s): s for s in range(N_ANCHOR_SYMBOLS)}
+    split = 0
+    for _, tokens, questions in draw_pools(full_corpus.cfg, full_corpus.vocab).contexts:
+        whole = []
+        for a, t in enumerate(tokens):
+            if t in symbol_of:
+                if BOUND in tokens[a + 1 : a + 1 + PAYLOAD_PER_FACT]:
+                    split += 1
+                else:
+                    whole.append((symbol_of[t], (a + 1, a + 1 + PAYLOAD_PER_FACT)))
+        assert questions == whole
+    assert split > 0
+
+
+def test_a_full_build_draws_no_stream_per_question(monkeypatch):
+    # One stream per sentence and context, one per invalid example's donor
+    # draw, and a few roots: none per generated question.
+    paths = []
+
+    def counted(self, seed, path=(), _init=Rng.__init__):
+        _init(self, seed, path)
+        paths.append(self.path)
+
+    monkeypatch.setattr(Rng, "__init__", counted)
+    build_corpus(CorpusConfig(seed=7))
+    assert len(paths) == 5943
+    assert not any("dups" in p for p in paths)
+
+
 # ---------------------------------------------------------------------------
 # frames are synthesized on first read
 # ---------------------------------------------------------------------------
@@ -363,14 +399,25 @@ def test_frames_do_not_depend_on_the_order_they_are_read_in(order):
     assert _corpus_digest(corpus) == FULL_DIGESTS[7]
 
 
-def test_duplicate_questions_share_their_contexts_utterance(cfg, vocab, acoustic, pools):
-    exs = gen_task_dataset("SQA", "tgt1", cfg, Rng(9).split("sqa"), vocab, acoustic, pools)
-    assert max(Counter((e.source_tokens, e.question_tokens) for e in exs).values()) > 1
-    contexts = Counter(ctx for _, ctx, _ in pools.contexts)
-    holders = defaultdict(set)
-    for e in exs:
-        holders[e.source_tokens].add(id(e.speech))
-    assert {t: len(h) for t, h in holders.items()} == {t: contexts[t] for t in holders}
+def test_sqa_frames_come_from_their_contexts_label_path(full_corpus):
+    # A context's utterance is labelled by the context's index in the pool,
+    # so no label depends on how many questions earlier contexts hold.
+    cfg = full_corpus.cfg
+    contexts = draw_pools(cfg, full_corpus.vocab).contexts
+    index = defaultdict(list)
+    for c, (_, tokens, _) in enumerate(contexts):
+        index[tokens].append(c)
+    for lang in LANGUAGES:
+        holders = {}
+        for (task, split_lang, _, _), exs in full_corpus.splits.items():
+            if task == "SQA" and split_lang == lang:
+                for e in exs:
+                    holders.setdefault(e.speech.labels, e.speech)
+                    assert holders[e.speech.labels] is e.speech
+                    assert e.speech.labels in {("frames", f"ctx-{lang}-{c}") for c in index[e.source_tokens]}
+        for (_, label), u in holders.items():
+            stream = Rng(cfg.seed).split("gen", "SQA", lang, "frames", label)
+            np.testing.assert_array_equal(u.frames, synthesize_frames(u.tokens, full_corpus.acoustic, cfg, stream))
 
 
 def test_sqa_examples_of_one_context_share_one_utterance_read_once(monkeypatch):
@@ -406,6 +453,9 @@ def test_text_task_example_with_speech_rejected(cfg, acoustic):
 @pytest.mark.parametrize("call,error,match", [
     pytest.param(lambda gen: CorpusConfig(k_up=0), ConfigError, "k_up", id="k_up"),
     pytest.param(lambda gen: CorpusConfig(noise_sigma=-0.01), ConfigError, "noise_sigma", id="noise_sigma"),
+    pytest.param(lambda gen: CorpusConfig(noise_sigma=float("nan")), ConfigError, "noise_sigma", id="noise_sigma-nan"),
+    *[pytest.param(lambda gen, f=f: CorpusConfig(crossing_fraction=f), ConfigError, "crossing_fraction",
+                   id=f"crossing_fraction-{f}") for f in (1.0, 2.0, -1.0, float("nan"))],
     pytest.param(lambda gen: Example(id="mt-tgt1-0", theme_id=0, task="MT", language="tgt1", source_tokens=(40,),
                                      answer_tokens=(56,), validity="invalid"),
                  ContractViolation, "only SQA/QA", id="invalid-mt-example"),

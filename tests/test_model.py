@@ -766,6 +766,8 @@ BACKBONE_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ffn", "max
     pytest.param(lambda: ProjectorConfig(d_in=30, n_heads=4), ConfigError, "d_in must be divisible",
                  id="projector-heads"),
     pytest.param(lambda: LoraConfig(alpha=0.0), ConfigError, "alpha", id="lora-alpha"),
+    *[pytest.param(lambda alpha=alpha: LoraConfig(alpha=alpha), ConfigError, "alpha must be positive and finite",
+                   id=f"lora-alpha-{alpha}") for alpha in (float("nan"), float("inf"))],
     pytest.param(lambda: average_frames(np.ones((4, 2)), 0), ContractViolation, "k must be", id="average-frames-k"),
     pytest.param(lambda: splice_grid([], 12, 32), ContractViolation, "at least one row", id="splice-grid-empty"),
     pytest.param(lambda: SpeechProjector(SMALL_PROJ, Rng(0)).speech_rows([]), ContractViolation,

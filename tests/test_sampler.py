@@ -240,6 +240,7 @@ def _no_qa_pools():
     pytest.param(lambda: SamplerConfig(task_ratios={}, split_ratios={}), "task_ratios is empty", id="empty-tasks"),
     pytest.param(lambda: _config(split_ratios={"ASR": {}}), r"split_ratios\[ASR\] is empty", id="empty-splits"),
     pytest.param(lambda: _config(task_ratios={"ASR": -0.2, "ST": 0.8, "SQA": 0.4}), "negative", id="negative"),
+    pytest.param(lambda: _config(task_ratios={"ASR": float("nan"), "ST": 0.6, "SQA": 0.4}), "sums to nan", id="nan"),
     pytest.param(lambda: _config(task_ratios={"ASR": 0.5, "MT": 0.5}), "no split ratios", id="no-split-ratios"),
     pytest.param(lambda: plan_epoch(_config(batch_size=16), _pools(1), Rng(0), WHOLE_EPOCH), "epoch has no steps", id="no-steps"),
     pytest.param(lambda: plan_epoch(_config(task_ratios={"SQA": 1.0}), _no_qa_pools(), Rng(0), WHOLE_EPOCH),
@@ -254,13 +255,14 @@ def test_sampler_checks_raise_their_typed_errors(call, match):
 # Two seeded plans over a built corpus: a text-mode pretraining mix and a
 # stage-C mix with interleaved text. Batches of 4 over splits of 6-60
 # examples make every cursor cycle. The pretraining plan is the first 60
-# of its 78 steps; the stage-C plan is its whole epoch of 48. The digests were recorded while the
-# sampler still drew example ids and the trainer looked them up again, so a
-# sampler change that alters which examples a batch holds, or their order,
-# fails here.
+# of its 78 steps; the stage-C plan is its whole epoch of 48. The digests were re-recorded when
+# SQA/QA ids became consecutive, after checking that each plan held the same
+# examples by content at every position as when the sampler still drew
+# example ids and the trainer looked them up again. A sampler change that
+# alters which examples a batch holds, or their order, fails here.
 SCHEDULE_DIGESTS = {
-    "pretrain": "92bd4cbe7bfbb99cf72c5a95b7590b231dd90f62777b6df06c8b129cae484255",
-    "merge": "1440adb01308b2babe4c92133dd292f2bdb7afbe667a15be1f9fe0df9ae74020",
+    "pretrain": "076b80f37470c8106bd0c5a4d6c2b72b15f022e0eb9d69484e09af7585956461",
+    "merge": "37a78f88718cffeeac250a8e59ff37461293c6a0b09b377e77aee8710f362fae",
 }
 
 

@@ -605,6 +605,8 @@ def _diverging_run(corpus):
 
 @pytest.mark.parametrize("call,error,match", [
     pytest.param(lambda corpus: OptimizerConfig(lr=0.0), ConfigError, "lr must be positive", id="lr"),
+    *[pytest.param(lambda corpus, lr=lr: OptimizerConfig(lr=lr), ConfigError, "lr must be positive and finite",
+                   id=f"lr-{lr}") for lr in (float("nan"), float("inf"))],
     pytest.param(lambda corpus: AdamW({"a": parameter(np.zeros(2, np.float32)), "b": parameter(np.zeros(2))},
                                       OptimizerConfig()),
                  ContractViolation, "one dtype", id="adamw-mixed-dtypes"),
